@@ -75,6 +75,7 @@ def parse_input(path: str) -> ParsedInput:
         raise InputError(f"{path}: points must be a nonempty list")
     coords = []
     heights = {}
+    first_index = {}
     any_height = False
     for i, entry in enumerate(points):
         where = f"{path}: points[{i}]"
@@ -93,9 +94,16 @@ def parse_input(path: str) -> ParsedInput:
         coords.append(pt)
         if "height" in entry:
             any_height = True
-            heights[pt] = _parse_height(entry["height"], where)
+            height = _parse_height(entry["height"], where)
         else:
-            heights[pt] = Fraction(0)
+            height = Fraction(0)
+        if pt in heights and heights[pt] != height:
+            raise InputError(
+                f"{path}: points[{first_index[pt]}] and points[{i}] give the point "
+                f"{c} the different heights {heights[pt]} and {height}"
+            )
+        heights[pt] = height
+        first_index.setdefault(pt, i)
     try:
         polytope = LatticePolytope.convex_hull(coords)
     except ValueError as exc:
@@ -124,15 +132,34 @@ def build_complex(parsed: ParsedInput) -> CellComplex:
     return s
 
 
+def _parse_rays(rays, dim: int, where: str) -> list[tuple[int, ...]]:
+    """Primitive integer rays from a JSON ray list; ``where`` is its JSON path."""
+    if not isinstance(rays, list):
+        raise InputError(f"{where} must be a list of rays")
+    out = []
+    for j, r in enumerate(rays):
+        if (
+            not isinstance(r, list)
+            or len(r) != dim
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in r)
+        ):
+            raise InputError(f"{where}[{j}] must be a list of {dim} integers")
+        out.append(primitive(tuple(r)))
+    return out
+
+
 def _resolve_subfan(fan: TruncatedNormalFan, cone_list, path="input"):
     """Map a user cone list (ray lists) to face ids of the truncated fan."""
+    if not isinstance(cone_list, list):
+        raise InputError(f"{path}: subfan must be a list of cones")
     by_rays = {rays: fid for fid, rays in fan.cone_rays.items()}
     ids = []
     for i, cone in enumerate(cone_list):
-        rays = cone.get("rays") if isinstance(cone, dict) else cone
-        if not isinstance(rays, list):
-            raise InputError(f"{path}: subfan[{i}] must have a ray list")
-        key = tuple(sorted(primitive(tuple(r)) for r in rays))
+        if isinstance(cone, dict):
+            rays = _parse_rays(cone.get("rays"), fan.dim, f"{path}: subfan[{i}].rays")
+        else:
+            rays = _parse_rays(cone, fan.dim, f"{path}: subfan[{i}]")
+        key = tuple(sorted(rays))
         if key == ():
             ids.append(fan.lattice.top)
             continue
@@ -149,11 +176,15 @@ def _resolve_subfan(fan: TruncatedNormalFan, cone_list, path="input"):
 
 def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path="input"):
     """Build a refinement from user cones carrying sigma indices."""
+    if not isinstance(cone_list, list):
+        raise InputError(f"{path}: refinement must be a list of cones")
     cones = {(): fan.lattice.top}
     for i, cone in enumerate(cone_list):
         if not isinstance(cone, dict) or "rays" not in cone or "sigma" not in cone:
             raise InputError(f"{path}: refinement[{i}] needs 'rays' and 'sigma'")
-        rays = tuple(sorted(primitive(tuple(r)) for r in cone["rays"]))
+        rays = tuple(
+            sorted(_parse_rays(cone["rays"], fan.dim, f"{path}: refinement[{i}].rays"))
+        )
         sigma = cone["sigma"]
         if not isinstance(sigma, int) or not 0 <= sigma < len(subfan_ids):
             raise InputError(f"{path}: refinement[{i}].sigma out of range")

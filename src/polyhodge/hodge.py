@@ -101,9 +101,12 @@ def chi_y(p: LatticePolytope) -> LaurentPoly:
 
 
 def euler_characteristic(p: LatticePolytope) -> int:
-    """(-1)^(dim+1) times the normalized volume."""
+    """(-1)^(dim+1) times the normalized volume; 0 for a point, whose
+    hypersurface is empty."""
     if p.is_empty:
         raise ValueError("requires a nonempty polytope")
+    if p.dim == 0:
+        return 0
     return (-1) ** (p.dim + 1) * inv.h_star(p).eval_int({"u": 1})
 
 

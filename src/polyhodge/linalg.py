@@ -1,31 +1,29 @@
-"""Small exact linear algebra over Q and Z used by the polytope machinery.
+"""Exact integer linear algebra used by the polytope machinery.
 
-Everything here works on tuples of ints/Fractions at desk scale (dimension
-at most ~6), favoring clarity and exactness over asymptotic speed.
+One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves rank,
+kernel and solve: every intermediate entry is an integer minor of the input,
+so the divisions are exact and no rational arithmetic happens on the way.
+Run to the reduced form, it yields D times the reduced row echelon form,
+where D is the determinant of the pivot minor; that form is unique, so
+kernel vectors read off it are canonical.  Hyperplane normals are the signed
+maximal minors directly, and the saturated integer kernel comes with the
+inverse of its unimodular completion, which gives integer left inverses of
+lattice bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-Vector = tuple
+from math import gcd, lcm
+from operator import mul, sub
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def scale(a, s):
-    return tuple(s * x for x in a)
+    return sum(map(mul, a, b))
 
 
 def primitive(v):
@@ -38,109 +36,133 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
+def _bareiss(rows, reduced: bool):
+    """Fraction-free elimination of an integer matrix.
+
+    Returns (m, pivots, det): the nonzero rows of the eliminated matrix, the
+    pivot column of each, and the determinant of the pivot minor (1 if there
+    is no pivot).  Without ``reduced`` only the rows below each pivot are
+    cleared (enough for the rank).  With it the rows above are cleared too,
+    and m[i][pivots[k]] == det if i == k else 0, so m / det is the reduced
+    row echelon form.
+    """
+    m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m[r], m[i] = m[i], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
         pivots.append(c)
+        prev = p
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return m[:r], pivots, prev
 
 
 def rank(rows) -> int:
     if not rows:
         return 0
-    return len(rref(rows)[0])
+    return len(_bareiss(rows, reduced=False)[1])
 
 
-def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel {x : rows @ x = 0}."""
+def kernel_basis(rows) -> list[tuple[int, ...]]:
+    """Basis of the rational kernel {x : rows @ x = 0} of an integer matrix.
+
+    One primitive integer vector per free column f of the reduced row echelon
+    form: the positive multiple of the vector with x_f = 1, the other free
+    coordinates 0 and the pivot coordinates read off the reduced form.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots, det = _bareiss(rows, reduced=True)
+    sign = 1 if det > 0 else -1
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = sign * det
+        for row, p in zip(red, pivots):
+            v[p] = -sign * row[f]
+        basis.append(primitive(v))
     return basis
-
-
-def clear_denominators(v) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector."""
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    return primitive(ints)
 
 
 def solve(rows, rhs):
     """Solve a linear system exactly; returns None if inconsistent.
 
-    For underdetermined systems an arbitrary solution (free vars = 0) is
-    returned.
+    Entries may be integers or Fractions; each equation is scaled to integers
+    before the elimination.  For underdetermined systems an arbitrary
+    solution (free vars = 0) is returned, as a tuple of Fractions.
     """
     if not rows:
         return tuple()
-    augmented = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(augmented)
+    augmented = []
+    for row, b in zip(rows, rhs):
+        eq = (*row, b)
+        den = lcm(*(x.denominator for x in eq))
+        augmented.append([x.numerator * (den // x.denominator) for x in eq])
+    red, pivots, det = _bareiss(augmented, reduced=True)
     ncols = len(rows[0])
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = red[i][-1]
+    for row, p in zip(red, pivots):
+        x[p] = Fraction(row[-1], det)
     return tuple(x)
 
 
-def integer_kernel_basis(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Z-basis of {x in Z^n : rows @ x = 0} (a saturated sublattice).
+def integer_kernel_basis(rows: list[tuple[int, ...]], n: int):
+    """Z-basis of {x in Z^n : rows @ x = 0} (a saturated sublattice), with an
+    integer left inverse of it.
 
-    Uses column reduction by a unimodular matrix: find U with A U = [H | 0];
-    the trailing columns of U span the kernel.
+    Column reduction by a unimodular matrix U gives A U = [H | 0]; the
+    trailing columns of U span the (saturated) kernel.  The matching rows of
+    U^-1, tracked alongside by the inverse row operations, satisfy
+    left_inverse[k] . basis[j] == (k == j).  Returns (basis, left_inverse).
     """
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    a = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # column ops mirror
+    u_inv = [row[:] for row in u]  # U^-1, by the inverse row ops
+    if not rows:
+        return [tuple(r) for r in u], [tuple(r) for r in u_inv]
+    a = [list(r) for r in rows]
 
     def col_op(j, k, f):
-        # column_j += f * column_k
+        # column_j += f * column_k; on U^-1: row_k -= f * row_j
         for row in a:
             row[j] += f * row[k]
         for row in u:
             row[j] += f * row[k]
+        row_j, row_k = u_inv[j], u_inv[k]
+        u_inv[k] = [y - f * x for x, y in zip(row_j, row_k)]
 
     def col_swap(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
         for row in u:
             row[j], row[k] = row[k], row[j]
+        u_inv[j], u_inv[k] = u_inv[k], u_inv[j]
 
     lead = 0
     for i in range(len(a)):
@@ -164,28 +186,59 @@ def integer_kernel_basis(rows: list[tuple[int, ...]], n: int) -> list[tuple[int,
                 break
         if a[i][lead] != 0:
             lead += 1
-    # Columns lead..n-1 of the implicit transform are the kernel basis.
-    basis = []
-    for j in range(lead, n):
-        col = tuple(u[i][j] for i in range(n))
-        basis.append(col)
-    return basis
+    # Columns lead..n-1 of U are the kernel basis; rows lead..n-1 of U^-1
+    # are its left inverse.
+    basis = [tuple(u[i][j] for i in range(n)) for j in range(lead, n)]
+    left_inverse = [tuple(u_inv[j]) for j in range(lead, n)]
+    return basis, left_inverse
+
+
+def signed_minors(rows, n: int) -> list[int]:
+    """Entry j is (-1)^j times the minor of the (n-1) x n matrix without column j.
+
+    The result is orthogonal to every row, and it is zero exactly when the
+    rows have rank < n - 1.  Built by Laplace expansion along one row at a
+    time: after k rows, minors maps each k-subset of columns (as a bitmask)
+    to its k x k minor.
+    """
+    minors = {0: 1}
+    for k, row in enumerate(rows):
+        grown = {}
+        for mask, det in minors.items():
+            if not det:
+                continue
+            sign = -1 if k % 2 else 1  # (-1)^(k + position of j) below
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    sign = -sign
+                    continue
+                if row[j]:
+                    key = mask | bit
+                    grown[key] = grown.get(key, 0) + sign * row[j] * det
+        minors = grown
+    full = (1 << n) - 1
+    return [
+        (-1 if j % 2 else 1) * minors.get(full ^ (1 << j), 0) for j in range(n)
+    ]
 
 
 def hyperplane_normal(points) -> tuple[int, ...] | None:
     """Primitive integer normal of the hyperplane through the given points.
 
     Returns None when the points do not affinely span a hyperplane of the
-    ambient space (too low-dimensional or not unique).
+    ambient space (too low-dimensional or not unique).  The sign makes the
+    last nonzero coordinate positive, which is the kernel vector's sign
+    convention for the one free column.
     """
     base = points[0]
     rows = [vec_sub(p, base) for p in points[1:]]
     n = len(base)
-    if rank(rows) != n - 1:
-        return None
-    if n == 1:
-        return (1,)
-    kernel = kernel_basis(rows)
-    if len(kernel) != 1:
-        return None
-    return clear_denominators(kernel[0])
+    if len(rows) != n - 1:
+        kernel = kernel_basis(rows)
+        return kernel[0] if len(kernel) == 1 else None
+    normal = signed_minors(rows, n)
+    for x in reversed(normal):
+        if x:
+            return primitive(normal if x > 0 else [-y for y in normal])
+    return None

@@ -1,20 +1,25 @@
 """Exact lattice polytopes: hulls, face lattices, lattice point enumeration.
 
-All geometry is exact (integer/Fraction arithmetic).  Facet enumeration is
-exhaustive over affinely independent vertex subsets, which is entirely
-adequate at desk scale (dimension <= ~5, a few dozen vertices) and keeps
-every certificate checkable.
+All geometry is exact integer arithmetic; rationals appear only in the
+vertices of a polar dual.  Facets are found by trying every d-subset of the
+points as a hyperplane (its normal is the vector of signed maximal minors)
+and keeping those with all points on one side; the scan of a candidate stops
+at the first point on the second side.  Every facet is certified against all
+points, which is adequate at desk scale (dimension <= ~5, a few dozen
+points).
 
 Polytopes are immutable; derived data (facets, face lattice, point counts)
 is cached on first use.  A lower-dimensional polytope carries a unimodular
-affine model of itself in the saturated lattice of its affine span, so that
-lattice point counts and volumes are intrinsic.
+affine model of itself in the saturated lattice of its affine span, with an
+integer left inverse, so that lattice point counts and volumes are intrinsic
+and model coordinates cost integer dot products only.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .poset import EulerianPoset
@@ -26,52 +31,36 @@ class AffineUnimodularMap:
     """Lattice-preserving affine map between Z^d (model) and a coset in Z^n.
 
     ambient(x) = origin + sum_i x_i * basis_i.  The basis spans the saturated
-    lattice of the affine span, so to_model/from_model are mutually inverse
-    bijections on lattice points of the span.
+    lattice of the affine span, and the integer rows of left_inverse satisfy
+    left_inverse[k] . basis[j] == (k == j), so to_model/from_model are
+    mutually inverse bijections on lattice points of the span, computed with
+    integer dot products only.
     """
 
-    __slots__ = ("origin", "basis", "_left_inverse")
+    __slots__ = ("origin", "basis", "_left_inverse", "is_identity")
 
-    def __init__(self, origin: Point, basis: list[Point]):
+    def __init__(self, origin: Point, basis: list[Point], left_inverse: list[Point]):
         self.origin = tuple(origin)
         self.basis = tuple(tuple(b) for b in basis)
-        d = len(basis)
-        if d == 0:
-            self._left_inverse = []
-            return
-        # Left inverse rows r_k with r_k . basis_j = delta_kj; applied to
-        # x - origin (which lies in the basis span) they recover coordinates.
-        bt = [tuple(b) for b in self.basis]  # d rows of length n
-        self._left_inverse = []
-        for k in range(d):
-            rhs = [1 if j == k else 0 for j in range(d)]
-            sol = linalg.solve(bt, rhs)
-            if sol is None:
-                raise ValueError("basis is not linearly independent")
-            self._left_inverse.append(sol)
-
-    @property
-    def is_identity(self) -> bool:
+        self._left_inverse = tuple(tuple(r) for r in left_inverse)
+        d = len(self.basis)
+        if len(self._left_inverse) != d or any(
+            linalg.dot(r, b) != (k == j)
+            for k, r in enumerate(self._left_inverse)
+            for j, b in enumerate(self.basis)
+        ):
+            raise ValueError("left_inverse is not an integer left inverse of the basis")
         n = len(self.origin)
-        if any(self.origin):
-            return False
-        if len(self.basis) != n:
-            return False
-        return all(
-            self.basis[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
+        self.is_identity = (
+            not any(self.origin) and d == n and self.basis == tuple(_std_basis(n))
         )
 
     def to_model(self, pt) -> Point:
+        """Model coordinates of a lattice point of the affine span."""
+        if self.is_identity:
+            return tuple(pt)
         diff = linalg.vec_sub(pt, self.origin)
-        coords = []
-        for row in self._left_inverse:
-            c = linalg.dot(row, diff)
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError(f"point {pt} is not in the lattice of the span")
-                c = int(c)
-            coords.append(c)
-        return tuple(coords)
+        return tuple(linalg.dot(row, diff) for row in self._left_inverse)
 
     def from_model(self, coords) -> Point:
         pt = list(self.origin)
@@ -81,13 +70,9 @@ class AffineUnimodularMap:
         return tuple(pt)
 
 
-def _transpose(rows):
-    return [tuple(r[i] for r in rows) for i in range(len(rows[0]))]
-
-
 def _identity_map(n: int) -> AffineUnimodularMap:
-    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return AffineUnimodularMap((0,) * n, basis)
+    basis = _std_basis(n)
+    return AffineUnimodularMap((0,) * n, basis, basis)
 
 
 _HULL_CACHE: dict = {}
@@ -185,9 +170,7 @@ class LatticePolytope:
                 if not diffs:
                     normals = _std_basis(self.ambient_dim)
                 else:
-                    normals = [
-                        linalg.clear_denominators(k) for k in linalg.kernel_basis(diffs)
-                    ]
+                    normals = linalg.kernel_basis(diffs)
                 self._span_equations = tuple(
                     (e, linalg.dot(e, base)) for e in normals
                 )
@@ -343,6 +326,8 @@ class LatticePolytope:
             raise ValueError("dual polytope requires a full-dimensional polytope")
         if not all(b < 0 for _, b in self._facets):
             raise ValueError("dual polytope requires the origin in the interior")
+        if self.dim == 0:
+            return [()]  # the polar dual of the origin of R^0 is itself
         return [tuple(Fraction(ai, -b) for ai in a) for a, b in self._facets]
 
     def reflexive_check(self) -> bool:
@@ -415,11 +400,8 @@ def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
         map_ = _identity_map(n)
         model_pts = pts
     else:
-        eq_rows = [linalg.clear_denominators(k) for k in linalg.kernel_basis(diffs)] if any(
-            any(x) for x in diffs
-        ) else list(_std_basis(n))
-        basis = linalg.integer_kernel_basis(eq_rows, n)
-        map_ = AffineUnimodularMap(base, basis)
+        eq_rows = linalg.kernel_basis(diffs) if d else _std_basis(n)
+        map_ = AffineUnimodularMap(base, *linalg.integer_kernel_basis(eq_rows, n))
         model_pts = [map_.to_model(p) for p in pts]
     facets, vertex_models = _hull_in_full_dim(d, model_pts)
     # Canonical vertex order: lexicographic on ambient coordinates.
@@ -429,22 +411,45 @@ def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
 
 
 def _hull_in_full_dim(d: int, pts: list[Point]):
-    """Facets and vertices of a full-dimensional hull in Z^d, exactly."""
+    """Facets and vertices of a full-dimensional hull in Z^d, exactly.
+
+    Every d-subset of the points that spans a hyperplane is a candidate; its
+    normal is the vector of signed minors of the differences to its first
+    point.  It gives a facet when no two points lie strictly on opposite
+    sides, so the scan over the points stops as soon as both sides have been
+    seen; only facets get the primitive inner normal.
+    """
     pts = sorted(set(pts))
     if d == 0:
         return [], [pts[0]]
-    facets = {}
-    for subset in itertools.combinations(pts, d):
-        normal = linalg.hyperplane_normal(subset)
-        if normal is None:
-            continue
-        b = linalg.dot(normal, subset[0])
-        values = [linalg.dot(normal, p) for p in pts]
-        if all(v >= b for v in values):
-            facets[(normal, b)] = True
-        elif all(v <= b for v in values):
-            neg = tuple(-x for x in normal)
-            facets[(neg, -b)] = True
+    facets = set()
+    # Points that ended a scan move to the front: consecutive candidates share
+    # d - 1 points, so the last witnesses usually end the next scan too.
+    order = list(pts)
+    for i, base in enumerate(pts):
+        diffs = [linalg.vec_sub(q, base) for q in pts[i + 1:]]
+        for rows in itertools.combinations(diffs, d - 1):
+            normal = linalg.signed_minors(rows, d)
+            if not any(normal):
+                continue
+            b = linalg.dot(normal, base)
+            above = below = False
+            for k, p in enumerate(order):
+                v = sum(map(mul, normal, p))
+                if v > b:
+                    if below:
+                        break
+                    above = True
+                elif v < b:
+                    if above:
+                        break
+                    below = True
+            else:
+                inner = linalg.primitive([-x for x in normal] if below else normal)
+                facets.add((inner, linalg.dot(inner, base)))
+                continue
+            if k:
+                order.insert(0, order.pop(k))
     facet_list = sorted(facets)
     vertices = []
     for p in pts:

@@ -1,9 +1,13 @@
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from polyhodge import cli
+from polyhodge.fans import TruncatedNormalFan
 from polyhodge.laurent import LaurentPoly
 
 DATA = Path(__file__).parent / "data"
@@ -254,3 +258,81 @@ def test_lower_dimensional_input_is_normalized(tmp_path):
     code, out = run_cli(["gpoly", path])
     assert code == 0
     assert json.loads(out)["results"]["intersection_lefschetz"]["pretty"] == "1 + t"
+
+
+def test_conflicting_duplicate_heights_are_rejected(tmp_path, capsys):
+    points = [
+        {"coords": [0, 0], "height": 0},
+        {"coords": [1, 0], "height": 0},
+        {"coords": [0, 1], "height": 0},
+        {"coords": [0, 0], "height": 5},
+    ]
+    path = write_input(tmp_path, {"dim": 2, "points": points})
+    code, out = run_cli(["hodge", path])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "points[0]" in err and "points[3]" in err
+    # The same height twice (also written differently) is not a conflict.
+    points[3] = {"coords": [0, 0], "height": "0/7"}
+    path = write_input(tmp_path, {"dim": 2, "points": points}, "same.json")
+    code, _ = run_cli(["hodge", path])
+    assert code == 0
+
+
+def test_subfan_rays_are_type_checked(tmp_path, capsys):
+    fan = TruncatedNormalFan(cli.parse_input(CONCRETE).polytope)
+    for bad, where in (
+        ([[["a"]]], "subfan[0][0]"),
+        ([{"rays": [[1, 0], [True, 0]]}], "subfan[0].rays[1]"),
+        ([{"rays": [[1, 0, 0]]}], "subfan[0].rays[0]"),
+        ([{"rays": 3}], "subfan[0].rays"),
+        (5, "subfan must be a list"),
+    ):
+        with pytest.raises(cli.InputError, match=re.escape(where)):
+            cli._resolve_subfan(fan, bad)
+    data = json.loads(Path(CONCRETE).read_text())
+    data["subfan"] = [[["a"]]]
+    path = write_input(tmp_path, data)
+    code, _ = run_cli(["hodge", path])
+    assert code == 1
+    assert "subfan[0][0]" in capsys.readouterr().err
+
+
+def test_refinement_rays_are_type_checked(tmp_path, capsys):
+    fan = TruncatedNormalFan(cli.parse_input(CONCRETE).polytope)
+    _, ids = cli._resolve_subfan(fan, [{"rays": []}, {"rays": [[1, 0]]}])
+    for bad, where in (
+        ([{"rays": [["a"]], "sigma": 0}], "refinement[0].rays[0]"),
+        ([{"rays": [[1, 0]], "sigma": 1}, {"rays": [[1.5, 0]], "sigma": 1}],
+         "refinement[1].rays[0]"),
+        ([{"rays": "x", "sigma": 1}], "refinement[0].rays"),
+        ({"rays": [], "sigma": 1}, "refinement must be a list"),
+    ):
+        with pytest.raises(cli.InputError, match=re.escape(where)):
+            cli._resolve_refinement(fan, ids, bad)
+    data = json.loads(Path(CONCRETE).read_text())
+    data["subfan"] = [{"rays": []}, {"rays": [[1, 0]]}]
+    data["refinement"] = [{"rays": [["a"]], "sigma": 0}]
+    path = write_input(tmp_path, data)
+    code, _ = run_cli(["hodge", path])
+    assert code == 1
+    assert "refinement[0].rays[0]" in capsys.readouterr().err
+
+
+def test_dimension_zero_input(tmp_path):
+    # A single point: the hypersurface is empty, so every E polynomial and
+    # the Euler characteristic are 0, and the point is its own polar dual.
+    path = write_input(tmp_path, {"dim": 0, "points": [{"coords": []}]})
+    code, out = run_cli(["verify", path])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["status"] == "pass" for c in checks)
+    code, out = run_cli(["stringy", path])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["stringy_E"]["pretty"] == "0"
+    assert results["dual_polytope_vertices"] == "[[]]"
+    code, out = run_cli(["hodge", path])
+    assert code == 0
+    assert json.loads(out)["results"]["euler_characteristic"] == "0"

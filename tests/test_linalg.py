@@ -1,0 +1,311 @@
+"""The integer linear algebra kernel against a plain Fraction Gauss-Jordan oracle."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from polyhodge import linalg
+from polyhodge.polytope import AffineUnimodularMap, _hull_in_full_dim
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+# -- oracle -------------------------------------------------------------------
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def primitive_positive_multiple(v):
+    """The primitive integer vector that is a positive multiple of v."""
+    den = 1
+    for x in v:
+        den = den * Fraction(x).denominator
+    ints = [int(Fraction(x) * den) for x in v]
+    return linalg.primitive(ints)
+
+
+def kernel_oracle(rows):
+    red, pivots = rref_oracle(rows)
+    ncols = len(rows[0])
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        out.append(primitive_positive_multiple(v))
+    return out
+
+
+def solve_oracle(rows, rhs):
+    red, pivots = rref_oracle([list(r) + [b] for r, b in zip(rows, rhs)])
+    ncols = len(rows[0])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[-1]
+    return tuple(x)
+
+
+def det_oracle(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def mat_vec(rows, v):
+    return tuple(sum(x * y for x, y in zip(r, v)) for r in rows)
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6, lo=-5, hi=5):
+    """Integer matrices up to 6 x 6 with entries in -5..5; about half of them
+    are products of a few rows with -1..1 entries, so rank-deficient."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    if draw(st.booleans()):
+        entry = st.integers(lo, hi)
+        return [tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)]
+    k = draw(st.integers(1, 3))
+    unit = st.integers(-1, 1)
+    basis = [[draw(unit) for _ in range(ncols)] for _ in range(k)]
+    coeffs = [[draw(unit) for _ in range(k)] for _ in range(nrows)]
+    return [
+        tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols))
+        for cs in coeffs
+    ]
+
+
+def points(d, count):
+    return st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=count, max_size=count
+    )
+
+
+# -- rank, kernel, solve ---------------------------------------------------------
+
+
+@SETTINGS
+@given(matrices())
+def test_rank_matches_oracle(rows):
+    assert linalg.rank(rows) == len(rref_oracle(rows)[1])
+
+
+@SETTINGS
+@given(matrices(lo=-1000, hi=1000))
+def test_elimination_is_exact_on_wide_entries(rows):
+    assert linalg.rank(rows) == len(rref_oracle(rows)[1])
+    assert linalg.kernel_basis(rows) == kernel_oracle(rows)
+
+
+@SETTINGS
+@given(matrices())
+def test_kernel_basis_is_the_primitive_rref_kernel(rows):
+    basis = linalg.kernel_basis(rows)
+    assert basis == kernel_oracle(rows)
+    for v in basis:
+        assert all(isinstance(x, int) for x in v)
+        assert linalg.primitive(v) == v
+        assert mat_vec(rows, v) == (0,) * len(rows)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_solve_matches_oracle(rows, data):
+    ncols = len(rows[0])
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols))
+        rhs = list(mat_vec(rows, x))
+    else:
+        m = len(rows)
+        rhs = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    sol = linalg.solve(rows, rhs)
+    assert sol == solve_oracle(rows, rhs)
+    if sol is not None:
+        assert all(isinstance(c, Fraction) for c in sol)
+        assert mat_vec(rows, sol) == tuple(rhs)
+
+
+@SETTINGS
+@given(matrices(), st.integers(1, 4))
+def test_solve_accepts_rational_entries(rows, den):
+    rhs = [Fraction(i + 1, den) for i in range(len(rows))]
+    scaled = [[Fraction(x, den) for x in r] for r in rows]
+    assert linalg.solve(scaled, rhs) == solve_oracle(scaled, rhs)
+
+
+# -- normals ----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), points(n, n))))
+def test_signed_minors_and_hyperplane_normal(case):
+    n, pts = case
+    rows = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    minors = linalg.signed_minors(rows, n)
+    for j in range(n):
+        without_j = [[r[c] for c in range(n) if c != j] for r in rows]
+        assert minors[j] == (-1) ** j * det_oracle(without_j)
+    normal = linalg.hyperplane_normal(pts)
+    kernel = kernel_oracle(rows) if rows else [(1,)]
+    if len(kernel) == 1:
+        assert normal == kernel[0]
+        assert any(minors)
+    else:
+        assert normal is None
+        assert not any(minors)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 6).flatmap(lambda k: points(n, k)))
+    )
+)
+def test_hyperplane_normal_of_any_point_count(case):
+    n, pts = case
+    rows = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    kernel = kernel_oracle(rows) if rows else ([(1,)] if n == 1 else [])
+    expected = kernel[0] if len(kernel) == 1 else None
+    assert linalg.hyperplane_normal(pts) == expected
+
+
+# -- lattices and maps ---------------------------------------------------------------
+
+
+@SETTINGS
+@given(matrices(max_rows=4, max_cols=5), st.data())
+def test_integer_kernel_basis_is_saturated_with_left_inverse(rows, data):
+    n = len(rows[0])
+    basis, left = linalg.integer_kernel_basis(rows, n)
+    assert len(basis) == len(left) == n - len(rref_oracle(rows)[1])
+    for b in basis:
+        assert mat_vec(rows, b) == (0,) * len(rows)
+    for k, r in enumerate(left):
+        assert all(isinstance(x, int) for x in r)
+        assert [linalg.dot(r, b) for b in basis] == [int(j == k) for j in range(len(basis))]
+    # Saturation: every integer kernel vector is an integer combination.
+    for v in kernel_oracle(rows):
+        coords = mat_vec(left, v)
+        assert tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(n)) == v
+    d = len(basis)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
+    assert list(mat_vec(left, v)) == coeffs
+
+
+@SETTINGS
+@given(matrices(max_rows=3, max_cols=5), st.data())
+def test_affine_unimodular_map_round_trip(rows, data):
+    n = len(rows[0])
+    basis, left = linalg.integer_kernel_basis(rows, n)
+    origin = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    map_ = AffineUnimodularMap(origin, basis, left)
+    d = len(basis)
+    x = data.draw(st.tuples(*[st.integers(-4, 4)] * d)) if d else ()
+    pt = map_.from_model(x)
+    assert map_.to_model(pt) == x
+    assert map_.from_model(map_.to_model(pt)) == pt
+    if d:
+        # The oracle solves basis^T c = pt - origin over Q.
+        cols = [tuple(b[i] for b in basis) for i in range(n)]
+        assert solve_oracle(cols, linalg.vec_sub(pt, origin)) == tuple(map(Fraction, x))
+
+
+@SETTINGS
+@given(st.integers(0, 4).flatmap(lambda n: points(n, 3)))
+def test_identity_map_returns_points_unchanged(pts):
+    n = len(pts[0])
+    std = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    map_ = AffineUnimodularMap((0,) * n, std, std)
+    assert map_.is_identity
+    for p in pts:
+        assert map_.to_model(p) == p
+        assert map_.from_model(p) == p
+
+
+def test_affine_unimodular_map_rejects_a_wrong_left_inverse():
+    AffineUnimodularMap((0, 0), [(1, 1)], [(1, 0)])
+    with pytest.raises(ValueError):
+        AffineUnimodularMap((0, 0), [(2, 1)], [(1, 0)])
+    with pytest.raises(ValueError):
+        AffineUnimodularMap((0, 0), [(1, 0)], [])
+
+
+# -- hulls ------------------------------------------------------------------------
+
+
+def hull_oracle(d, pts):
+    """Exhaustive scan: every d-subset spanning a hyperplane, every point tested."""
+    pts = sorted(set(pts))
+    facets = set()
+    for subset in itertools.combinations(pts, d):
+        rows = [linalg.vec_sub(p, subset[0]) for p in subset[1:]]
+        kernel = kernel_oracle(rows) if rows else [(1,)]
+        if len(kernel) != 1:
+            continue
+        a = kernel[0]
+        b = sum(x * y for x, y in zip(a, subset[0]))
+        values = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        if all(v >= b for v in values):
+            facets.add((a, b))
+        if all(v <= b for v in values):
+            facets.add((tuple(-x for x in a), -b))
+    facet_list = sorted(facets)
+    vertices = []
+    for p in pts:
+        tight = [a for a, b in facet_list if sum(x * y for x, y in zip(a, p)) == b]
+        if tight and len(rref_oracle(tight)[1]) == d:
+            vertices.append(p)
+    return facet_list, vertices
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(d + 1, 9).flatmap(lambda k: points(d, k)))
+    )
+)
+def test_hull_matches_exhaustive_scan(case):
+    d, pts = case
+    diffs = [linalg.vec_sub(p, pts[0]) for p in pts]
+    assume(len(rref_oracle(diffs)[1]) == d)
+    assert _hull_in_full_dim(d, list(pts)) == hull_oracle(d, pts)
