@@ -15,7 +15,6 @@ from .subdivision import (
 )
 from .fans import Refinement, TruncatedNormalFan, identity_refinement, simplicial_refinement
 from .invariants import (
-    InvariantBundle,
     e_int_lef,
     h_star,
     lambda_mixed,

@@ -116,6 +116,8 @@ def parse_input(path: str) -> ParsedInput:
             raise InputError(f"{path}: {exc}") from None
     subfan = data.get("subfan")
     refinement = data.get("refinement")
+    if refinement is not None and subfan is None:
+        raise InputError(f"{path}: refinement needs a subfan (each sigma indexes the subfan list)")
     return ParsedInput(polytope, height_fn, subfan, refinement, raw)
 
 
@@ -186,8 +188,11 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path="in
             sorted(_parse_rays(cone["rays"], fan.dim, f"{path}: refinement[{i}].rays"))
         )
         sigma = cone["sigma"]
-        if not isinstance(sigma, int) or not 0 <= sigma < len(subfan_ids):
-            raise InputError(f"{path}: refinement[{i}].sigma out of range")
+        if type(sigma) is not int or not 0 <= sigma < len(subfan_ids):  # bool is no index
+            raise InputError(
+                f"{path}: refinement[{i}].sigma must be an index 0..{len(subfan_ids) - 1} "
+                "into the subfan list"
+            )
         fid = subfan_ids[sigma]
         coarse = fan.cone_rays[fid]
         for r in rays:
@@ -283,14 +288,14 @@ def cmd_gpoly(parsed: ParsedInput, args) -> dict:
 
 def cmd_invariants(parsed: ParsedInput, args) -> dict:
     s = build_complex(parsed)
-    bundle = inv.InvariantBundle(s)
+    p = s.polytope
     results = {
-        "h_star": _poly(bundle.h_star()),
-        "local_h_star": _poly(bundle.local_h_star()),
-        "mixed_h_star": _poly(bundle.mixed()),
-        "limit_mixed_h_star": _poly(bundle.limit_mixed()),
-        "local_limit_mixed_h_star": _poly(bundle.local_limit_mixed()),
-        "refined_limit_mixed_h_star": _poly(bundle.refined()),
+        "h_star": _poly(inv.h_star(p)),
+        "local_h_star": _poly(inv.local_h_star(p)),
+        "mixed_h_star": _poly(inv.mixed_h_star(p)),
+        "limit_mixed_h_star": _poly(inv.limit_mixed_h_star(s)),
+        "local_limit_mixed_h_star": _poly(inv.local_limit_mixed_h_star(s)),
+        "refined_limit_mixed_h_star": _poly(inv.refined_limit_mixed_h_star(s)),
         "maximal_cells": str(len(s.maximal_cells)),
     }
     return _report("invariants", parsed, results)

@@ -50,11 +50,6 @@ def as_class_polynomial(p: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly(terms)
 
 
-def class_to_uv(p: LaurentPoly) -> LaurentPoly:
-    """Substitute L -> uv in an L-realization."""
-    return p.substitute({"L": UV})
-
-
 # -- generic cell-sum evaluator ----------------------------------------------
 
 

@@ -5,7 +5,7 @@ Implements, with exact integer arithmetic throughout:
   * h*(P; u): Ehrhart series numerator,
   * l*(P; u): local h*-polynomial (alternating face sum against dual
     g-polynomials),
-  * h*(P; u, v): mixed h*-polynomial (trivial subdivision case),
+  * h*(P; u, v): mixed h*-polynomial, read off the face lattice of P,
   * h*(P, S; u, v): limit mixed h*-polynomial of a subdivision,
   * l*(P, S; u, v): local limit mixed h*-polynomial,
   * h*(P, S; u, v, w): refined limit mixed h*-polynomial,
@@ -26,7 +26,7 @@ from math import comb
 from .laurent import LaurentPoly, ONE, T, U, V, W, ZERO, from_univariate
 from .polytope import LatticePolytope
 from .poset import g_polynomial, link_h_polynomial
-from .subdivision import CellComplex, trivial_subdivision
+from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
 
 UV = U * V
@@ -68,10 +68,6 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
     out = from_univariate(coeffs, "u")
     _H_STAR[p.key] = out
     return out
-
-
-def normalized_volume(p: LatticePolytope) -> int:
-    return p.normalized_volume()
 
 
 def local_h_star(p: LatticePolytope) -> LaurentPoly:
@@ -125,18 +121,28 @@ def limit_mixed_h_star_by_cells(s: CellComplex) -> LaurentPoly:
 
 
 def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
-    """Mixed h*-polynomial h*(P;u,v): the trivial-subdivision limit mixed."""
+    """Mixed h*-polynomial h*(P;u,v), the limit mixed h* of the trivial
+    subdivision.
+
+    Sum over all faces Q of P (including the empty face) of
+    v^(dim Q + 1) l*(Q; u v^-1) g([Q, P]; uv).
+    """
     if p.is_empty:
         return ONE
     cached = _MIXED.get(p.key)
-    if cached is None:
-        cached = limit_mixed_h_star(trivial_subdivision(p))
-        _MIXED[p.key] = cached
-    return cached
-
-
-def _restricted(s: CellComplex, fid) -> CellComplex:
-    return s.restrict(fid)
+    if cached is not None:
+        return cached
+    lattice = p.face_lattice()
+    total = ZERO
+    for fid in lattice.all_faces():
+        q = lattice.face_polytope(fid)
+        local = local_h_star(q).substitute({"u": U * V**-1})
+        g = g_of_interval(lattice, fid, lattice.top)
+        total = total + V ** (q.dim + 1) * local * g.substitute({"t": UV})
+    if not total.is_polynomial():
+        raise ValueError("mixed h* failed to be polynomial; tower bug")
+    _MIXED[p.key] = total
+    return total
 
 
 def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
@@ -151,7 +157,7 @@ def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
         sign = (-1) ** (p.dim - qdim)
-        inner = ONE if fid == () else limit_mixed_h_star(_restricted(s, fid))
+        inner = ONE if fid == () else limit_mixed_h_star(s.restrict(fid))
         g = g_of_interval(lattice, fid, lattice.top, dual=True)
         total = total + sign * inner * g.substitute({"t": UV})
     _LOCAL_LIMIT_MIXED[s.key] = total
@@ -172,7 +178,7 @@ def refined_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     total = ZERO
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
-        local = ONE if fid == () else local_limit_mixed_h_star(_restricted(s, fid))
+        local = ONE if fid == () else local_limit_mixed_h_star(s.restrict(fid))
         g = g_of_interval(lattice, fid, lattice.top, dual=False)
         total = total + W ** (qdim + 1) * local * g.substitute({"t": UVW2})
     if not total.is_polynomial():
@@ -202,7 +208,7 @@ def lambda_phi(s: CellComplex, refinement: Refinement | None = None):
     for fid, m in mult.items():
         qdim = lattice.face_dim(fid)
         sign = (-1) ** qdim
-        inner = refined_limit_mixed_h_star(_restricted(s, fid))
+        inner = refined_limit_mixed_h_star(s.restrict(fid))
         phi = phi + sign * inner * m
     lam = refinement.total_poly(shifted) - phi
     return lam, phi
@@ -282,29 +288,3 @@ def small_coeff(s: CellComplex, p_: int, q: int, r: int) -> int:
     if (p_, q, r) not in table:
         raise ValueError(f"no closed form for coefficient {(p_, q, r)}")
     return table[(p_, q, r)]
-
-
-class InvariantBundle:
-    """Convenience facade bundling the tower for one (P, S) pair."""
-
-    def __init__(self, s: CellComplex):
-        self.complex = s
-        self.polytope = s.polytope
-
-    def h_star(self) -> LaurentPoly:
-        return h_star(self.polytope)
-
-    def local_h_star(self) -> LaurentPoly:
-        return local_h_star(self.polytope)
-
-    def mixed(self) -> LaurentPoly:
-        return mixed_h_star(self.polytope)
-
-    def limit_mixed(self) -> LaurentPoly:
-        return limit_mixed_h_star(self.complex)
-
-    def local_limit_mixed(self) -> LaurentPoly:
-        return local_limit_mixed_h_star(self.complex)
-
-    def refined(self) -> LaurentPoly:
-        return refined_limit_mixed_h_star(self.complex)

@@ -529,10 +529,7 @@ class FaceLattice:
 
     def poset(self) -> EulerianPoset:
         if self._poset is None:
-            ids = self.all_faces()
-            self._poset = EulerianPoset.from_leq(
-                ids, lambda a, b: set(a) <= set(b), validate=True
-            )
+            self._poset = EulerianPoset.from_leq(self.all_faces(), self.leq, validate=True)
         return self._poset
 
     def interval(self, f, g) -> EulerianPoset:

@@ -87,9 +87,6 @@ class EulerianPoset:
         """Rank of the poset, i.e. the rank of its top element."""
         return self.ranks[self.top]
 
-    def index_of(self, element) -> int:
-        return self.elements.index(element)
-
     def leq_idx(self, i, j) -> bool:
         return bool(self.up[i] & (1 << j))
 
@@ -230,11 +227,6 @@ def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
         raise ValueError("g-polynomial recursion failed to close; poset bug")
     _G_CACHE[key] = g
     return g
-
-
-def g_dual(poset: EulerianPoset) -> LaurentPoly:
-    """g-polynomial of the order dual."""
-    return g_polynomial(poset.dual())
 
 
 def stanley_inversion_check(poset: EulerianPoset) -> bool:

@@ -52,7 +52,7 @@ class CellComplex:
     Cells are ordered by inclusion, which for cells of a valid complex is
     vertex-set inclusion.  Complexes are immutable after construction and
     interned by (polytope, cell ids), so repeated restrictions are validated
-    once and share caches.
+    once.
     """
 
     @staticmethod
@@ -83,7 +83,6 @@ class CellComplex:
             cid for cid, poly in self.cells.items() if poly.dim == polytope.dim
         )
         self._carrier = self._compute_carriers()
-        self._interval_cache: dict = {}
         self._validate()
 
     # -- structure ----------------------------------------------------------
@@ -143,17 +142,20 @@ class CellComplex:
     # -- posets ---------------------------------------------------------------
 
     def interval_poset(self, a: CellId, b: CellId) -> EulerianPoset:
-        """The interval [a, b] of the cell poset as a validated Eulerian poset."""
-        key = (a, b)
-        cached = self._interval_cache.get(key)
-        if cached is not None:
-            return cached
+        """The interval [a, b] of the cell poset as an Eulerian poset.
+
+        Every cell below b is a face of b (``_validate`` checks this), so the
+        interval is [a, b] in b's validated face lattice, with faces named by
+        their vertex indices in ``b``.
+        """
         if not self.leq(a, b):
             raise ValueError("not an interval: cells are not nested")
-        members = [c for c in self.ids if self.leq(a, c) and self.leq(c, b)]
-        poset = EulerianPoset.from_leq(members, self.leq, validate=True)
-        self._interval_cache[key] = poset
-        return poset
+        if b == ():
+            # The empty cell has no face lattice; [(), ()] is a single point.
+            return self.polytope.face_lattice().interval((), ())
+        lattice = self.cells[b].face_lattice()
+        position = {v: i for i, v in enumerate(b)}
+        return lattice.interval(tuple(position[v] for v in a), lattice.top)
 
     # -- derived complexes ------------------------------------------------------
 

@@ -56,3 +56,12 @@ def cube(dim):
 
 def segment(length):
     return LatticePolytope.convex_hull([(0,), (length,)])
+
+
+def cross_polytope(dim):
+    pts = [
+        tuple(s if i == j else 0 for j in range(dim))
+        for i in range(dim)
+        for s in (1, -1)
+    ]
+    return LatticePolytope.convex_hull(pts)

@@ -18,7 +18,7 @@ from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import stanley_inversion_check
 from polyhodge.subdivision import euler_relation_check, trivial_subdivision
 
-from conftest import cube, quartic_triangle_pair, unit_simplex
+from conftest import cross_polytope, cube, quartic_triangle_pair, unit_simplex
 
 UVW2 = U * V * W**2
 
@@ -93,15 +93,6 @@ def test_criterion_06_degree_and_top_coefficient(corpus25):
         assert refined.degree_in("w") <= d + 1
         assert refined.coeff_in("w", d + 1) == inv.local_limit_mixed_h_star(s)
     passed(6, "w-degree bound and local top coefficient on all instances")
-
-
-def cross_polytope(dim):
-    pts = [
-        tuple(s if i == j else 0 for j in range(dim))
-        for i in range(dim)
-        for s in (1, -1)
-    ]
-    return LatticePolytope.convex_hull(pts)
 
 
 def test_criterion_07_lambda_palindromy(corpus_dim23):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -224,6 +225,49 @@ def test_refinement_input(tmp_path):
     path = write_input(tmp_path, data, "bad.json")
     code, _ = run_cli(["hodge", path])
     assert code == 1
+
+
+def test_refinement_sigma_rejects_bool(tmp_path, capsys):
+    data = json.loads(Path(CONCRETE).read_text())
+    data["subfan"] = [{"rays": []}, {"rays": [[1, 0]]}]
+    data["refinement"] = [{"rays": [[1, 0]], "sigma": True}]
+    path = write_input(tmp_path, data)
+    code, out = run_cli(["hodge", path])
+    assert code == 1
+    assert out == ""
+    assert "refinement[0].sigma" in capsys.readouterr().err
+
+
+def test_refinement_without_subfan_is_rejected(tmp_path, capsys):
+    data = json.loads(Path(CONCRETE).read_text())
+    data["refinement"] = [{"rays": [[1, 0]], "sigma": 1}]
+    path = write_input(tmp_path, data)
+    code, out = run_cli(["hodge", path])
+    assert code == 1
+    assert out == ""
+    assert "refinement needs a subfan" in capsys.readouterr().err
+
+
+# Exit code and sha256 of the JSON stdout of every command on the worked
+# example.  The triangle is not reflexive, so stringy exits 2 and prints nothing.
+GOLDEN = {
+    "hstar": (0, "39030d869fb6afeb5378e5a2bd5724bac22a2668ae0ff0b577e42d360e887e88"),
+    "gpoly": (0, "20876f1170d2ed75b946827369f320a209829e7ee551b237680000bad73e1527"),
+    "invariants": (0, "499abd6a8fea6ae21a2e13f74ee72db858be4a849508934b647222d8ccca68db"),
+    "hodge": (0, "0acf5abaf6fd85b06d72411608b1356b10dbc501c52c0e59d2a05668970686da"),
+    "intersection": (0, "0687ff13633bbd799f5bb0c6834bd86e0c716a13f7efb40b153c354c9ff12ea1"),
+    "stringy": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby": (0, "facf91e2bbb123907c425929ea4cf6c4b356b2aac55e502350ccff231a0eadbe"),
+    "dk-check": (0, "4b76c0f7a90307c07eb28d81a90d8f04a0cc4573e83741d65c4f7efedbba7286"),
+    "verify": (0, "1f8301ed61d54924d72936d863de9e0d617343657a48af47c2369bd58bb1f217"),
+}
+
+
+def test_golden_outputs_on_worked_example():
+    assert set(GOLDEN) == set(cli._COMMANDS)
+    for command, expected in GOLDEN.items():
+        code, out = run_cli([command, CONCRETE])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
 
 
 def test_text_format():

@@ -11,16 +11,7 @@ from polyhodge.fans import (
 )
 from polyhodge.polytope import LatticePolytope
 
-from conftest import cube
-
-
-def cross_polytope(dim):
-    pts = [
-        tuple(s if i == j else 0 for j in range(dim))
-        for i in range(dim)
-        for s in (1, -1)
-    ]
-    return LatticePolytope.convex_hull(pts)
+from conftest import cross_polytope, cube
 
 
 def test_normal_fan_of_quartic_triangle():

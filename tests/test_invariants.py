@@ -5,7 +5,7 @@ from polyhodge.laurent import ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
-from conftest import cube, quartic_triangle_pair, segment, unit_simplex
+from conftest import cross_polytope, cube, quartic_triangle_pair, segment, unit_simplex
 
 UVW2 = U * V * W**2
 
@@ -60,11 +60,16 @@ def test_limit_mixed_two_forms_agree():
         assert inv.limit_mixed_h_star(st) == inv.limit_mixed_h_star_by_cells(st)
 
 
-def test_limit_mixed_of_trivial_simplex():
-    for d in range(1, 4):
-        s = trivial_subdivision(unit_simplex(d))
-        got = inv.limit_mixed_h_star(s)
-        assert got == inv.mixed_h_star(unit_simplex(d))
+def test_limit_mixed_of_trivial_simplex(corpus25):
+    # mixed_h_star sums over the face lattice; the cell sum of the trivial
+    # subdivision is the reference, on unimodular simplices and beyond.
+    two_delta3 = LatticePolytope.convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    polytopes = [unit_simplex(d) for d in range(1, 4)]
+    polytopes += [segment(5), cube(2), cube(3), cross_polytope(3), cross_polytope(4), two_delta3]
+    polytopes += [s.polytope for s in corpus25]
+    for p in polytopes:
+        got = inv.limit_mixed_h_star(trivial_subdivision(p))
+        assert got == inv.mixed_h_star(p)
         assert got.substitute({"u": V, "v": U}) == got
 
 
@@ -234,9 +239,8 @@ def test_chi_y_valuation_inclusion_exclusion(corpus25):
         assert total == hodge.chi_y(p)
 
 
-def test_bundle_facade():
+def test_quartic_tower_direct_functions():
     s = quartic_triangle_pair()
-    bundle = inv.InvariantBundle(s)
-    assert bundle.refined() == QUARTIC_REFINED
-    assert bundle.h_star() == 1 + 12 * U + 3 * U**2
-    assert bundle.limit_mixed() == 1 + 12 * U * V + 3 * U**2 * V**2
+    assert inv.refined_limit_mixed_h_star(s) == QUARTIC_REFINED
+    assert inv.h_star(s.polytope) == 1 + 12 * U + 3 * U**2
+    assert inv.limit_mixed_h_star(s) == 1 + 12 * U * V + 3 * U**2 * V**2

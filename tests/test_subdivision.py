@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polyhodge.generators import instance_corpus, random_height_function, random_lattice_polytope
+from polyhodge.poset import EulerianPoset, g_polynomial
 from polyhodge.subdivision import (
     CellComplex,
     HeightFunction,
@@ -175,3 +176,23 @@ def test_random_subdivisions_satisfy_euler_relation():
         for fid in lat.all_faces():
             if fid != lat.top:
                 assert euler_relation_check(s, fid)
+
+
+def test_interval_poset_matches_cell_scan(corpus25):
+    # interval_poset slices the face lattice of the upper cell; the reference
+    # rebuilds the interval from every cell between the two and validates it.
+    quartic = quartic_triangle_pair()
+    for s in [quartic] + [corpus25[i] for i in (4, 5, 11, 12)]:
+        pairs = [(a, b) for b in s.ids for a in s.ids if s.leq(a, b)]
+        assert ((), ()) in pairs
+        for a, b in pairs:
+            got = s.interval_poset(a, b)
+            members = [c for c in s.ids if s.leq(a, c) and s.leq(c, b)]
+            ref = EulerianPoset.from_leq(members, s.leq, validate=True)
+            assert len(got) == len(ref)
+            assert got.rank == ref.rank
+            assert g_polynomial(got) == g_polynomial(ref)
+            # Local face ids name exactly the cells between a and b.
+            assert sorted(tuple(b[i] for i in f) for f in got.elements) == sorted(members)
+    with pytest.raises(ValueError, match="not nested"):
+        quartic.interval_poset(quartic.maximal_cells[0], ())
