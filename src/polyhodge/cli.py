@@ -150,8 +150,12 @@ def _parse_rays(rays, dim: int, where: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _resolve_subfan(fan: TruncatedNormalFan, cone_list, path="input"):
-    """Map a user cone list (ray lists) to face ids of the truncated fan."""
+def _resolve_subfan(fan: TruncatedNormalFan, cone_list, path: str):
+    """Map a user cone list (ray lists) to face ids of the truncated fan.
+
+    Returns the subfan (the zero cone added if the list leaves it out) and
+    the face ids of the user's list, which refinement sigmas index.
+    """
     if not isinstance(cone_list, list):
         raise InputError(f"{path}: subfan must be a list of cones")
     by_rays = {rays: fid for fid, rays in fan.cone_rays.items()}
@@ -168,15 +172,14 @@ def _resolve_subfan(fan: TruncatedNormalFan, cone_list, path="input"):
         if key not in by_rays:
             raise InputError(f"{path}: subfan[{i}] is not a cone of the truncated normal fan")
         ids.append(by_rays[key])
-    if fan.lattice.top not in ids:
-        ids.append(fan.lattice.top)
+    top = fan.lattice.top
     try:
-        return fan.subfan(ids), ids
+        return fan.subfan(ids if top in ids else ids + [top]), ids
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path="input"):
+def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: str):
     """Build a refinement from user cones carrying sigma indices."""
     if not isinstance(cone_list, list):
         raise InputError(f"{path}: refinement must be a list of cones")
@@ -323,9 +326,9 @@ def cmd_hodge(parsed: ParsedInput, args) -> dict:
     }
     if parsed.subfan is not None:
         fan = TruncatedNormalFan(s.polytope)
-        sel, ids = _resolve_subfan(fan, parsed.subfan)
+        sel, ids = _resolve_subfan(fan, parsed.subfan, args.input)
         if parsed.refinement is not None:
-            refinement = _resolve_refinement(fan, ids, parsed.refinement)
+            refinement = _resolve_refinement(fan, ids, parsed.refinement, args.input)
         else:
             refinement = identity_refinement(fan, sel)
         results["partial_compactification_E"] = _poly(

@@ -24,6 +24,7 @@ from .laurent import L, LaurentPoly, ONE, U, V, W, ZERO
 from .polytope import LatticePolytope
 from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, identity_refinement, simplicial_refinement
+from .memo import memo
 from . import invariants as inv
 
 UV = U * V
@@ -357,9 +358,7 @@ def stringy_E_generic(s: CellComplex) -> LaurentPoly:
 # -- reconstruction (independent of the refined tower) ------------------------------
 
 
-_DK_CACHE: dict = {}
-
-
+@memo("DK_CACHE", key=lambda s: s.key)
 def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     """Reconstruct the refined E polynomial without the refined h*-tower.
 
@@ -371,12 +370,8 @@ def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     This is the independent oracle for refined_E.
     """
     p = _require_full_dim(s.polytope)
-    cached = _DK_CACHE.get(s.key)
-    if cached is not None:
-        return cached
     d = p.dim
     if d == 0:
-        _DK_CACHE[s.key] = ZERO
         return ZERO
     # Step 1: high w-degrees (> d-1) of E from the weak Lefschetz constraint.
     torus = (UVW2 - 1) ** d
@@ -419,6 +414,4 @@ def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     flipped_middle = comp_middle.substitute({"u": U**-1, "v": V**-1}) * UV ** (d - 1)
     if flipped_middle != comp_middle:
         raise ValueError(f"reconstruction inconsistent at w-degree {d - 1}")
-    out = LaurentPoly.assemble_in("w", e_parts)
-    _DK_CACHE[s.key] = out
-    return out
+    return LaurentPoly.assemble_in("w", e_parts)

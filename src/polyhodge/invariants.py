@@ -28,16 +28,10 @@ from .polytope import LatticePolytope
 from .poset import g_polynomial, link_h_polynomial
 from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
+from .memo import memo
 
 UV = U * V
 UVW2 = U * V * W**2
-
-_H_STAR: dict = {}
-_LOCAL_H_STAR: dict = {}
-_MIXED: dict = {}
-_LIMIT_MIXED: dict = {}
-_LOCAL_LIMIT_MIXED: dict = {}
-_REFINED: dict = {}
 
 
 def g_of_interval(lattice, lower, upper, dual: bool = False) -> LaurentPoly:
@@ -48,6 +42,7 @@ def g_of_interval(lattice, lower, upper, dual: bool = False) -> LaurentPoly:
     return g_polynomial(poset)
 
 
+@memo("H_STAR", key=lambda p: p.key)
 def h_star(p: LatticePolytope) -> LaurentPoly:
     """Ehrhart h*-polynomial of a lattice polytope, in u; h*(empty) = 1.
 
@@ -57,28 +52,21 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
     """
     if p.is_empty:
         return ONE
-    cached = _H_STAR.get(p.key)
-    if cached is not None:
-        return cached
     d = p.dim
     counts = [p.lattice_point_count(m) for m in range(d + 1)]
     coeffs = {}
     for k in range(d + 1):
         coeffs[k] = sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1))
-    out = from_univariate(coeffs, "u")
-    _H_STAR[p.key] = out
-    return out
+    return from_univariate(coeffs, "u")
 
 
+@memo("LOCAL_H_STAR", key=lambda p: p.key)
 def local_h_star(p: LatticePolytope) -> LaurentPoly:
     """Local h*-polynomial l*(P;u): alternating sum of h*(Q) g([Q,P]*;u)
     over all faces Q including the empty one; vanishes on unimodular
     simplices and equals 1 on the empty polytope."""
     if p.is_empty:
         return ONE
-    cached = _LOCAL_H_STAR.get(p.key)
-    if cached is not None:
-        return cached
     lattice = p.face_lattice()
     total = ZERO
     for fid in lattice.all_faces():
@@ -86,19 +74,16 @@ def local_h_star(p: LatticePolytope) -> LaurentPoly:
         sign = (-1) ** (p.dim - q.dim)
         g = g_of_interval(lattice, fid, lattice.top, dual=True)
         total = total + sign * h_star(q) * g.substitute({"t": U})
-    _LOCAL_H_STAR[p.key] = total
     return total
 
 
+@memo("LIMIT_MIXED", key=lambda s: s.key)
 def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     """Limit mixed h*-polynomial h*(P,S;u,v).
 
     Sum over all cells F (including the empty cell) of
     v^(dim F + 1) l*(F; u v^-1) h(link_S(F); uv).
     """
-    cached = _LIMIT_MIXED.get(s.key)
-    if cached is not None:
-        return cached
     total = ZERO
     for cid in s.ids:
         cell = s.cell_polytope(cid)
@@ -107,7 +92,6 @@ def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
         total = total + V ** (cell.dim + 1) * local * link
     if not total.is_polynomial():
         raise ValueError("limit mixed h* failed to be polynomial; tower bug")
-    _LIMIT_MIXED[s.key] = total
     return total
 
 
@@ -120,6 +104,7 @@ def limit_mixed_h_star_by_cells(s: CellComplex) -> LaurentPoly:
     return total
 
 
+@memo("MIXED", key=lambda p: p.key)
 def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     """Mixed h*-polynomial h*(P;u,v), the limit mixed h* of the trivial
     subdivision.
@@ -129,9 +114,6 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     """
     if p.is_empty:
         return ONE
-    cached = _MIXED.get(p.key)
-    if cached is not None:
-        return cached
     lattice = p.face_lattice()
     total = ZERO
     for fid in lattice.all_faces():
@@ -141,16 +123,13 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
         total = total + V ** (q.dim + 1) * local * g.substitute({"t": UV})
     if not total.is_polynomial():
         raise ValueError("mixed h* failed to be polynomial; tower bug")
-    _MIXED[p.key] = total
     return total
 
 
+@memo("LOCAL_LIMIT_MIXED", key=lambda s: s.key)
 def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     """Local limit mixed h*-polynomial l*(P,S;u,v): alternating face sum of
     h*(Q, S|Q; u,v) against dual-interval g-polynomials at uv."""
-    cached = _LOCAL_LIMIT_MIXED.get(s.key)
-    if cached is not None:
-        return cached
     p = s.polytope
     lattice = p.face_lattice()
     total = ZERO
@@ -160,19 +139,16 @@ def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
         inner = ONE if fid == () else limit_mixed_h_star(s.restrict(fid))
         g = g_of_interval(lattice, fid, lattice.top, dual=True)
         total = total + sign * inner * g.substitute({"t": UV})
-    _LOCAL_LIMIT_MIXED[s.key] = total
     return total
 
 
+@memo("REFINED", key=lambda s: s.key)
 def refined_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     """Refined limit mixed h*-polynomial h*(P,S;u,v,w).
 
     Sum over all faces Q of P (including the empty face) of
     w^(dim Q + 1) l*(Q, S|Q; u, v) g([Q, P]; uvw^2).
     """
-    cached = _REFINED.get(s.key)
-    if cached is not None:
-        return cached
     p = s.polytope
     lattice = p.face_lattice()
     total = ZERO
@@ -183,7 +159,6 @@ def refined_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
         total = total + W ** (qdim + 1) * local * g.substitute({"t": UVW2})
     if not total.is_polynomial():
         raise ValueError("refined limit mixed h* failed to be polynomial; tower bug")
-    _REFINED[s.key] = total
     return total
 
 

@@ -26,12 +26,6 @@ Exponent = tuple[int, int, int, int, int]
 _ZERO_EXP: Exponent = (0,) * NVARS
 
 
-def _unit_exp(name: str) -> Exponent:
-    e = [0] * NVARS
-    e[_VAR_INDEX[name]] = 1
-    return tuple(e)
-
-
 class LaurentPoly:
     """Immutable Laurent polynomial over Z in the variables u, v, w, t, L."""
 

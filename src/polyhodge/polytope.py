@@ -22,6 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
+from .memo import table
 from .poset import EulerianPoset
 
 Point = tuple[int, ...]
@@ -75,7 +76,7 @@ def _identity_map(n: int) -> AffineUnimodularMap:
     return AffineUnimodularMap((0,) * n, basis, basis)
 
 
-_HULL_CACHE: dict = {}
+_HULL_CACHE = table("HULL_CACHE")  # keyed by input points and by vertices
 
 
 class LatticePolytope:
@@ -185,17 +186,6 @@ class LatticePolytope:
                 return False
         x = self._map.to_model(pt)
         return all(linalg.dot(a, x) >= b for a, b in self._facets)
-
-    def contains_in_relative_interior(self, pt) -> bool:
-        if self.is_empty:
-            return False
-        for e, c in self.span_equations:
-            if linalg.dot(e, pt) != c:
-                return False
-        x = self._map.to_model(pt)
-        if self.dim == 0:
-            return True
-        return all(linalg.dot(a, x) > b for a, b in self._facets)
 
     # -- lattice point enumeration -------------------------------------------
 

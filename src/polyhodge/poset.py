@@ -10,6 +10,7 @@ polynomial.
 from __future__ import annotations
 
 from .laurent import LaurentPoly, ONE, T, ZERO, from_univariate, univariate
+from .memo import memo
 
 
 class EulerianPoset:
@@ -192,9 +193,7 @@ class EulerianPoset:
         return self._key
 
 
-_G_CACHE: dict = {}
-
-
+@memo("G_CACHE", key=lambda poset: poset.canonical_key())
 def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
     """Stanley's g-polynomial of an Eulerian poset, as a polynomial in t.
 
@@ -203,14 +202,9 @@ def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
     the g-polynomial of [0-hat, x].  The computed value is checked against
     this identity exactly.
     """
-    key = poset.canonical_key()
-    cached = _G_CACHE.get(key)
-    if cached is not None:
-        return cached
     poset.require_eulerian()
     n = poset.rank
     if n == 0:
-        _G_CACHE[key] = ONE
         return ONE
     rest = ZERO
     for i in range(len(poset.elements)):
@@ -225,7 +219,6 @@ def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
     lhs = g.substitute({"t": T**-1}) * T**n
     if lhs != rest + g:
         raise ValueError("g-polynomial recursion failed to close; poset bug")
-    _G_CACHE[key] = g
     return g
 
 

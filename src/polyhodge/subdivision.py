@@ -21,6 +21,7 @@ from typing import Mapping
 
 from .polytope import LatticePolytope
 from .poset import EulerianPoset
+from .memo import table
 
 CellId = tuple  # sorted tuple of vertex coordinate tuples; () is the empty cell
 
@@ -43,7 +44,7 @@ class HeightFunction:
         return {p: int(h * lcm) for p, h in self.heights.items()}
 
 
-_COMPLEX_INTERN: dict = {}
+_COMPLEX_INTERN = table("COMPLEX_INTERN")
 
 
 class CellComplex:
@@ -64,7 +65,13 @@ class CellComplex:
             cached = CellComplex(polytope, cell_polytopes, heights=heights)
             _COMPLEX_INTERN[key] = cached
         elif heights is not None and cached.heights is None:
-            cached.heights = heights  # provenance only; cells are identical
+            # Kept so that a regular subdivision always carries its heights.
+            # The complex is shared, so an earlier trivial subdivision of the
+            # same polytope gains them too, and with them one more verify
+            # check.  Taking heights off the shared object changes pinned
+            # verify output: corpus 20240's instance 3 (trivial) inherits the
+            # heights that instance 0 (affine heights) was interned with.
+            cached.heights = heights
         return cached
 
     def __init__(self, polytope: LatticePolytope, cell_polytopes, heights=None):

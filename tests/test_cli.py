@@ -248,6 +248,34 @@ def test_refinement_without_subfan_is_rejected(tmp_path, capsys):
     assert "refinement needs a subfan" in capsys.readouterr().err
 
 
+def test_refinement_sigma_indexes_the_user_subfan_list(tmp_path, capsys):
+    # The zero cone is added to a subfan that leaves it out, but sigma may
+    # only index the cones the user listed.
+    data = json.loads(Path(CONCRETE).read_text())
+    data["subfan"] = [{"rays": [[1, 0]]}]
+    data["refinement"] = [{"rays": [], "sigma": 1}]
+    path = write_input(tmp_path, data)
+    code, out = run_cli(["hodge", path])
+    assert code == 1
+    assert out == ""
+    assert "refinement[0].sigma must be an index 0..0" in capsys.readouterr().err
+
+
+def test_subfan_and_refinement_errors_name_the_input_file(tmp_path, capsys):
+    data = json.loads(Path(CONCRETE).read_text())
+    data["subfan"] = [{"rays": [[1, 1]]}]
+    path = write_input(tmp_path, data)
+    assert run_cli(["hodge", path]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"input error: {path}: subfan[0] is not a cone of the truncated normal fan\n"
+    )
+    data["subfan"] = [{"rays": []}, {"rays": [[1, 0]]}]
+    data["refinement"] = [{"rays": [[0, 1]], "sigma": 1}]
+    path = write_input(tmp_path, data, "refined.json")
+    assert run_cli(["hodge", path]) == (1, "")
+    assert capsys.readouterr().err.startswith(f"input error: {path}: refinement[0] ")
+
+
 # Exit code and sha256 of the JSON stdout of every command on the worked
 # example.  The triangle is not reflexive, so stringy exits 2 and prints nothing.
 GOLDEN = {
@@ -334,7 +362,7 @@ def test_subfan_rays_are_type_checked(tmp_path, capsys):
         (5, "subfan must be a list"),
     ):
         with pytest.raises(cli.InputError, match=re.escape(where)):
-            cli._resolve_subfan(fan, bad)
+            cli._resolve_subfan(fan, bad, CONCRETE)
     data = json.loads(Path(CONCRETE).read_text())
     data["subfan"] = [[["a"]]]
     path = write_input(tmp_path, data)
@@ -345,7 +373,7 @@ def test_subfan_rays_are_type_checked(tmp_path, capsys):
 
 def test_refinement_rays_are_type_checked(tmp_path, capsys):
     fan = TruncatedNormalFan(cli.parse_input(CONCRETE).polytope)
-    _, ids = cli._resolve_subfan(fan, [{"rays": []}, {"rays": [[1, 0]]}])
+    _, ids = cli._resolve_subfan(fan, [{"rays": []}, {"rays": [[1, 0]]}], CONCRETE)
     for bad, where in (
         ([{"rays": [["a"]], "sigma": 0}], "refinement[0].rays[0]"),
         ([{"rays": [[1, 0]], "sigma": 1}, {"rays": [[1.5, 0]], "sigma": 1}],
@@ -354,7 +382,7 @@ def test_refinement_rays_are_type_checked(tmp_path, capsys):
         ({"rays": [], "sigma": 1}, "refinement must be a list"),
     ):
         with pytest.raises(cli.InputError, match=re.escape(where)):
-            cli._resolve_refinement(fan, ids, bad)
+            cli._resolve_refinement(fan, ids, bad, CONCRETE)
     data = json.loads(Path(CONCRETE).read_text())
     data["subfan"] = [{"rays": []}, {"rays": [[1, 0]]}]
     data["refinement"] = [{"rays": [["a"]], "sigma": 0}]

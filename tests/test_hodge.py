@@ -1,6 +1,6 @@
 import pytest
 
-from polyhodge import hodge, invariants as inv
+from polyhodge import hodge, invariants as inv, memo
 from polyhodge.laurent import L, ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
@@ -358,10 +358,10 @@ def test_dk_does_not_use_refined_tower(monkeypatch):
 
     monkeypatch.setattr(inv, "refined_limit_mixed_h_star", forbidden)
     monkeypatch.setattr(hodge, "refined_E", forbidden)
-    hodge._DK_CACHE.clear()
+    memo.clear()
     result = hodge.dk_reconstruct(s)
     monkeypatch.undo()
-    hodge._DK_CACHE.clear()
+    memo.clear()
     assert result == hodge.refined_E(s)
 
 
