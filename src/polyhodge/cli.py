@@ -68,7 +68,7 @@ def parse_input(path: str) -> ParsedInput:
     if "dim" not in data or "points" not in data:
         raise InputError(f"{path}: required fields: dim, points")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError(f"{path}: dim must be a nonnegative integer")
     points = data["points"]
     if not isinstance(points, list) or not points:
@@ -277,8 +277,8 @@ def cmd_hstar(parsed: ParsedInput, args) -> dict:
 def cmd_gpoly(parsed: ParsedInput, args) -> dict:
     p = parsed.polytope
     lattice = p.face_lattice()
-    g = inv.g_of_interval(lattice, (), lattice.top)
-    gd = inv.g_of_interval(lattice, (), lattice.top, dual=True)
+    g = lattice.g((), lattice.top)
+    gd = lattice.g((), lattice.top, dual=True)
     results = {
         "g": _poly(g),
         "g_dual": _poly(gd),

@@ -267,7 +267,7 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
         if lattice.face_dim(fid) == 0:
             continue  # point strata carry the empty hypersurface
         stratum = refined_E_of_face(s, fid)
-        g = inv.g_of_interval(lattice, fid, lattice.top, dual=True)
+        g = lattice.g(fid, lattice.top, dual=True)
         total = total + stratum * g.substitute({"t": UVW2})
     return total
 

@@ -25,21 +25,13 @@ from math import comb
 
 from .laurent import LaurentPoly, ONE, T, U, V, W, ZERO, from_univariate
 from .polytope import LatticePolytope
-from .poset import g_polynomial, link_h_polynomial
+from .poset import link_h_polynomial
 from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
 from .memo import memo
 
 UV = U * V
 UVW2 = U * V * W**2
-
-
-def g_of_interval(lattice, lower, upper, dual: bool = False) -> LaurentPoly:
-    """g-polynomial (in t) of a face-lattice interval, optionally dualized."""
-    poset = lattice.interval(lower, upper)
-    if dual:
-        poset = poset.dual()
-    return g_polynomial(poset)
 
 
 @memo("H_STAR", key=lambda p: p.key)
@@ -72,7 +64,7 @@ def local_h_star(p: LatticePolytope) -> LaurentPoly:
     for fid in lattice.all_faces():
         q = lattice.face_polytope(fid)
         sign = (-1) ** (p.dim - q.dim)
-        g = g_of_interval(lattice, fid, lattice.top, dual=True)
+        g = lattice.g(fid, lattice.top, dual=True)
         total = total + sign * h_star(q) * g.substitute({"t": U})
     return total
 
@@ -119,7 +111,7 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     for fid in lattice.all_faces():
         q = lattice.face_polytope(fid)
         local = local_h_star(q).substitute({"u": U * V**-1})
-        g = g_of_interval(lattice, fid, lattice.top)
+        g = lattice.g(fid, lattice.top)
         total = total + V ** (q.dim + 1) * local * g.substitute({"t": UV})
     if not total.is_polynomial():
         raise ValueError("mixed h* failed to be polynomial; tower bug")
@@ -137,7 +129,7 @@ def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
         qdim = lattice.face_dim(fid)
         sign = (-1) ** (p.dim - qdim)
         inner = ONE if fid == () else limit_mixed_h_star(s.restrict(fid))
-        g = g_of_interval(lattice, fid, lattice.top, dual=True)
+        g = lattice.g(fid, lattice.top, dual=True)
         total = total + sign * inner * g.substitute({"t": UV})
     return total
 
@@ -155,7 +147,7 @@ def refined_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
         local = ONE if fid == () else local_limit_mixed_h_star(s.restrict(fid))
-        g = g_of_interval(lattice, fid, lattice.top, dual=False)
+        g = lattice.g(fid, lattice.top)
         total = total + W ** (qdim + 1) * local * g.substitute({"t": UVW2})
     if not total.is_polynomial():
         raise ValueError("refined limit mixed h* failed to be polynomial; tower bug")
@@ -203,7 +195,7 @@ def e_int_lef(p: LatticePolytope) -> LaurentPoly:
     from .laurent import div_exact_t_minus_one
 
     lattice = p.face_lattice()
-    gdual = g_of_interval(lattice, (), lattice.top, dual=True)
+    gdual = lattice.g((), lattice.top, dual=True)
     rhs = gdual.substitute({"t": T**-1}) * T**p.dim - gdual
     return div_exact_t_minus_one(rhs)
 
@@ -256,10 +248,3 @@ def small_coeff_oracle(s: CellComplex) -> dict:
         out[(1, 1, 2)] = p.normalized_volume() - 1 - known
     return out
 
-
-def small_coeff(s: CellComplex, p_: int, q: int, r: int) -> int:
-    """One oracle coefficient; raises for indices without a closed form."""
-    table = small_coeff_oracle(s)
-    if (p_, q, r) not in table:
-        raise ValueError(f"no closed form for coefficient {(p_, q, r)}")
-    return table[(p_, q, r)]

@@ -43,14 +43,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return _ONE
-
-    @staticmethod
     def const(n: int) -> "LaurentPoly":
         return LaurentPoly({_ZERO_EXP: n})
 
@@ -61,13 +53,6 @@ class LaurentPoly:
         e = [0] * NVARS
         e[_VAR_INDEX[name]] = power
         return LaurentPoly({tuple(e): 1})
-
-    @staticmethod
-    def monomial(coeff: int, exps: Mapping[str, int]) -> "LaurentPoly":
-        e = [0] * NVARS
-        for name, k in exps.items():
-            e[_VAR_INDEX[name]] = k
-        return LaurentPoly({tuple(e): coeff})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -185,24 +170,9 @@ class LaurentPoly:
         i = _VAR_INDEX[name]
         return max(e[i] for e in self._terms)
 
-    def min_degree_in(self, name: str):
-        if not self._terms:
-            return NEG_INF
-        i = _VAR_INDEX[name]
-        return min(e[i] for e in self._terms)
-
     def is_polynomial(self) -> bool:
         """True if no exponent is negative."""
         return all(min(e) >= 0 for e in self._terms) if self._terms else True
-
-    def variables(self) -> tuple[str, ...]:
-        """Variables that actually occur."""
-        used = [False] * NVARS
-        for e in self._terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
-        return tuple(v for v, f in zip(VARS, used) if f)
 
     def coeff_in(self, name: str, k: int) -> "LaurentPoly":
         """Coefficient of name**k, as a polynomial in the other variables."""

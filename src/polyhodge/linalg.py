@@ -222,23 +222,3 @@ def signed_minors(rows, n: int) -> list[int]:
         (-1 if j % 2 else 1) * minors.get(full ^ (1 << j), 0) for j in range(n)
     ]
 
-
-def hyperplane_normal(points) -> tuple[int, ...] | None:
-    """Primitive integer normal of the hyperplane through the given points.
-
-    Returns None when the points do not affinely span a hyperplane of the
-    ambient space (too low-dimensional or not unique).  The sign makes the
-    last nonzero coordinate positive, which is the kernel vector's sign
-    convention for the one free column.
-    """
-    base = points[0]
-    rows = [vec_sub(p, base) for p in points[1:]]
-    n = len(base)
-    if len(rows) != n - 1:
-        kernel = kernel_basis(rows)
-        return kernel[0] if len(kernel) == 1 else None
-    normal = signed_minors(rows, n)
-    for x in reversed(normal):
-        if x:
-            return primitive(normal if x > 0 else [-y for y in normal])
-    return None

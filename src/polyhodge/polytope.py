@@ -22,6 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
+from .laurent import LaurentPoly
 from .memo import table
 from .poset import EulerianPoset
 
@@ -233,15 +234,11 @@ class LatticePolytope:
             self._interior_cache = len(self.model_lattice_points(1, interior=True))
         return self._interior_cache
 
-    def lattice_points(self, m: int = 1):
-        """Ambient lattice points of the m-th dilate (m=1 default)."""
+    def lattice_points(self):
+        """Ambient lattice points of the polytope."""
         if self.is_empty:
             return []
-        if m == 1:
-            return [self._map.from_model(x) for x in self.model_lattice_points(1)]
-        # Dilates live in a dilated coset; report model-based points scaled back
-        # only for m == 1 callers.  General m is count-only.
-        raise ValueError("ambient enumeration only supported for m = 1")
+        return [self._map.from_model(x) for x in self.model_lattice_points(1)]
 
     # -- volume ----------------------------------------------------------------
 
@@ -480,6 +477,7 @@ class FaceLattice:
         for fid in sorted(self.faces):
             self._by_dim.setdefault(self.faces[fid], []).append(fid)
         self._poset = None
+        self._index: dict[tuple, int] = {}  # face id -> element of the poset
         self._polytopes: dict[tuple, LatticePolytope] = {}
 
     def _dim_of(self, fid) -> int:
@@ -519,9 +517,18 @@ class FaceLattice:
 
     def poset(self) -> EulerianPoset:
         if self._poset is None:
-            self._poset = EulerianPoset.from_leq(self.all_faces(), self.leq, validate=True)
+            faces = self.all_faces()
+            self._poset = EulerianPoset.from_leq(faces, self.leq, validate=True)
+            self._index = {fid: i for i, fid in enumerate(faces)}
         return self._poset
 
     def interval(self, f, g) -> EulerianPoset:
         """The interval [f, g] of the face lattice as an Eulerian poset."""
-        return self.poset().interval(f, g)
+        poset = self.poset()
+        return poset.interval_idx(self._index[f], self._index[g])
+
+    def g(self, lower, upper, dual: bool = False) -> LaurentPoly:
+        """g-polynomial (in t) of the interval [lower, upper], or of its dual."""
+        poset = self.poset()
+        i, j = self._index[lower], self._index[upper]
+        return poset.dual().g(j, i) if dual else poset.g(i, j)

@@ -1,22 +1,30 @@
 """Eulerian posets and Stanley's g-polynomial machinery.
 
 Posets are finite, graded, with unique bottom and top, stored as bitmask
-relation matrices.  The g-polynomial is computed by the defining reciprocal
-recursion and every computed value is verified against that recursion before
-being cached, so a poset bug surfaces as an error rather than a wrong
-polynomial.
+relation matrices.  ``EulerianPoset.g(z, x)`` computes the g-polynomial of
+the interval [z, x] by the defining reciprocal recursion, directly on the
+bitmasks, and keeps the value in a table that the poset shares with its
+dual; a face lattice's g values therefore live and die with its polytope.
+
+Every g of an interval of rank >= 3 is verified against the recursion
+before it is stored, so a poset bug surfaces as an error rather than a
+wrong polynomial.  Intervals of rank <= 2 need no check: g is 1 in rank 0
+and 1, and in rank 2 the recursion gives g = a - 1 for an interval with a
+atoms.  An Eulerian rank-2 interval has exactly two atoms (1 - a + 1 = 0),
+and ``require_eulerian`` has checked every interval before any g is read.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, ONE, T, ZERO, from_univariate, univariate
-from .memo import memo
 
 
 class EulerianPoset:
     """A finite graded poset with 0-hat and 1-hat, tracked as bitmasks."""
 
-    __slots__ = ("elements", "up", "down", "ranks", "bottom", "top", "_eulerian", "_key")
+    __slots__ = (
+        "elements", "up", "down", "ranks", "bottom", "top", "_eulerian", "_dual", "_g",
+    )
 
     def __init__(self, elements, up, down, ranks, bottom, top, eulerian=None):
         self.elements = elements
@@ -26,7 +34,8 @@ class EulerianPoset:
         self.bottom = bottom
         self.top = top
         self._eulerian = eulerian
-        self._key = None
+        self._dual = None
+        self._g = {}  # g of each interval of rank >= 3, keyed by (z, x)
 
     # -- construction -------------------------------------------------------
 
@@ -124,13 +133,16 @@ class EulerianPoset:
     # -- derived posets ---------------------------------------------------------
 
     def dual(self) -> "EulerianPoset":
-        n = len(self.elements)
-        ranks = tuple(self.rank - r for r in self.ranks)
-        poset = EulerianPoset(
-            self.elements, self.down, self.up, ranks, self.top, self.bottom,
-            eulerian=self._eulerian,
-        )
-        return poset
+        """The opposite poset, built once; it shares this poset's g table."""
+        if self._dual is None:
+            ranks = tuple(self.rank - r for r in self.ranks)
+            self._dual = EulerianPoset(
+                self.elements, self.down, self.up, ranks, self.top, self.bottom,
+                eulerian=self._eulerian,
+            )
+            # A dual key (x, z) has x above z here, so no key is in both.
+            self._dual._g = self._g
+        return self._dual
 
     def interval_idx(self, zi: int, xi: int) -> "EulerianPoset":
         mask = self.up[zi] & self.down[xi]
@@ -162,64 +174,54 @@ class EulerianPoset:
             eulerian=self._eulerian if self._eulerian else None,
         )
 
-    def interval(self, z, x) -> "EulerianPoset":
-        return self.interval_idx(self.elements.index(z), self.elements.index(x))
+    # -- g-polynomials ------------------------------------------------------------
 
-    # -- canonical key for memoization -------------------------------------------
+    def g(self, z: int, x: int) -> LaurentPoly:
+        """Stanley's g-polynomial of the interval [z, x], as a polynomial in t.
 
-    def canonical_key(self):
-        """Deterministic key: relation matrix under a (rank, repr) element order.
-
-        Posets with equal keys are isomorphic (the key encodes the full
-        relation), so caching g-values on it is sound; isomorphic posets with
-        different element labels may simply miss the cache.
+        Defined by g = 1 in rank 0 and, in rank n > 0, as the unique
+        polynomial of degree < n/2 with t^n g(1/t) = sum over y in [z, x] of
+        (t-1)^(n - rho(y)) g([z, y]), rho measured from z.  Elements are
+        given by index; the dual interval [z, x]* is ``dual().g(x, z)``.
         """
-        if self._key is None:
-            order = sorted(
-                range(len(self.elements)),
-                key=lambda i: (self.ranks[i], repr(self.elements[i])),
-            )
-            pos = {i: k for k, i in enumerate(order)}
-            rows = []
-            for i in order:
-                row = 0
-                m = self.up[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    row |= 1 << pos[j]
-                rows.append(row)
-            self._key = (tuple(self.ranks[i] for i in order), tuple(rows))
-        return self._key
+        if not self.up[z] >> x & 1:
+            raise ValueError("not an interval: elements are not nested")
+        self.require_eulerian()
+        return self._g_of(z, x)
+
+    def _g_of(self, z: int, x: int) -> LaurentPoly:
+        n = self.ranks[x] - self.ranks[z]
+        if n <= 2:
+            return ONE
+        g = self._g.get((z, x))
+        if g is not None:
+            return g
+        # Sum g([z, y]) over each rank first, so each (t-1)^k is built once.
+        by_rank = [ZERO] * n
+        base = self.ranks[z]
+        m = self.up[z] & self.down[x] & ~(1 << x)
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            k = self.ranks[y] - base
+            by_rank[k] = by_rank[k] + self._g_of(z, y)
+        rest = ZERO
+        step = power = T - 1
+        for k in range(n - 1, -1, -1):
+            rest = rest + power * by_rank[k]
+            power = power * step
+        coeffs = univariate(rest, "t")
+        g = from_univariate({i: -coeffs.get(i, 0) for i in range((n - 1) // 2 + 1)}, "t")
+        # Exact verification of the defining identity.
+        if g.substitute({"t": T**-1}) * T**n != rest + g:
+            raise ValueError("g-polynomial recursion failed to close; poset bug")
+        self._g[z, x] = g
+        return g
 
 
-@memo("G_CACHE", key=lambda poset: poset.canonical_key())
 def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
-    """Stanley's g-polynomial of an Eulerian poset, as a polynomial in t.
-
-    Defined by g = 1 in rank 0 and, in rank n > 0, as the unique polynomial
-    of degree < n/2 with t^n g(1/t) = sum over x of (t-1)^(n - rho(x)) times
-    the g-polynomial of [0-hat, x].  The computed value is checked against
-    this identity exactly.
-    """
-    poset.require_eulerian()
-    n = poset.rank
-    if n == 0:
-        return ONE
-    rest = ZERO
-    for i in range(len(poset.elements)):
-        if i == poset.top:
-            continue
-        sub = g_polynomial(poset.interval_idx(poset.bottom, i))
-        rest = rest + (T - 1) ** (n - poset.ranks[i]) * sub
-    coeffs = univariate(rest, "t")
-    g_coeffs = {i: -coeffs.get(i, 0) for i in range(0, (n - 1) // 2 + 1)}
-    g = from_univariate(g_coeffs, "t")
-    # Exact verification of the defining identity.
-    lhs = g.substitute({"t": T**-1}) * T**n
-    if lhs != rest + g:
-        raise ValueError("g-polynomial recursion failed to close; poset bug")
-    return g
+    """Stanley's g-polynomial of an Eulerian poset, as a polynomial in t."""
+    return poset.g(poset.bottom, poset.top)
 
 
 def stanley_inversion_check(poset: EulerianPoset) -> bool:
@@ -231,14 +233,14 @@ def stanley_inversion_check(poset: EulerianPoset) -> bool:
     if poset.rank < 1:
         raise ValueError("inversion identity requires positive rank")
     poset.require_eulerian()
+    dual = poset.dual()
+    bottom, top = poset.bottom, poset.top
     first = ZERO
     second = ZERO
     for i in range(len(poset.elements)):
         sign = (-1) ** poset.ranks[i]
-        lower = poset.interval_idx(poset.bottom, i)
-        upper = poset.interval_idx(i, poset.top)
-        first = first + sign * g_polynomial(lower) * g_polynomial(upper.dual())
-        second = second + sign * g_polynomial(lower.dual()) * g_polynomial(upper)
+        first = first + sign * poset.g(bottom, i) * dual.g(top, i)
+        second = second + sign * dual.g(i, bottom) * poset.g(i, top)
     return first == ZERO and second == ZERO
 
 
@@ -247,7 +249,7 @@ def link_h_polynomial(complex_, cell) -> LaurentPoly:
 
     Defined through t^(dim P - dim F) h(link; 1/t) = sum over cells F' >= F
     of (t-1)^(dim P - dim F') g([F, F']; t), where [F, F'] is the interval in
-    the cell poset of the subdivision.
+    the cell poset of the subdivision, read off the face lattice of F'.
     """
     dim_p = complex_.polytope.dim
     if cell not in complex_.cells:
@@ -255,8 +257,9 @@ def link_h_polynomial(complex_, cell) -> LaurentPoly:
     dim_f = complex_.dim_of(cell)
     rest = ZERO
     for other in complex_.cells_containing(cell):
-        interval = complex_.interval_poset(cell, other)
-        rest = rest + (T - 1) ** (dim_p - complex_.dim_of(other)) * g_polynomial(interval)
+        lattice, lower, upper = complex_.interval_faces(cell, other)
+        g = lattice.g(lower, upper)
+        rest = rest + (T - 1) ** (dim_p - complex_.dim_of(other)) * g
     delta = dim_p - dim_f
     h = rest.substitute({"t": T**-1}) * T**delta
     if not h.is_polynomial():

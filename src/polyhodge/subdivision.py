@@ -148,21 +148,26 @@ class CellComplex:
 
     # -- posets ---------------------------------------------------------------
 
-    def interval_poset(self, a: CellId, b: CellId) -> EulerianPoset:
-        """The interval [a, b] of the cell poset as an Eulerian poset.
+    def interval_faces(self, a: CellId, b: CellId):
+        """The cell interval [a, b] as (lattice, lower, upper) faces.
 
         Every cell below b is a face of b (``_validate`` checks this), so the
-        interval is [a, b] in b's validated face lattice, with faces named by
-        their vertex indices in ``b``.
+        interval is [a, top] in b's validated face lattice, with faces named
+        by their vertex indices in ``b``.  The empty cell has no face
+        lattice; [(), ()] is the one-point interval of P's lattice.
         """
         if not self.leq(a, b):
             raise ValueError("not an interval: cells are not nested")
         if b == ():
-            # The empty cell has no face lattice; [(), ()] is a single point.
-            return self.polytope.face_lattice().interval((), ())
+            return self.polytope.face_lattice(), (), ()
         lattice = self.cells[b].face_lattice()
         position = {v: i for i, v in enumerate(b)}
-        return lattice.interval(tuple(position[v] for v in a), lattice.top)
+        return lattice, tuple(position[v] for v in a), lattice.top
+
+    def interval_poset(self, a: CellId, b: CellId) -> EulerianPoset:
+        """The interval [a, b] of the cell poset as an Eulerian poset."""
+        lattice, lower, upper = self.interval_faces(a, b)
+        return lattice.interval(lower, upper)
 
     # -- derived complexes ------------------------------------------------------
 

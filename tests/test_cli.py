@@ -69,6 +69,18 @@ def test_parse_rejects_bad_schema(tmp_path):
     assert code == 1
 
 
+def test_parse_rejects_bool_dim(tmp_path, capsys):
+    # true is an int in Python; it must not be read as dim 1.
+    path = write_input(tmp_path, {"dim": True, "points": [{"coords": [0]}, {"coords": [2]}]})
+    for command in (
+        "hstar", "gpoly", "invariants", "hodge", "intersection",
+        "stringy", "nearby", "dk-check", "verify",
+    ):
+        code, out = run_cli([command, path])
+        assert (command, code, out) == (command, 1, "")
+        assert "dim must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_hodge_command_on_worked_example():
     code, out = run_cli(["hodge", CONCRETE])
     assert code == 0

@@ -1,5 +1,3 @@
-import pytest
-
 from polyhodge import invariants as inv
 from polyhodge.laurent import ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
@@ -93,7 +91,7 @@ def test_local_limit_mixed_examples():
         qdim = lat.face_dim(fid)
         sign = (-1) ** (sq.dim - qdim)
         part = ONE if fid == () else inv.limit_mixed_h_star(split.restrict(fid))
-        g = inv.g_of_interval(lat, fid, lat.top, dual=True).substitute({"t": U * V})
+        g = lat.g(fid, lat.top, dual=True).substitute({"t": U * V})
         direct = direct + sign * part * g
     assert inv.local_limit_mixed_h_star(split) == direct
 
@@ -214,12 +212,6 @@ def test_small_coeff_matches_refined(corpus25):
         body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
         for (a, b, c), value in inv.small_coeff_oracle(s).items():
             assert body.coeff({"u": a, "v": b, "w": c}) == value
-
-
-def test_small_coeff_unknown_index_raises():
-    s = quartic_triangle_pair()
-    with pytest.raises(ValueError):
-        inv.small_coeff(s, 1, 1, 1)
 
 
 def test_refined_nonnegative(corpus25):

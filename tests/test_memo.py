@@ -66,7 +66,7 @@ def test_clear_empties_every_table_and_values_recompute():
     assert memo.TABLES["REFINED"]
     memo.clear()
     assert set(memo.TABLES) == {
-        "HULL_CACHE", "G_CACHE", "COMPLEX_INTERN", "H_STAR", "LOCAL_H_STAR", "MIXED",
+        "HULL_CACHE", "COMPLEX_INTERN", "H_STAR", "LOCAL_H_STAR", "MIXED",
         "LIMIT_MIXED", "LOCAL_LIMIT_MIXED", "REFINED", "DK_CACHE",
     }
     assert all(len(t) == 0 for t in memo.TABLES.values())

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from polyhodge.laurent import ONE, T, ZERO
+from polyhodge import invariants as inv, memo
+from polyhodge.laurent import ONE, T, ZERO, from_univariate, univariate
 from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import (
     EulerianPoset,
@@ -12,7 +13,7 @@ from polyhodge.poset import (
 )
 from polyhodge.subdivision import trivial_subdivision
 
-from conftest import cube, quartic_triangle_pair, unit_simplex
+from conftest import cross_polytope, cube, quartic_triangle_pair, unit_simplex
 
 
 def abstract_polygon_lattice(n):
@@ -154,3 +155,89 @@ def test_cell_interval_posets_are_eulerian():
     for cid in s.maximal_cells:
         assert s.interval_poset((), cid).is_eulerian()
         assert stanley_inversion_check(s.interval_poset((), cid))
+
+
+# -- EulerianPoset.g against an independent recursion ----------------------------
+
+
+def stanley_g(poset):
+    """Stanley's recursion on interval copies, with no shortcut and no table."""
+    n = poset.rank
+    if n == 0:
+        return ONE
+    rest = ZERO
+    for i in range(len(poset)):
+        if i != poset.top:
+            sub = stanley_g(poset.interval_idx(poset.bottom, i))
+            rest = rest + (T - 1) ** (n - poset.ranks[i]) * sub
+    coeffs = univariate(rest, "t")
+    return from_univariate({k: -coeffs.get(k, 0) for k in range((n - 1) // 2 + 1)}, "t")
+
+
+def test_g_matches_stanley_recursion_on_every_interval(corpus25):
+    polytopes = [
+        cube(3),
+        cube(4),
+        cross_polytope(3),
+        cross_polytope(4),
+        LatticePolytope.convex_hull([tuple(2 * c for c in v) for v in unit_simplex(3).vertices]),
+    ]
+    for s in corpus25:
+        polytopes.append(s.polytope)
+        polytopes.extend(s.cell_polytope(cid) for cid in s.maximal_cells)
+    checked = set()
+    for p in polytopes:
+        if p.key in checked:
+            continue
+        checked.add(p.key)
+        lattice = p.face_lattice()
+        poset = lattice.poset()
+        dual = poset.dual()
+        faces = poset.elements
+        for z in range(len(poset)):
+            for x in range(len(poset)):
+                if not poset.leq_idx(z, x):
+                    continue
+                g = stanley_g(poset.interval_idx(z, x))
+                g_dual = stanley_g(dual.interval_idx(x, z))
+                assert poset.g(z, x) == g
+                assert dual.g(x, z) == g_dual
+                assert lattice.g(faces[z], faces[x]) == g
+                assert lattice.g(faces[z], faces[x], dual=True) == g_dual
+    assert len(checked) > 20
+
+
+def test_g_rejects_elements_that_are_not_nested():
+    poset = cube(3).face_lattice().poset()
+    with pytest.raises(ValueError, match="not nested"):
+        poset.g(poset.top, poset.bottom)
+
+
+def test_link_h_matches_cell_scan(corpus25):
+    # The reference builds each interval [F, F'] from every cell between the
+    # two and validates it, instead of reading F''s face lattice.
+    for s in [quartic_triangle_pair()] + [corpus25[i] for i in (4, 5, 11, 12)]:
+        dim_p = s.polytope.dim
+        for cell in s.ids:
+            rest = ZERO
+            for other in s.cells_containing(cell):
+                members = [c for c in s.ids if s.leq(cell, c) and s.leq(c, other)]
+                interval = EulerianPoset.from_leq(members, s.leq, validate=True)
+                rest = rest + (T - 1) ** (dim_p - s.dim_of(other)) * stanley_g(interval)
+            expected = rest.substitute({"t": T**-1}) * T ** (dim_p - s.dim_of(cell))
+            assert link_h_polynomial(s, cell) == expected
+
+
+def test_tower_reads_g_without_copying_intervals(monkeypatch):
+    memo.clear()
+    copies = []
+    original = EulerianPoset.interval_idx
+
+    def counted(self, zi, xi):
+        copies.append((zi, xi))
+        return original(self, zi, xi)
+
+    monkeypatch.setattr(EulerianPoset, "interval_idx", counted)
+    for s in (quartic_triangle_pair(), trivial_subdivision(cube(4))):
+        assert inv.refined_limit_mixed_h_star(s).substitute({"w": 1}) == inv.limit_mixed_h_star(s)
+    assert copies == []
