@@ -122,7 +122,12 @@ def parse_input(path: str) -> ParsedInput:
 
 
 def build_complex(parsed: ParsedInput) -> CellComplex:
-    """Subdivision from the input, rewritten full-dimensionally if needed."""
+    """Subdivision from the input.
+
+    Lower-dimensional input is rewritten into the lattice of its span, so
+    that stringy E can see a reflexive polytope and reports use the
+    coordinates of that lattice.
+    """
     if parsed.height_fn is None:
         s = trivial_subdivision(parsed.polytope)
     else:
@@ -283,9 +288,8 @@ def cmd_gpoly(parsed: ParsedInput, args) -> dict:
         "g": _poly(g),
         "g_dual": _poly(gd),
         "f_vector": str(list(lattice.f_vector())),
+        "intersection_lefschetz": _poly(inv.e_int_lef(p)),
     }
-    full = p if p.dim == p.ambient_dim else p.normalize_full_dim()[0]
-    results["intersection_lefschetz"] = _poly(inv.e_int_lef(full))
     return _report("gpoly", parsed, results)
 
 
@@ -472,16 +476,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         parsed = parse_input(args.input)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    try:
         report = _COMMANDS[args.command](parsed, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug or a resource limit, never a traceback
+        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.format)
     failed = any(c["status"] == "fail" for c in report.get("checks", []))

@@ -1,9 +1,12 @@
-"""Truncated normal fans of full-dimensional polytopes and their refinements.
+"""Truncated normal fans of lattice polytopes and their refinements.
 
-The normal fan of P with its maximal cones removed has cones indexed by the
-positive-dimensional faces Q of P (inclusion-reversing, dim cone = n - dim Q),
-plus the zero cone for Q = P.  Rays are the primitive inner facet normals, so
-all incidence questions reduce to combinatorics of the face lattice: a ray
+Fans live in the polytope's own lattice: the lattice of its affine span, in
+the coordinates of its unimodular model, so a face of a larger polytope has
+the fan of its model.  The normal fan of P with its maximal cones removed has
+cones indexed by the positive-dimensional faces Q of P (inclusion-reversing,
+dim cone = dim P - dim Q), plus the zero cone for Q = P.  Rays are the
+primitive inner facet normals of the model, so all incidence questions
+reduce to combinatorics of the face lattice: a ray
 lies in the cone of Q exactly when its facet contains Q, and the smallest
 cone containing a set of rays is indexed by the intersection of their facets.
 
@@ -51,11 +54,9 @@ def cone_contains(rays, point) -> bool:
 
 
 class TruncatedNormalFan:
-    """Normal fan of a full-dimensional polytope, maximal cones removed."""
+    """Normal fan of a polytope in its own lattice, maximal cones removed."""
 
     def __init__(self, polytope: LatticePolytope):
-        if polytope.dim != polytope.ambient_dim:
-            raise ValueError("normal fan requires a full-dimensional polytope")
         self.polytope = polytope
         self.lattice = polytope.face_lattice()
         self.dim = polytope.dim
@@ -63,8 +64,6 @@ class TruncatedNormalFan:
         facet_ids = {}
         for (a, b), t in zip(polytope._facets, tight):
             facet_ids[tuple(sorted(t))] = linalg.primitive(a)
-        # Face id of each facet -> primitive inner normal ray.
-        self.facet_ray = facet_ids
         self.ray_facet = {ray: fid for fid, ray in facet_ids.items()}
         self.face_ids = tuple(
             fid

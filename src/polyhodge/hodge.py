@@ -11,6 +11,9 @@ refined polynomial from weak Lefschetz, Poincare duality, and the w = 1
 specialization without touching the refined h*-tower (so the two paths are
 genuinely independent).
 
+A polytope of any dimension is measured in the lattice of its own affine
+span, so the stratum of a face Q is computed on ``s.restrict(Q)`` as it is.
+
 Grothendieck-ring classes are never represented; a class in Z[L] is
 reported in the L-variable exactly when the (u,v)-realization happens to
 be a polynomial in the product uv.
@@ -20,15 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import L, LaurentPoly, ONE, U, V, W, ZERO
+from .laurent import LaurentPoly, ONE, U, UV, UVW2, V, W, ZERO
 from .polytope import LatticePolytope
 from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, identity_refinement, simplicial_refinement
 from .memo import memo
 from . import invariants as inv
-
-UV = U * V
-UVW2 = U * V * W**2
 
 
 # -- realization helpers ------------------------------------------------------
@@ -147,37 +147,13 @@ def nearby_fiber_class(s: CellComplex) -> LaurentPoly | None:
 def refined_E(s: CellComplex) -> LaurentPoly:
     """Refined limit Hodge-Deligne polynomial in (u, v, w):
     uvw^2 E = (uvw^2 - 1)^dim + (-1)^(dim+1) h*(P,S;u,v,w), exactly."""
-    p = _require_full_dim(s.polytope)
+    p = s.polytope
     d = p.dim
     numerator = (UVW2 - 1) ** d + (-1) ** (d + 1) * inv.refined_limit_mixed_h_star(s)
     try:
         return numerator.div_exact_poly_monomial({"u": 1, "v": 1, "w": 2})
     except ValueError as exc:
         raise ValueError("refined E is not polynomial; invariant-tower bug") from exc
-
-
-def _require_full_dim(p: LatticePolytope) -> LatticePolytope:
-    if p.is_empty:
-        raise ValueError("requires a nonempty polytope")
-    if p.dim != p.ambient_dim:
-        raise ValueError("requires a full-dimensional polytope; normalize first")
-    return p
-
-
-def normalized_restriction(s: CellComplex, face_id) -> CellComplex:
-    """Restriction of S to a face, rewritten full-dimensionally in the
-    saturated lattice of the face's span."""
-    q = s.polytope.face_lattice().face_polytope(face_id)
-    restricted = s.restrict(face_id)
-    if q.dim == q.ambient_dim:
-        return restricted
-    _, map_ = q.normalize_full_dim()
-    return restricted.transform(map_)
-
-
-def refined_E_of_face(s: CellComplex, face_id) -> LaurentPoly:
-    """Refined E of the stratum attached to a nonempty face of P."""
-    return refined_E(normalized_restriction(s, face_id))
 
 
 @dataclass
@@ -207,7 +183,6 @@ def refined_hodge_numbers(s: CellComplex) -> HodgeNumberTable:
     table from the top w-coefficient; raises when the constant term is not
     1 or any entry comes out negative.
     """
-    p = _require_full_dim(s.polytope)
     refined = inv.refined_limit_mixed_h_star(s)
     if refined.coeff({}) != 1:
         raise ValueError("refined h* must have constant term 1")
@@ -230,7 +205,7 @@ def refined_hodge_numbers(s: CellComplex) -> HodgeNumberTable:
         if min(exps) < 0 or c < 0:
             raise ValueError("local Hodge numbers must be nonnegative")
         local[(exps[0], exps[1])] = c
-    out = HodgeNumberTable(p.dim, table, limit, local)
+    out = HodgeNumberTable(s.polytope.dim, table, limit, local)
     if not out.symmetric():
         raise ValueError("refined Hodge numbers violate their symmetries")
     return out
@@ -242,7 +217,7 @@ def refined_hodge_numbers(s: CellComplex) -> HodgeNumberTable:
 def intersection_E(s: CellComplex) -> LaurentPoly:
     """Intersection-cohomology refined E of the compactified family:
     uvw^2 E = uvw^2 E_Lef(P; uvw^2) + (-1)^(dim+1) l*(P,S;u,v) w^(dim+1)."""
-    p = _require_full_dim(s.polytope)
+    p = s.polytope
     d = p.dim
     lef = inv.e_int_lef(p).substitute({"t": UVW2})
     numerator = UVW2 * lef + (-1) ** (d + 1) * inv.local_limit_mixed_h_star(s) * W ** (
@@ -258,7 +233,7 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
     """Stratum-sum form of the intersection-cohomology polynomial:
     sum over nonempty faces Q of refined E of the stratum times
     g([Q,P]*; uvw^2).  Must agree with intersection_E."""
-    p = _require_full_dim(s.polytope)
+    p = s.polytope
     lattice = p.face_lattice()
     total = ZERO
     for fid in lattice.all_faces():
@@ -266,7 +241,7 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
             continue
         if lattice.face_dim(fid) == 0:
             continue  # point strata carry the empty hypersurface
-        stratum = refined_E_of_face(s, fid)
+        stratum = refined_E(s.restrict(fid))
         g = lattice.g(fid, lattice.top, dual=True)
         total = total + stratum * g.substitute({"t": UVW2})
     return total
@@ -284,14 +259,13 @@ def partial_compactification_E(
     The zero subfan returns the open refined E; the full fan with the
     identity refinement gives the (possibly singular) compactification.
     """
-    p = _require_full_dim(s.polytope)
-    fan = TruncatedNormalFan(p)
+    fan = TruncatedNormalFan(s.polytope)
     if refinement is None:
         refinement = identity_refinement(fan, subfan)
     mult = refinement.multiplicity_polys(UVW2 - 1)
     total = ZERO
     for fid, m in mult.items():
-        total = total + refined_E_of_face(s, fid) * m
+        total = total + refined_E(s.restrict(fid)) * m
     return total
 
 
@@ -299,14 +273,13 @@ def partial_compactification_psi(
     s: CellComplex, subfan=None, refinement: Refinement | None = None
 ) -> LaurentPoly:
     """Nearby-fiber realization of the partial compactification, in (u, v)."""
-    p = _require_full_dim(s.polytope)
-    fan = TruncatedNormalFan(p)
+    fan = TruncatedNormalFan(s.polytope)
     if refinement is None:
         refinement = identity_refinement(fan, subfan)
     mult = refinement.multiplicity_polys(UV - 1)
     total = ZERO
     for fid, m in mult.items():
-        total = total + nearby_fiber_E(normalized_restriction(s, fid)) * m
+        total = total + nearby_fiber_E(s.restrict(fid)) * m
     return total
 
 
@@ -329,7 +302,7 @@ def stringy_E(s: CellComplex) -> LaurentPoly:
     """Stringy refined E of the compactified family over a reflexive P:
     uvw^2 E_st = sum over faces Q (including empty and P) of
     (-w)^(dim Q + 1) l*(Q, S|Q; u, v) l*(Q*; uvw^2)."""
-    p = _require_full_dim(s.polytope)
+    p = s.polytope
     if not p.reflexive_check():
         raise ValueError("stringy E requires a reflexive polytope")
     dual, face_map = p.dual_face_map()
@@ -369,7 +342,7 @@ def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     proper faces; the middle degree is fixed by the w = 1 specialization.
     This is the independent oracle for refined_E.
     """
-    p = _require_full_dim(s.polytope)
+    p = s.polytope
     d = p.dim
     if d == 0:
         return ZERO
@@ -389,8 +362,7 @@ def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     for fid, m in mult.items():
         if fid == lattice.top:
             continue
-        sub = normalized_restriction(s, fid)
-        proper_sum = proper_sum + dk_reconstruct(sub) * m
+        proper_sum = proper_sum + dk_reconstruct(s.restrict(fid)) * m
     known_e = dict(high)  # degrees >= d of E(X_infty)
     # Step 3: Poincare duality of the compactification gives every degree
     # <= d-2 of E from the degrees >= d.

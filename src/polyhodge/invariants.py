@@ -23,15 +23,12 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentPoly, ONE, T, U, V, W, ZERO, from_univariate
+from .laurent import LaurentPoly, ONE, T, U, UV, UVW2, V, W, ZERO, from_univariate
 from .polytope import LatticePolytope
 from .poset import link_h_polynomial
 from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
 from .memo import memo
-
-UV = U * V
-UVW2 = U * V * W**2
 
 
 @memo("H_STAR", key=lambda p: p.key)
@@ -190,8 +187,6 @@ def lambda_mixed(s: CellComplex, refinement: Refinement | None = None) -> Lauren
 def e_int_lef(p: LatticePolytope) -> LaurentPoly:
     """Lefschetz-forced intersection polynomial E(P;t): the unique polynomial
     with (t-1) E = t^dim g([empty,P]*;1/t) - g([empty,P]*;t)."""
-    if p.dim != p.ambient_dim:
-        raise ValueError("requires a full-dimensional polytope")
     from .laurent import div_exact_t_minus_one
 
     lattice = p.face_lattice()

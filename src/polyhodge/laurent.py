@@ -342,6 +342,8 @@ V = LaurentPoly.var("v")
 W = LaurentPoly.var("w")
 T = LaurentPoly.var("t")
 L = LaurentPoly.var("L")
+UV = U * V
+UVW2 = U * V * W**2
 ONE = _ONE
 ZERO = _ZERO
 

@@ -248,13 +248,17 @@ class CellComplex:
                     raise ValueError("cells intersect in a non-face")
 
 
+def _face_cells(polytope: LatticePolytope) -> list[LatticePolytope]:
+    """The nonempty faces of P, the cells of its trivial subdivision."""
+    lattice = polytope.face_lattice()
+    return [lattice.face_polytope(fid) for fid in lattice.all_faces() if fid != ()]
+
+
 def trivial_subdivision(polytope: LatticePolytope) -> CellComplex:
     """The subdivision whose cells are the faces of P."""
     if polytope.is_empty:
         raise ValueError("trivial subdivision of the empty polytope")
-    lattice = polytope.face_lattice()
-    cells = [lattice.face_polytope(fid) for fid in lattice.all_faces() if fid != ()]
-    return CellComplex.interned(polytope, cells)
+    return CellComplex.interned(polytope, _face_cells(polytope))
 
 
 def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
@@ -265,15 +269,13 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
     trivial subdivision.
     """
     p = height_fn.polytope
-    model, map_ = p.normalize_full_dim()
+    map_ = p._map
     scaled = height_fn.integer_scaled()
     lifted = [map_.to_model(a) + (h,) for a, h in scaled.items()]
     hull = LatticePolytope.convex_hull(lifted)
     if hull.dim <= p.dim:
         # Affine heights: every lifted point is on the one lower facet.
-        lattice = p.face_lattice()
-        cells = [lattice.face_polytope(fid) for fid in lattice.all_faces() if fid != ()]
-        return CellComplex.interned(p, cells, heights=height_fn)
+        return CellComplex.interned(p, _face_cells(p), heights=height_fn)
     maximal = []
     tight_sets = hull.facet_tight_sets()
     for (a, b), tight in zip(hull._facets, tight_sets):

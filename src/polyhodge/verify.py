@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hodge, invariants as inv
-from .laurent import U, V, W, ZERO
+from .laurent import U, UVW2, V, W, ZERO
 from .poset import stanley_inversion_check
 from .subdivision import CellComplex, euler_relation_check, regular_subdivision
 from .fans import TruncatedNormalFan, simplicial_refinement
-
-UVW2 = U * V * W**2
 
 
 @dataclass
@@ -140,79 +138,78 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
     else:
         out.append(CheckResult("unimodality_diagnostic", "pass"))
 
-    if p.dim == p.ambient_dim:
-        e_ref = hodge.refined_E(s)
-        psi = hodge.nearby_fiber_E(s)
-        out.append(_result("refined_E_at_w1_is_nearby", e_ref.substitute({"w": 1}) == psi))
-        out.append(
-            _result(
-                "refined_E_specializes_to_hodge_deligne",
-                e_ref.substitute({"u": U * W**-1, "v": 1}) == hodge.hodge_deligne(p),
-            )
+    e_ref = hodge.refined_E(s)
+    psi = hodge.nearby_fiber_E(s)
+    out.append(_result("refined_E_at_w1_is_nearby", e_ref.substitute({"w": 1}) == psi))
+    out.append(
+        _result(
+            "refined_E_specializes_to_hodge_deligne",
+            e_ref.substitute({"u": U * W**-1, "v": 1}) == hodge.hodge_deligne(p),
         )
-        out.append(
-            _result(
-                "euler_characteristic_specialization",
-                e_ref.eval_int({"u": 1, "v": 1, "w": 1}) == hodge.euler_characteristic(p),
-            )
+    )
+    out.append(
+        _result(
+            "euler_characteristic_specialization",
+            e_ref.eval_int({"u": 1, "v": 1, "w": 1}) == hodge.euler_characteristic(p),
         )
-        out.append(
-            _result(
-                "refined_E_symmetries",
-                e_ref.substitute({"u": V, "v": U}) == e_ref
-                and e_ref.substitute({"u": U**-1, "v": V**-1, "w": U * V * W}) == e_ref,
-            )
+    )
+    out.append(
+        _result(
+            "refined_E_symmetries",
+            e_ref.substitute({"u": V, "v": U}) == e_ref
+            and e_ref.substitute({"u": U**-1, "v": V**-1, "w": U * V * W}) == e_ref,
         )
-        out.append(_result("weak_lefschetz_refined", _weak_lefschetz_refined(e_ref, d)))
-        out.append(
-            _result(
-                "weak_lefschetz_hodge_deligne",
-                _weak_lefschetz_two_var(hodge.hodge_deligne(p), d),
-            )
+    )
+    out.append(_result("weak_lefschetz_refined", _weak_lefschetz_refined(e_ref, d)))
+    out.append(
+        _result(
+            "weak_lefschetz_hodge_deligne",
+            _weak_lefschetz_two_var(hodge.hodge_deligne(p), d),
         )
-        out.append(
-            _result(
-                "chi_y_valuation",
-                hodge.chi_y(p) == psi.substitute({"v": 1})
-                and _chi_y_inclusion_exclusion(s),
-            )
+    )
+    out.append(
+        _result(
+            "chi_y_valuation",
+            hodge.chi_y(p) == psi.substitute({"v": 1})
+            and _chi_y_inclusion_exclusion(s),
         )
-        out.append(_result("dk_reconstruction", hodge.dk_reconstruct(s) == e_ref))
-        out.append(
-            _result(
-                "strata_sum_is_intersection_E",
-                hodge.sum_over_strata_E_int(s) == hodge.intersection_E(s),
-            )
+    )
+    out.append(_result("dk_reconstruction", hodge.dk_reconstruct(s) == e_ref))
+    out.append(
+        _result(
+            "strata_sum_is_intersection_E",
+            hodge.sum_over_strata_E_int(s) == hodge.intersection_E(s),
         )
-        out.append(
-            _result(
-                "compactified_psi_two_forms",
-                hodge.partial_compactification_psi(s)
-                == hodge.compactified_psi_face_sum(s),
-            )
+    )
+    out.append(
+        _result(
+            "compactified_psi_two_forms",
+            hodge.partial_compactification_psi(s)
+            == hodge.compactified_psi_face_sum(s),
         )
-        try:
-            hodge.refined_hodge_numbers(s)
-            out.append(CheckResult("hodge_number_tables", "pass"))
-        except ValueError as exc:
-            out.append(CheckResult("hodge_number_tables", "fail", str(exc)))
-        if d <= 3:
-            oracle = inv.small_coeff_oracle(s)
-            body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
-            bad = None
-            for (a, b, c), value in oracle.items():
-                if body.coeff({"u": a, "v": b, "w": c}) != value:
-                    bad = (a, b, c)
-                    break
-            out.append(_result("small_coefficient_oracle", bad is None, f"index {bad}"))
-        fan = TruncatedNormalFan(p)
-        refinement = simplicial_refinement(fan)
-        lam, _ = inv.lambda_phi(s, refinement)
-        pal = UVW2 ** (d + 1) * lam.substitute({"u": U**-1, "v": V**-1, "w": W**-1})
-        out.append(_result("lambda_palindromy", pal == lam))
-        lam_mixed = inv.lambda_mixed(s, refinement)
-        palm = (U * W) ** (d + 1) * lam_mixed.substitute({"u": U**-1, "w": W**-1})
-        out.append(_result("lambda_mixed_palindromy", palm == lam_mixed))
+    )
+    try:
+        hodge.refined_hodge_numbers(s)
+        out.append(CheckResult("hodge_number_tables", "pass"))
+    except ValueError as exc:
+        out.append(CheckResult("hodge_number_tables", "fail", str(exc)))
+    if d <= 3:
+        oracle = inv.small_coeff_oracle(s)
+        body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
+        bad = None
+        for (a, b, c), value in oracle.items():
+            if body.coeff({"u": a, "v": b, "w": c}) != value:
+                bad = (a, b, c)
+                break
+        out.append(_result("small_coefficient_oracle", bad is None, f"index {bad}"))
+    fan = TruncatedNormalFan(p)
+    refinement = simplicial_refinement(fan)
+    lam, _ = inv.lambda_phi(s, refinement)
+    pal = UVW2 ** (d + 1) * lam.substitute({"u": U**-1, "v": V**-1, "w": W**-1})
+    out.append(_result("lambda_palindromy", pal == lam))
+    lam_mixed = inv.lambda_mixed(s, refinement)
+    palm = (U * W) ** (d + 1) * lam_mixed.substitute({"u": U**-1, "w": W**-1})
+    out.append(_result("lambda_mixed_palindromy", palm == lam_mixed))
     return out
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polyhodge import cli
+from polyhodge import cli, memo
 from polyhodge.fans import TruncatedNormalFan
 from polyhodge.laurent import LaurentPoly
 
@@ -310,6 +310,34 @@ def test_golden_outputs_on_worked_example():
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
 
 
+# The same table for the worked example placed in the plane z = x of 3-space.
+# The CLI rewrites lower-dimensional input into the lattice of its span, so
+# every command but hstar and gpoly reports on that rewrite.  The memo tables
+# are emptied before each command, as in a fresh process: the rewrite interns
+# the same complex as the worked example, and an interned complex keeps the
+# heights it was first built with (see tests/test_memo.py).
+IN_PLANE = str(DATA / "concrete_curve_in_plane.json")
+GOLDEN_IN_PLANE = {
+    "hstar": (0, "19cfca8e3dfca5b27b0a726a53e6eb076c3e221f9e411a63ef2bfcad5089021b"),
+    "gpoly": (0, "3f33871387466a809b200208fb306012acc8a100df16b94b5ae92b92094bd5a4"),
+    "invariants": (0, "cbbd262c8db4e712b84e924485c8f88fd3253a95aaebe33a5edd81a7e553e9ba"),
+    "hodge": (0, "747b5b8c6198d13f479cd535847cbe301ce34224e5c9c5270def1b127d09e747"),
+    "intersection": (0, "0f51a7d89976987f7d1342de14d88d1656f16ab08040c18bf07e3a1b00cfcdb5"),
+    "stringy": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby": (0, "d0db1783783a33e11a4547e97b9ed79e179ce883408c0be54d3b658d636e642a"),
+    "dk-check": (0, "37ed3a8d9ad2508405008cb530f0728c5edae08910c4ceb1f1cdca2c736799ac"),
+    "verify": (0, "8ced6b230919b6484a6b7fe646087968aa47b4a0fb0809e61ddd08621a4be551"),
+}
+
+
+def test_golden_outputs_on_lower_dimensional_input():
+    assert set(GOLDEN_IN_PLANE) == set(cli._COMMANDS)
+    for command, expected in GOLDEN_IN_PLANE.items():
+        memo.clear()
+        code, out = run_cli([command, IN_PLANE])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
+
+
 def test_text_format():
     code, out = run_cli(["nearby", CONCRETE, "--format", "text"])
     assert code == 0
@@ -342,6 +370,19 @@ def test_lower_dimensional_input_is_normalized(tmp_path):
     code, out = run_cli(["gpoly", path])
     assert code == 0
     assert json.loads(out)["results"]["intersection_lefschetz"]["pretty"] == "1 + t"
+
+
+def test_unexpected_exceptions_exit_2_without_traceback(tmp_path, capsys):
+    # A segment too long for the bounding-box scan: point enumeration raises
+    # OverflowError, which is neither an input error nor a ValueError.
+    path = write_input(
+        tmp_path, {"dim": 1, "points": [{"coords": [0]}, {"coords": [10**30]}]}
+    )
+    for command in ("hstar", "hodge", "verify", "stringy", "dk-check", "intersection"):
+        assert run_cli([command, path]) == (2, ""), command
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: OverflowError: "), command
+        assert "Traceback" not in err
 
 
 def test_conflicting_duplicate_heights_are_rejected(tmp_path, capsys):

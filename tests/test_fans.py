@@ -39,10 +39,27 @@ def test_inclusion_reversal():
         assert fan.cone_dim(fid) == 3 - fan.lattice.face_dim(fid)
 
 
-def test_normal_fan_requires_full_dimension():
-    seg = LatticePolytope.convex_hull([(0, 0), (1, 0)])
-    with pytest.raises(ValueError):
-        TruncatedNormalFan(seg)
+def test_normal_fan_lives_in_the_polytopes_own_lattice():
+    # A facet of the 3-cube and a segment of lattice length 2 in 3-space: the
+    # fan has the polytope's own dimension, and face by face it has the cone
+    # rays of the fan of the polytope's full-dimensional model.
+    lattice = cube(3).face_lattice()
+    faces = [lattice.face_polytope(fid) for fid in lattice.faces_of_dim(2)]
+    faces.append(LatticePolytope.convex_hull([(1, 2, 3), (3, 6, 9)]))
+    for q in faces:
+        assert q.dim < q.ambient_dim
+        fan = TruncatedNormalFan(q)
+        assert fan.dim == q.dim
+        for fid in fan.face_ids:
+            assert fan.cone_dim(fid) == q.dim - fan.lattice.face_dim(fid)
+        model, map_ = q.normalize_full_dim()
+        model_fan = TruncatedNormalFan(model)
+        index = {v: i for i, v in enumerate(model.vertices)}
+        to_model = [index[map_.to_model(v)] for v in q.vertices]
+        assert set(fan.ray_facet) == set(model_fan.ray_facet)
+        assert len(fan.cone_rays) == len(model_fan.cone_rays)
+        for fid, rays in fan.cone_rays.items():
+            assert model_fan.cone_rays[tuple(sorted(to_model[i] for i in fid))] == rays
 
 
 def test_refinement_of_simplicial_fans_is_identity():

@@ -4,8 +4,9 @@ from polyhodge import hodge, invariants as inv, memo
 from polyhodge.laurent import L, ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
+from polyhodge.verify import run_checks
 
-from conftest import cube, quartic_triangle_pair, segment, unit_simplex
+from conftest import cross_polytope, cube, quartic_triangle_pair, segment, unit_simplex
 
 UVW2 = U * V * W**2
 QUARTIC_E = -11 - 3 * (1 + U * V) * W + UVW2
@@ -373,3 +374,57 @@ def test_torus_baseline():
         s = trivial_subdivision(unit_simplex(d))
         e = hodge.refined_E(s)
         assert UVW2 * e == (UVW2 - 1) ** d + (-1) ** (d + 1)
+
+
+def _model_restriction(s, fid):
+    """S|Q rewritten full-dimensionally in the unimodular model of Q."""
+    q = s.polytope.face_lattice().face_polytope(fid)
+    restricted = s.restrict(fid)
+    if q.dim == q.ambient_dim:
+        return restricted
+    return restricted.transform(q._map)
+
+
+STRATUM_INVARIANTS = (
+    hodge.refined_E,
+    hodge.nearby_fiber_E,
+    hodge.intersection_E,
+    hodge.sum_over_strata_E_int,
+    hodge.dk_reconstruct,
+    hodge.partial_compactification_psi,
+    inv.lambda_phi,
+    lambda s: inv.e_int_lef(s.polytope),
+)
+
+
+def test_restrictions_agree_with_their_full_dimensional_models(corpus25):
+    # Every invariant of S|Q depends only on the lattice of Q's span, so the
+    # restriction in ambient coordinates and its model give the same values.
+    complexes = list(corpus25) + [
+        trivial_subdivision(p)
+        for p in (cube(3), cube(4), cross_polytope(3), cross_polytope(4))
+    ]
+    lower = 0
+    for s in complexes:
+        lattice = s.polytope.face_lattice()
+        for fid in lattice.all_faces():
+            if lattice.face_dim(fid) < 1:
+                continue
+            restricted, model = s.restrict(fid), _model_restriction(s, fid)
+            lower += restricted is not model
+            for invariant in STRATUM_INVARIANTS:
+                assert invariant(restricted) == invariant(model), (s.key, fid, invariant)
+    assert lower == 336
+
+
+def test_checks_pass_on_lower_dimensional_restrictions(corpus25):
+    restrictions = 0
+    for s in corpus25:
+        lattice = s.polytope.face_lattice()
+        for fid in lattice.all_faces():
+            if fid == () or fid == lattice.top:
+                continue
+            checks = run_checks(s.restrict(fid))
+            assert [c for c in checks if not c.ok] == [], (s.key, fid)
+            restrictions += 1
+    assert restrictions == 254
