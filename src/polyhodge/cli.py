@@ -368,7 +368,7 @@ def cmd_stringy(parsed: ParsedInput, args) -> dict:
     e_st = hodge.stringy_E(s)
     results = {
         "stringy_E": _poly(e_st),
-        "stringy_E_generic": _poly(hodge.stringy_E_generic(s)),
+        "stringy_E_generic": _poly(hodge.stringy_E_generic(s, e_st)),
         "dual_polytope_vertices": str(
             [list(v) for v in s.polytope.dual_polytope().vertices]
         ),

@@ -323,9 +323,12 @@ def stringy_E(s: CellComplex) -> LaurentPoly:
         raise ValueError("stringy E is not polynomial; tower bug") from exc
 
 
-def stringy_E_generic(s: CellComplex) -> LaurentPoly:
-    """Stringy E of the generic fiber, in (u, w)."""
-    return stringy_E(s).substitute({"u": U * W**-1, "v": 1})
+def stringy_E_generic(s: CellComplex, e_st: LaurentPoly | None = None) -> LaurentPoly:
+    """Stringy E of the generic fiber, in (u, w); ``e_st`` is stringy_E(s)
+    when the caller has already computed it."""
+    if e_st is None:
+        e_st = stringy_E(s)
+    return e_st.substitute({"u": U * W**-1, "v": 1})
 
 
 # -- reconstruction (independent of the refined tower) ------------------------------

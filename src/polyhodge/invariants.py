@@ -23,7 +23,20 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentPoly, ONE, T, U, UV, UVW2, V, W, ZERO, from_univariate
+from .laurent import (
+    LaurentPoly,
+    ONE,
+    T,
+    T_INV,
+    U,
+    U_OVER_V,
+    UV,
+    UVW2,
+    V,
+    W,
+    ZERO,
+    from_univariate,
+)
 from .polytope import LatticePolytope
 from .poset import link_h_polynomial
 from .subdivision import CellComplex
@@ -76,7 +89,7 @@ def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     total = ZERO
     for cid in s.ids:
         cell = s.cell_polytope(cid)
-        local = local_h_star(cell).substitute({"u": U * V**-1})
+        local = local_h_star(cell).substitute({"u": U_OVER_V})
         link = link_h_polynomial(s, cid).substitute({"t": UV})
         total = total + V ** (cell.dim + 1) * local * link
     if not total.is_polynomial():
@@ -107,7 +120,7 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     total = ZERO
     for fid in lattice.all_faces():
         q = lattice.face_polytope(fid)
-        local = local_h_star(q).substitute({"u": U * V**-1})
+        local = local_h_star(q).substitute({"u": U_OVER_V})
         g = lattice.g(fid, lattice.top)
         total = total + V ** (q.dim + 1) * local * g.substitute({"t": UV})
     if not total.is_polynomial():
@@ -191,7 +204,7 @@ def e_int_lef(p: LatticePolytope) -> LaurentPoly:
 
     lattice = p.face_lattice()
     gdual = lattice.g((), lattice.top, dual=True)
-    rhs = gdual.substitute({"t": T**-1}) * T**p.dim - gdual
+    rhs = gdual.substitute({"t": T_INV}) * T**p.dim - gdual
     return div_exact_t_minus_one(rhs)
 
 

@@ -5,6 +5,24 @@ Exponent vectors are tuples of length 5 over the fixed variable list
 (u, v, w, t, L); exponents may be negative.  Two polynomials are equal iff
 their coefficient maps are equal, and the zero polynomial is the empty map.
 
+Invariant: every stored coefficient is a nonzero int and every key is a
+5-tuple of ints.  The public constructor ``LaurentPoly(mapping)`` cleans its
+input (it drops zero coefficients, makes keys tuples and coefficients ints),
+and ``from_json_obj`` also checks the key length, so parsed and deserialized
+input always passes through a check.  Results of ``+``, ``-``, ``*``, ``**``,
+``substitute`` and the other internal operations are clean by construction
+and are wrapped by ``LaurentPoly._trusted``, which checks nothing.  The
+arithmetic takes these fast paths:
+
+* ``p * n`` for an int n scales the coefficients; ``p * 0`` is ZERO and
+  ``p * 1`` is p itself.
+* A product with a single-term factor shifts the other factor's exponents
+  (a constant factor only scales them); the general product adds unpacked
+  exponent 5-tuples component by component.
+* A sum with a zero operand returns the other operand.
+* A +-1 monomial raised to any integer power is computed directly; a
+  negative power of anything else raises ValueError.
+
 Values are immutable after construction and all operations are pure, so they
 are safe to share between threads.
 """
@@ -12,6 +30,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "w", "t", "L")
@@ -43,6 +62,14 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _trusted(terms: dict[Exponent, int]) -> "LaurentPoly":
+        """Wrap a map that already satisfies the invariant, without copying."""
+        p = object.__new__(LaurentPoly)
+        p._terms = terms
+        p._hash = None
+        return p
+
+    @staticmethod
     def const(n: int) -> "LaurentPoly":
         return LaurentPoly({_ZERO_EXP: n})
 
@@ -64,11 +91,13 @@ class LaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self._terms == other._terms
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
+            if not other:
+                return not self._terms
+            return len(self._terms) == 1 and self._terms.get(_ZERO_EXP) == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -80,70 +109,101 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.const(other)
-        return None
-
     def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, LaurentPoly):
+            a, b = self._terms, other._terms
+            if not b:
+                return self
+            if not a:
+                return other
+            if len(a) < len(b):
+                a, b = b, a
+        elif isinstance(other, int):
+            if not other:
+                return self
+            a, b = self._terms, {_ZERO_EXP: int(other)}
+        else:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, 0) + c
+        out = dict(a)
+        get = out.get
+        for exp, c in b.items():
+            s = get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
-                out.pop(exp, None)
-        return LaurentPoly(out)
+                del out[exp]
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (LaurentPoly, int)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        if isinstance(other, int):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
+        a = self._terms
+        if isinstance(other, LaurentPoly):
+            b = other._terms
+        elif isinstance(other, int):
+            if not other or not a:
+                return ZERO
+            if other == 1:
+                return self
+            return _trusted({e: c * other for e, c in a.items()})
+        else:
             return NotImplemented
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return ZERO
+        if len(b) == 1:
+            ((e2, c2),) = b.items()
+            if e2 == _ZERO_EXP:
+                if c2 == 1:
+                    return self if a is self._terms else other
+                return _trusted({e: c * c2 for e, c in a.items()})
+            s0, s1, s2, s3, s4 = e2
+            return _trusted(
+                {
+                    (a0 + s0, a1 + s1, a2 + s2, a3 + s3, a4 + s4): c * c2
+                    for (a0, a1, a2, a3, a4), c in a.items()
+                }
+            )
+        # Unpacked 5-tuples add about twice as fast as tuple(map(add, e1, e2)).
+        flat_b = [(*e2, c2) for e2, c2 in b.items()]
         out: dict[Exponent, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
+        get = out.get
+        for (a0, a1, a2, a3, a4), c1 in a.items():
+            for b0, b1, b2, b3, b4, c2 in flat_b:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+                s = get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        terms = self._terms
+        if len(terms) == 1:
+            ((exp, c),) = terms.items()
+            if c == 1 or c == -1:
+                sign = -1 if c == -1 and n % 2 else 1
+                return _trusted({tuple([n * a for a in exp]): sign})
         if n < 0:
-            if len(self._terms) == 1:
-                exp, c = next(iter(self._terms.items()))
-                if c in (1, -1):
-                    e = tuple(n * a for a in exp)
-                    return LaurentPoly({e: -1 if (c == -1 and n % 2) else 1})
             raise ValueError("negative powers only defined for unit monomials")
-        result = _ONE
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -154,10 +214,8 @@ class LaurentPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, exps: Mapping[str, int] | tuple) -> int:
+    def coeff(self, exps: Mapping[str, int]) -> int:
         """Coefficient of the given monomial (0 if absent)."""
-        if isinstance(exps, tuple):
-            return self._terms.get(exps, 0)
         e = [0] * NVARS
         for name, k in exps.items():
             e[_VAR_INDEX[name]] = k
@@ -183,12 +241,12 @@ class LaurentPoly:
                 reduced = list(e)
                 reduced[i] = 0
                 out[tuple(reduced)] = c
-        return LaurentPoly(out)
+        return _trusted(out)
 
     @staticmethod
     def assemble_in(name: str, parts: Mapping[int, "LaurentPoly"]) -> "LaurentPoly":
         """Inverse of coeff_in: sum of parts[k] * name**k."""
-        acc = _ZERO
+        acc = ZERO
         for k, p in parts.items():
             acc = acc + p * LaurentPoly.var(name, k)
         return acc
@@ -245,7 +303,7 @@ class LaurentPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return LaurentPoly(out)
+        return _trusted(out)
 
     def eval_int(self, values: Mapping[str, int]) -> int:
         """Evaluate at integer values given for every occurring variable."""
@@ -276,9 +334,7 @@ class LaurentPoly:
         shift = [0] * NVARS
         for name, k in exps.items():
             shift[_VAR_INDEX[name]] = k
-        return LaurentPoly(
-            {tuple(a - b for a, b in zip(e, shift)): c for e, c in self._terms.items()}
-        )
+        return _trusted({tuple(map(sub, e, shift)): c for e, c in self._terms.items()})
 
     def div_exact_poly_monomial(self, exps: Mapping[str, int]) -> "LaurentPoly":
         """Divide by a monomial, requiring a polynomial quotient."""
@@ -334,8 +390,9 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({_ZERO_EXP: 1})
+ZERO = LaurentPoly()
+ONE = LaurentPoly({_ZERO_EXP: 1})
+_trusted = LaurentPoly._trusted
 
 U = LaurentPoly.var("u")
 V = LaurentPoly.var("v")
@@ -344,8 +401,9 @@ T = LaurentPoly.var("t")
 L = LaurentPoly.var("L")
 UV = U * V
 UVW2 = U * V * W**2
-ONE = _ONE
-ZERO = _ZERO
+#: Substitution targets u -> u/v and t -> 1/t, shared by the h*-tower and g sums.
+U_OVER_V = U * V**-1
+T_INV = T**-1
 
 
 def univariate(p: LaurentPoly, name: str) -> dict[int, int]:

@@ -16,7 +16,7 @@ and ``require_eulerian`` has checked every interval before any g is read.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, ONE, T, ZERO, from_univariate, univariate
+from .laurent import LaurentPoly, ONE, T, T_INV, ZERO, from_univariate, univariate
 
 
 class EulerianPoset:
@@ -213,7 +213,7 @@ class EulerianPoset:
         coeffs = univariate(rest, "t")
         g = from_univariate({i: -coeffs.get(i, 0) for i in range((n - 1) // 2 + 1)}, "t")
         # Exact verification of the defining identity.
-        if g.substitute({"t": T**-1}) * T**n != rest + g:
+        if g.substitute({"t": T_INV}) * T**n != rest + g:
             raise ValueError("g-polynomial recursion failed to close; poset bug")
         self._g[z, x] = g
         return g
@@ -261,7 +261,7 @@ def link_h_polynomial(complex_, cell) -> LaurentPoly:
         g = lattice.g(lower, upper)
         rest = rest + (T - 1) ** (dim_p - complex_.dim_of(other)) * g
     delta = dim_p - dim_f
-    h = rest.substitute({"t": T**-1}) * T**delta
+    h = rest.substitute({"t": T_INV}) * T**delta
     if not h.is_polynomial():
         raise ValueError("link h-polynomial is not polynomial; subdivision bug")
     return h

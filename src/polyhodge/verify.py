@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hodge, invariants as inv
-from .laurent import U, UVW2, V, W, ZERO
+from .laurent import NEG_INF, U, UVW2, V, W, ZERO
 from .poset import stanley_inversion_check
 from .subdivision import CellComplex, euler_relation_check, regular_subdivision
 from .fans import TruncatedNormalFan, simplicial_refinement
@@ -218,7 +218,7 @@ def _weak_lefschetz_refined(e_ref, d: int) -> bool:
     lhs = UVW2 * e_ref
     rhs = (UVW2 - 1) ** d
     top = max(
-        (x for x in (lhs.degree_in("w"), rhs.degree_in("w")) if x != float("-inf")),
+        (x for x in (lhs.degree_in("w"), rhs.degree_in("w")) if x != NEG_INF),
         default=0,
     )
     for k in range(d + 2, int(top) + 1):

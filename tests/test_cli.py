@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polyhodge import cli, memo
+from polyhodge import cli, hodge, memo
 from polyhodge.fans import TruncatedNormalFan
 from polyhodge.laurent import LaurentPoly
 
@@ -146,7 +146,10 @@ def test_dk_check_command():
     assert report["results"]["refined_E"] == report["results"]["reconstructed_E"]
 
 
-def test_stringy_command(tmp_path):
+def test_stringy_command(tmp_path, monkeypatch):
+    calls = []
+    stringy_E = hodge.stringy_E
+    monkeypatch.setattr(hodge, "stringy_E", lambda s: calls.append(s) or stringy_E(s))
     path = write_input(
         tmp_path,
         {
@@ -163,6 +166,8 @@ def test_stringy_command(tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["stringy_E"]["pretty"] == "1 - v*w - u*w + u*v*w^2"
+    assert report["results"]["stringy_E_generic"]["pretty"] == "1 - w - u + u*w"
+    assert len(calls) == 1
 
 
 def test_stringy_rejects_non_reflexive(tmp_path):
