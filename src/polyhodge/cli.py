@@ -132,11 +132,7 @@ def build_complex(parsed: ParsedInput) -> CellComplex:
         s = trivial_subdivision(parsed.polytope)
     else:
         s = regular_subdivision(parsed.height_fn)
-    p = s.polytope
-    if p.dim < p.ambient_dim:
-        _, map_ = p.normalize_full_dim()
-        s = s.transform(map_)
-    return s
+    return s.model()
 
 
 def _parse_rays(rays, dim: int, where: str) -> list[tuple[int, ...]]:
@@ -216,7 +212,7 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: st
                     f"{path}: refinement[{i}].sigma is not the smallest containing cone"
                 )
         cones[rays] = fid
-    return Refinement(fan, cones, simplicial=False)
+    return Refinement(fan, cones)
 
 
 # -- report assembly ----------------------------------------------------------

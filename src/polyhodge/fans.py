@@ -122,9 +122,6 @@ class TruncatedNormalFan:
     def full_subfan(self) -> frozenset:
         return frozenset(self.face_ids)
 
-    def zero_subfan(self) -> frozenset:
-        return frozenset({self.lattice.top})
-
 
 class Refinement:
     """A fan refinement of (a subfan of) a truncated normal fan.
@@ -133,10 +130,9 @@ class Refinement:
     rays, to the face id of the smallest coarse cone containing it.
     """
 
-    def __init__(self, fan: TruncatedNormalFan, cones: dict, simplicial: bool):
+    def __init__(self, fan: TruncatedNormalFan, cones: dict):
         self.fan = fan
         self.cones = dict(sorted(cones.items()))
-        self.simplicial = simplicial
 
     def cone_dims(self):
         for rays, fid in self.cones.items():
@@ -165,12 +161,7 @@ def identity_refinement(fan: TruncatedNormalFan, subfan=None) -> Refinement:
     sel = fan.full_subfan() if subfan is None else fan.subfan(subfan)
     cones = {fan.cone_rays[fid]: fid for fid in sel if fid != fan.lattice.top}
     cones[()] = fan.lattice.top
-    simplicial = all(
-        len(fan.cone_rays[fid]) == fan.cone_dim(fid)
-        for fid in sel
-        if fid != fan.lattice.top
-    )
-    return Refinement(fan, cones, simplicial)
+    return Refinement(fan, cones)
 
 
 def simplicial_refinement(fan: TruncatedNormalFan, subfan=None, ray_order=None) -> Refinement:
@@ -216,4 +207,4 @@ def simplicial_refinement(fan: TruncatedNormalFan, subfan=None, ray_order=None) 
                     key = tuple(sorted(subset))
                     if key not in cones:
                         cones[key] = fan.smallest_face_for_rays(key)
-    return Refinement(fan, cones, simplicial=True)
+    return Refinement(fan, cones)

@@ -191,9 +191,8 @@ def lambda_phi(s: CellComplex, refinement: Refinement | None = None):
     return lam, phi
 
 
-def lambda_mixed(s: CellComplex, refinement: Refinement | None = None) -> LaurentPoly:
-    """Two-variable Lambda variant: Lambda(u w^-1, 1, w)."""
-    lam, _ = lambda_phi(s, refinement)
+def lambda_mixed(lam: LaurentPoly) -> LaurentPoly:
+    """Two-variable variant Lambda(u w^-1, 1, w) of a Lambda from ``lambda_phi``."""
     return lam.substitute({"u": U * W**-1, "v": 1})
 
 

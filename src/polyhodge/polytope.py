@@ -95,7 +95,6 @@ class LatticePolytope:
         "_count_cache",
         "_interior_cache",
         "_nvol",
-        "_model_poly",
     )
 
     def __init__(self, ambient_dim, vertices, dim, map_, model_vertices, facets):
@@ -110,7 +109,6 @@ class LatticePolytope:
         self._count_cache = {}
         self._interior_cache = None
         self._nvol = None
-        self._model_poly = None
 
     # -- construction ------------------------------------------------------
 
@@ -139,8 +137,9 @@ class LatticePolytope:
         if cached is not None:
             return cached
         poly = _build_hull(n, pts)
+        # A hull of more points than its vertices keeps the interned object.
+        poly = _HULL_CACHE.setdefault((n, poly.vertices), poly)
         _HULL_CACHE[key] = poly
-        _HULL_CACHE[(n, poly.vertices)] = poly
         return poly
 
     @property
@@ -268,22 +267,6 @@ class LatticePolytope:
                         total += h * fp.normalized_volume()
                     break
         return total
-
-    # -- normalization -----------------------------------------------------------
-
-    def normalize_full_dim(self):
-        """Model of P in the saturated lattice of its affine span, plus the map.
-
-        Full-dimensional polytopes return themselves with the identity map.
-        Lattice point counts are preserved by construction.
-        """
-        if self.is_empty:
-            raise ValueError("cannot normalize the empty polytope")
-        if self.dim == self.ambient_dim:
-            return self, _identity_map(self.ambient_dim)
-        if self._model_poly is None:
-            self._model_poly = LatticePolytope.convex_hull(self._model_vertices)
-        return self._model_poly, self._map
 
     # -- faces ---------------------------------------------------------------
 

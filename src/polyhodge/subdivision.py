@@ -1,16 +1,18 @@
 """Regular lattice polyhedral subdivisions induced by height functions.
 
-A cell complex stores the subdividing cells of a polytope P (closed under
-taking faces, with the empty cell included), the inclusion order among cells,
-and per-cell metadata: the carrier (smallest face of P containing the cell)
-and a boundary flag.  Regular subdivisions are produced by projecting the
-lower facets of the lifted point set; constant or affine heights give the
-trivial subdivision whose cells are the faces of P.
+A cell complex is given by its maximal cells, the full-dimensional cells
+of a subdivision of a polytope P.  Its cells are every face of a maximal
+cell plus the empty cell, so the cell set is closed under faces by
+construction.  It stores the inclusion order among cells and per-cell
+metadata: the carrier (smallest face of P containing the cell) and a
+boundary flag.  Regular subdivisions are produced by projecting the lower
+facets of the lifted point set; constant or affine heights give the trivial
+subdivision, whose one maximal cell is P.
 
-Construction validates the subdivision axioms: normalized volumes of maximal
-cells add up to the volume of P, relative interiors partition the lattice
-points of P, cells are closed under faces, and any two cells meet in a
-common face.
+Construction validates the subdivision axioms: the given cells are
+full-dimensional, their normalized volumes add up to the volume of P,
+relative interiors partition the lattice points of P, and any two cells meet
+in a common face.
 """
 
 from __future__ import annotations
@@ -52,17 +54,17 @@ class CellComplex:
 
     Cells are ordered by inclusion, which for cells of a valid complex is
     vertex-set inclusion.  Complexes are immutable after construction and
-    interned by (polytope, cell ids), so repeated restrictions are validated
-    once.
+    interned by (polytope, maximal cell ids), so repeated restrictions are
+    validated once.
     """
 
     @staticmethod
-    def interned(polytope: LatticePolytope, cell_polytopes, heights=None) -> "CellComplex":
-        ids = tuple(sorted({poly.vertices for poly in cell_polytopes} | {()}))
-        key = (polytope.key, ids)
+    def interned(polytope: LatticePolytope, maximal, heights=None) -> "CellComplex":
+        """The complex whose maximal cells are the given full-dimensional cells."""
+        key = (polytope.key, tuple(sorted({poly.vertices for poly in maximal})))
         cached = _COMPLEX_INTERN.get(key)
         if cached is None:
-            cached = CellComplex(polytope, cell_polytopes, heights=heights)
+            cached = CellComplex(polytope, maximal, heights=heights)
             _COMPLEX_INTERN[key] = cached
         elif heights is not None and cached.heights is None:
             # Kept so that a regular subdivision always carries its heights.
@@ -74,21 +76,23 @@ class CellComplex:
             cached.heights = heights
         return cached
 
-    def __init__(self, polytope: LatticePolytope, cell_polytopes, heights=None):
+    def __init__(self, polytope: LatticePolytope, maximal, heights=None):
         self.polytope = polytope
         self.heights = heights
         cells: dict[CellId, LatticePolytope] = {
             (): LatticePolytope.empty(polytope.ambient_dim)
         }
-        for poly in cell_polytopes:
-            cells[poly.vertices] = poly
+        for poly in maximal:
+            lat = poly.face_lattice()
+            for fid in lat.all_faces():
+                if fid != ():
+                    face = lat.face_polytope(fid)
+                    cells[face.vertices] = face
         self.cells = dict(sorted(cells.items(), key=lambda kv: (kv[1].dim, kv[0])))
         self.ids = tuple(self.cells)
         self._vsets = {cid: frozenset(cid) for cid in self.ids}
         self._dims = {cid: poly.dim for cid, poly in self.cells.items()}
-        self.maximal_cells = tuple(
-            cid for cid, poly in self.cells.items() if poly.dim == polytope.dim
-        )
+        self.maximal_cells = tuple(sorted({poly.vertices for poly in maximal}))
         self._carrier = self._compute_carriers()
         self._validate()
 
@@ -96,7 +100,7 @@ class CellComplex:
 
     @property
     def key(self):
-        return (self.polytope.key, self.ids)
+        return (self.polytope.key, self.maximal_cells)
 
     def dim_of(self, cid: CellId) -> int:
         return self._dims[cid]
@@ -172,7 +176,10 @@ class CellComplex:
     # -- derived complexes ------------------------------------------------------
 
     def restrict(self, face_id) -> "CellComplex":
-        """Cells of the subdivision contained in a face of P."""
+        """The subdivision of a face Q of P by the cells contained in Q.
+
+        Its maximal cells are the cells of dimension dim Q carried by Q.
+        """
         lattice = self.polytope.face_lattice()
         if face_id not in lattice.faces:
             raise ValueError("restriction target is not a face of P")
@@ -180,25 +187,27 @@ class CellComplex:
             raise ValueError("cannot restrict to the empty face")
         if face_id == lattice.top:
             return self
+        qdim = lattice.face_dim(face_id)
         target = frozenset(face_id)
         kept = [
             self.cells[cid]
             for cid in self.ids
-            if cid != () and frozenset(self._carrier[cid]) <= target
+            if self._dims[cid] == qdim and frozenset(self._carrier[cid]) <= target
         ]
         return CellComplex.interned(lattice.face_polytope(face_id), kept)
 
-    def transform(self, map_) -> "CellComplex":
-        """Apply a lattice-preserving affine map to the whole complex."""
-        target = LatticePolytope.convex_hull(
-            [map_.to_model(v) for v in self.polytope.vertices]
-        )
-        kept = [
-            LatticePolytope.convex_hull([map_.to_model(v) for v in cid])
-            for cid in self.ids
-            if cid != ()
-        ]
-        return CellComplex.interned(target, kept)
+    def model(self) -> "CellComplex":
+        """The complex rewritten in the lattice of P's affine span.
+
+        A full-dimensional complex is its own model; otherwise the maximal
+        cells are mapped by P's unimodular model map.
+        """
+        map_ = self.polytope._map
+        if map_.is_identity:
+            return self
+        hull = LatticePolytope.convex_hull
+        kept = [hull([map_.to_model(v) for v in cid]) for cid in self.maximal_cells]
+        return CellComplex.interned(hull(self.polytope._model_vertices), kept)
 
     # -- validation ---------------------------------------------------------------
 
@@ -206,19 +215,11 @@ class CellComplex:
         p = self.polytope
         if not self.maximal_cells:
             raise ValueError("subdivision has no full-dimensional cells")
+        if any(self._dims[cid] != p.dim for cid in self.maximal_cells):
+            raise ValueError("a maximal cell is not full-dimensional")
         vol = sum(self.cells[cid].normalized_volume() for cid in self.maximal_cells)
         if vol != p.normalized_volume():
             raise ValueError("maximal cells do not tile P: volume mismatch")
-        # Cells are closed under taking faces.
-        for cid, poly in self.cells.items():
-            if cid == ():
-                continue
-            lat = poly.face_lattice()
-            for fid in lat.all_faces():
-                if fid == ():
-                    continue
-                if lat.face_polytope(fid).vertices not in self.cells:
-                    raise ValueError("cell set is not closed under taking faces")
         # Relative interiors partition the lattice points of P.
         pts = sum(
             self.cells[cid].interior_lattice_point_count()
@@ -248,17 +249,11 @@ class CellComplex:
                     raise ValueError("cells intersect in a non-face")
 
 
-def _face_cells(polytope: LatticePolytope) -> list[LatticePolytope]:
-    """The nonempty faces of P, the cells of its trivial subdivision."""
-    lattice = polytope.face_lattice()
-    return [lattice.face_polytope(fid) for fid in lattice.all_faces() if fid != ()]
-
-
 def trivial_subdivision(polytope: LatticePolytope) -> CellComplex:
     """The subdivision whose cells are the faces of P."""
     if polytope.is_empty:
         raise ValueError("trivial subdivision of the empty polytope")
-    return CellComplex.interned(polytope, _face_cells(polytope))
+    return CellComplex.interned(polytope, [polytope])
 
 
 def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
@@ -275,22 +270,14 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
     hull = LatticePolytope.convex_hull(lifted)
     if hull.dim <= p.dim:
         # Affine heights: every lifted point is on the one lower facet.
-        return CellComplex.interned(p, _face_cells(p), heights=height_fn)
+        return CellComplex.interned(p, [p], heights=height_fn)
     maximal = []
     tight_sets = hull.facet_tight_sets()
     for (a, b), tight in zip(hull._facets, tight_sets):
         if a[-1] > 0:
             pts = [map_.from_model(hull._model_vertices[i][:-1]) for i in tight]
             maximal.append(LatticePolytope.convex_hull(pts))
-    cell_polys = {}
-    for cell in maximal:
-        lat = cell.face_lattice()
-        for fid in lat.all_faces():
-            if fid == ():
-                continue
-            sub = lat.face_polytope(fid)
-            cell_polys[sub.vertices] = sub
-    return CellComplex.interned(p, list(cell_polys.values()), heights=height_fn)
+    return CellComplex.interned(p, maximal, heights=height_fn)
 
 
 def euler_relation_check(complex_: CellComplex, face_id=None) -> bool:

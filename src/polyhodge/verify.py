@@ -207,7 +207,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
     lam, _ = inv.lambda_phi(s, refinement)
     pal = UVW2 ** (d + 1) * lam.substitute({"u": U**-1, "v": V**-1, "w": W**-1})
     out.append(_result("lambda_palindromy", pal == lam))
-    lam_mixed = inv.lambda_mixed(s, refinement)
+    lam_mixed = inv.lambda_mixed(lam)
     palm = (U * W) ** (d + 1) * lam_mixed.substitute({"u": U**-1, "w": W**-1})
     out.append(_result("lambda_mixed_palindromy", palm == lam_mixed))
     return out

@@ -102,7 +102,7 @@ def test_criterion_07_lambda_palindromy(corpus_dim23):
         assert UVW2 ** (d + 1) * lam.substitute(
             {"u": U**-1, "v": V**-1, "w": W**-1}
         ) == lam
-        mixed = inv.lambda_mixed(s, refinement)
+        mixed = inv.lambda_mixed(lam)
         assert (U * W) ** (d + 1) * mixed.substitute({"u": U**-1, "w": W**-1}) == mixed
 
     for s in corpus_dim23:

@@ -378,11 +378,7 @@ def test_torus_baseline():
 
 def _model_restriction(s, fid):
     """S|Q rewritten full-dimensionally in the unimodular model of Q."""
-    q = s.polytope.face_lattice().face_polytope(fid)
-    restricted = s.restrict(fid)
-    if q.dim == q.ambient_dim:
-        return restricted
-    return restricted.transform(q._map)
+    return s.restrict(fid).model()
 
 
 STRATUM_INVARIANTS = (

@@ -155,7 +155,7 @@ def test_lambda_palindromy(corpus_dim23):
         lam, _ = inv.lambda_phi(s)
         flipped = UVW2 ** (d + 1) * lam.substitute({"u": U**-1, "v": V**-1, "w": W**-1})
         assert flipped == lam
-        mixed = inv.lambda_mixed(s)
+        mixed = inv.lambda_mixed(lam)
         mflip = (U * W) ** (d + 1) * mixed.substitute({"u": U**-1, "w": W**-1})
         assert mflip == mixed
 

@@ -176,19 +176,6 @@ def test_counts_invariant_under_unimodular_maps():
         assert moved.normalized_volume() == tri.normalized_volume()
 
 
-def test_normalize_full_dim():
-    seg = LatticePolytope.convex_hull([(0, 0), (0, 3)])
-    model, _ = seg.normalize_full_dim()
-    assert model.vertices == ((0,), (3,))
-    diag = LatticePolytope.convex_hull([(0, 0), (2, 2)])
-    model2, map2 = diag.normalize_full_dim()
-    assert model2.vertices == ((0,), (2,))
-    assert diag.lattice_point_count(1) == 3 == model2.lattice_point_count(1)
-    full = cube(2)
-    same, mp = full.normalize_full_dim()
-    assert same is full and mp.is_identity
-
-
 def test_dual_and_reflexive():
     diamond = LatticePolytope.convex_hull([(1, 0), (-1, 0), (0, 1), (0, -1)])
     square = LatticePolytope.convex_hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -229,3 +216,12 @@ def test_normalized_volume_examples():
     assert segment(7).normalized_volume() == 7
     tri = LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)])
     assert tri.normalized_volume() == 16
+
+
+def test_hull_of_more_points_returns_the_interned_polytope():
+    # A larger point set with the same vertices must not replace the interned
+    # object: a second copy would carry its own face lattice and tables.
+    tri = [(0, 0), (13, 0), (0, 13)]
+    first = LatticePolytope.convex_hull(tri)
+    assert LatticePolytope.convex_hull(tri + [(5, 0), (2, 3)]) is first
+    assert LatticePolytope.convex_hull(tri) is first

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polyhodge.generators import instance_corpus, random_height_function, random_lattice_polytope
+from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import EulerianPoset, g_polynomial
 from polyhodge.subdivision import (
     CellComplex,
@@ -13,7 +14,7 @@ from polyhodge.subdivision import (
     trivial_subdivision,
 )
 
-from conftest import cube, quartic_triangle_pair
+from conftest import cross_polytope, cube, quartic_triangle_pair
 
 
 def test_quartic_triangle_has_four_maximal_cells():
@@ -156,8 +157,14 @@ def test_euler_relation_rejects_improper_face():
 def test_invalid_complex_rejected():
     # Dropping a maximal cell breaks the volume accounting.
     s = quartic_triangle_pair()
-    cells = [s.cell_polytope(c) for c in s.nonempty_ids() if c != s.maximal_cells[0]]
-    with pytest.raises(ValueError):
+    cells = [s.cell_polytope(c) for c in s.maximal_cells[1:]]
+    with pytest.raises(ValueError, match="volume mismatch"):
+        CellComplex(s.polytope, cells)
+    # A lower-dimensional cell given as maximal is rejected before the tiling
+    # checks.
+    edge = tuple(sorted([(0, 0), (4, 0)]))
+    cells = [s.cell_polytope(c) for c in s.maximal_cells + (edge,)]
+    with pytest.raises(ValueError, match="not full-dimensional"):
         CellComplex(s.polytope, cells)
 
 
@@ -196,3 +203,74 @@ def test_interval_poset_matches_cell_scan(corpus25):
             assert sorted(tuple(b[i] for i in f) for f in got.elements) == sorted(members)
     with pytest.raises(ValueError, match="not nested"):
         quartic.interval_poset(quartic.maximal_cells[0], ())
+
+
+def _gate_complexes(corpus25):
+    return (
+        list(corpus25)
+        + instance_corpus(9, 8, dims=(2, 3))
+        + [quartic_triangle_pair()]
+        + [
+            trivial_subdivision(p)
+            for p in (cube(3), cube(4), cross_polytope(3), cross_polytope(4))
+        ]
+    )
+
+
+def _face_closure(maximal):
+    """Every face of every given cell, plus the empty cell."""
+    closure = {()}
+    for cid in maximal:
+        lattice = LatticePolytope.convex_hull(cid).face_lattice()
+        closure |= {lattice.face_polytope(f).vertices for f in lattice.all_faces()}
+    return closure
+
+
+def test_cells_are_the_faces_of_the_maximal_cells(corpus25):
+    for s in _gate_complexes(corpus25):
+        assert len(s.ids) == len(set(s.ids))
+        assert set(s.ids) == _face_closure(s.maximal_cells), s.key
+        assert s.key == (s.polytope.key, s.maximal_cells)
+
+
+def test_restriction_keeps_the_cells_carried_by_the_face(corpus25):
+    for s in _gate_complexes(corpus25):
+        lattice = s.polytope.face_lattice()
+        for fid in lattice.all_faces():
+            if fid == ():
+                continue
+            expected = {()} | {
+                cid for cid in s.nonempty_ids() if set(s.carrier(cid)) <= set(fid)
+            }
+            assert set(s.restrict(fid).ids) == expected, (s.key, fid)
+
+
+def test_model_maps_every_cell(corpus25):
+    lower = 0
+    for s in _gate_complexes(corpus25):
+        lattice = s.polytope.face_lattice()
+        for fid in lattice.all_faces():
+            if fid == ():
+                continue
+            r = s.restrict(fid)
+            model = r.model()
+            to_model = r.polytope._map.to_model
+            mapped = {tuple(sorted(to_model(v) for v in cid)) for cid in r.ids}
+            assert set(model.ids) == mapped, (s.key, fid)
+            assert model.polytope.dim == model.polytope.ambient_dim == r.polytope.dim
+            lower += model is not r
+    assert lower > 0
+
+
+def test_model_rewrites_into_the_span_lattice():
+    seg = LatticePolytope.convex_hull([(0, 0), (0, 3)])
+    assert trivial_subdivision(seg).model().polytope.vertices == ((0,), (3,))
+    diag = LatticePolytope.convex_hull([(0, 0), (2, 2)])
+    model = trivial_subdivision(diag).model().polytope
+    assert model.vertices == ((0,), (2,))
+    assert diag.lattice_point_count(1) == 3 == model.lattice_point_count(1)
+    # A full-dimensional complex is its own model, interned or not.
+    full = cube(2)
+    assert trivial_subdivision(full).model() is trivial_subdivision(full)
+    direct = CellComplex(full, [full])
+    assert direct.model() is direct
