@@ -108,6 +108,9 @@ class TruncatedNormalFan:
         taking cone faces means the id set is closed upward in the face
         lattice.  The zero cone (top face) is always required.
         """
+        if not self.face_ids:
+            # The zero cone of a point is its one maximal cone.
+            raise ValueError("a point has an empty truncated normal fan, so it has no subfan")
         sel = frozenset(face_ids)
         if self.lattice.top not in sel:
             raise ValueError("a subfan always contains the zero cone")

@@ -1,12 +1,12 @@
 """Exact lattice polytopes: hulls, face lattices, lattice point enumeration.
 
 All geometry is exact integer arithmetic; rationals appear only in the
-vertices of a polar dual.  Facets are found by trying every d-subset of the
-points as a hyperplane (its normal is the vector of signed maximal minors)
-and keeping those with all points on one side; the scan of a candidate stops
-at the first point on the second side.  Every facet is certified against all
-points, which is adequate at desk scale (dimension <= ~5, a few dozen
-points).
+vertices of a polar dual.  Hulls are built by beneath-beyond: the points are
+inserted one at a time into a triangulated boundary grown from a simplex,
+each boundary simplex carries the hyperplane of its signed maximal minors,
+and the simplices are merged by hyperplane into facets, each certified
+against all points.  The hull of d + 1 points in dimension d is a simplex,
+whose facets are its d-subsets.
 
 Polytopes are immutable; derived data (facets, face lattice, point counts)
 is cached on first use.  A lower-dimensional polytope carries a unimodular
@@ -383,50 +383,85 @@ def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
 def _hull_in_full_dim(d: int, pts: list[Point]):
     """Facets and vertices of a full-dimensional hull in Z^d, exactly.
 
-    Every d-subset of the points that spans a hyperplane is a candidate; its
-    normal is the vector of signed minors of the differences to its first
-    point.  It gives a facet when no two points lie strictly on opposite
-    sides, so the scan over the points stops as soon as both sides have been
-    seen; only facets get the primitive inner normal.
+    Beneath-beyond (Edelsbrunner, *Algorithms in Combinatorial Geometry*,
+    1987): from a simplex of d + 1 affinely independent points, the other
+    points are inserted in sorted order into a triangulated boundary of
+    d-point facets.  A facet is visible from p when p lies strictly beneath
+    it (a coplanar facet is not), and every horizon ridge, held by one
+    visible and one hidden facet, is coned to p; a point that sees no facet
+    is already in the hull.  The boundary simplices are merged by
+    hyperplane into facets, every facet is certified against all points, and
+    the vertices are the points whose tight normals have rank d.
     """
     pts = sorted(set(pts))
     if d == 0:
         return [], [pts[0]]
-    facets = set()
-    # Points that ended a scan move to the front: consecutive candidates share
-    # d - 1 points, so the last witnesses usually end the next scan too.
-    order = list(pts)
-    for i, base in enumerate(pts):
-        diffs = [linalg.vec_sub(q, base) for q in pts[i + 1:]]
-        for rows in itertools.combinations(diffs, d - 1):
-            normal = linalg.signed_minors(rows, d)
-            if not any(normal):
-                continue
-            b = linalg.dot(normal, base)
-            above = below = False
-            for k, p in enumerate(order):
-                v = sum(map(mul, normal, p))
-                if v > b:
-                    if below:
-                        break
-                    above = True
-                elif v < b:
-                    if above:
-                        break
-                    below = True
-            else:
-                inner = linalg.primitive([-x for x in normal] if below else normal)
-                facets.add((inner, linalg.dot(inner, base)))
-                continue
-            if k:
-                order.insert(0, order.pop(k))
-    facet_list = sorted(facets)
+    if len(pts) == d + 1:
+        # A simplex: its facets are the d-subsets and every point is a vertex.
+        return sorted(
+            _facet_plane(pts[:k] + pts[k + 1:], pts[k], 1) for k in range(d + 1)
+        ), pts
+    simplex, rows = [0], []
+    for j in range(1, len(pts)):
+        row = linalg.vec_sub(pts[j], pts[0])
+        if linalg.rank(rows + [row]) > len(rows):
+            rows.append(row)
+            simplex.append(j)
+            if len(simplex) == d + 1:
+                break
+    else:
+        raise ValueError("points do not span Z^d")
+    # d + 1 times the simplex centroid: strictly inside every later hull.
+    inside = tuple(map(sum, zip(*(pts[i] for i in simplex))))
+    facets: dict[tuple, tuple] = {}  # sorted point indices -> (normal, rhs)
+    ridges: dict[tuple, list] = {}  # sorted point indices -> facets holding it
+
+    def add(facet):
+        facets[facet] = _facet_plane([pts[i] for i in facet], inside, d + 1)
+        for k in range(d):
+            ridges.setdefault(facet[:k] + facet[k + 1:], []).append(facet)
+
+    for k in range(d + 1):
+        add(tuple(simplex[:k] + simplex[k + 1:]))
+    placed = set(simplex)
+    for j, p in enumerate(pts):
+        if j in placed:
+            continue
+        visible = {f for f, (a, b) in facets.items() if sum(map(mul, a, p)) < b}
+        horizon = []
+        for f in visible:
+            del facets[f]
+            for k in range(d):
+                ridge = f[:k] + f[k + 1:]
+                holders = ridges[ridge]
+                holders.remove(f)
+                if holders and holders[0] not in visible:
+                    horizon.append(ridge)
+                elif not holders:
+                    del ridges[ridge]
+        for ridge in horizon:
+            add(tuple(sorted((*ridge, j))))
+    facet_list = sorted(set(facets.values()))
+    for a, b in facet_list:
+        if any(sum(map(mul, a, p)) < b for p in pts):
+            raise RuntimeError("hull certification failed: a point lies beyond a facet")
     vertices = []
     for p in pts:
         tight_normals = [a for a, b in facet_list if linalg.dot(a, p) == b]
         if linalg.rank(tight_normals) == d:
             vertices.append(p)
     return facet_list, vertices
+
+
+def _facet_plane(points, inside, scale):
+    """Primitive normal a and rhs b of the hyperplane through d points, with
+    <a, inside> > scale * b."""
+    base = points[0]
+    normal = linalg.signed_minors([linalg.vec_sub(q, base) for q in points[1:]], len(base))
+    if linalg.dot(normal, inside) < scale * linalg.dot(normal, base):
+        normal = [-x for x in normal]
+    normal = linalg.primitive(normal)
+    return normal, linalg.dot(normal, base)
 
 
 class FaceLattice:

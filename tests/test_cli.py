@@ -343,6 +343,22 @@ def test_golden_outputs_on_lower_dimensional_input():
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
 
 
+# sha256 of the JSON stdout of hodge on the k*D_d ladders in tests/data
+# (6*D3 with 84 points, 3*D4 with 35), whose lifted hulls are the largest in
+# the suite.
+GOLDEN_LADDERS = {
+    "ladder_6x3.json": "647363245e3bf45dec0d707adac99745bb583f1dbf5dd1a8cb69cbbe024bbcea",
+    "ladder_3x4.json": "42e79555cdb81e9f9894eccd1f6792013a5bab9b3ef99def67c5d376b20084e5",
+}
+
+
+def test_golden_hodge_on_ladders():
+    for name, digest in GOLDEN_LADDERS.items():
+        memo.clear()
+        code, out = run_cli(["hodge", str(DATA / name)])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), name
+
+
 def test_text_format():
     code, out = run_cli(["nearby", CONCRETE, "--format", "text"])
     assert code == 0
@@ -448,6 +464,19 @@ def test_refinement_rays_are_type_checked(tmp_path, capsys):
     code, _ = run_cli(["hodge", path])
     assert code == 1
     assert "refinement[0].rays[0]" in capsys.readouterr().err
+
+
+def test_subfan_on_a_point_says_the_fan_is_empty(tmp_path, capsys):
+    # The normal fan of a point is its zero cone, which is maximal, so the
+    # truncated fan has no cones and no subfan can be selected.
+    for dim in (0, 2):
+        point = {"coords": [1] * dim}
+        for subfan in ([[]], []):
+            path = write_input(tmp_path, {"dim": dim, "points": [point], "subfan": subfan})
+            assert run_cli(["hodge", path]) == (1, "")
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {path}: ")
+            assert "a point has an empty truncated normal fan" in err
 
 
 def test_dimension_zero_input(tmp_path):

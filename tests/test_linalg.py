@@ -1,6 +1,7 @@
 """The integer linear algebra kernel against a plain Fraction Gauss-Jordan oracle."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,44 @@ def hull_oracle(d, pts):
     )
 )
 def test_hull_matches_exhaustive_scan(case):
+    d, pts = case
+    diffs = [linalg.vec_sub(p, pts[0]) for p in pts]
+    assume(len(rref_oracle(diffs)[1]) == d)
+    assert _hull_in_full_dim(d, list(pts)) == hull_oracle(d, pts)
+
+
+@st.composite
+def degenerate_hull_inputs(draw):
+    """Point sets with many coplanar and collinear points: small entries,
+    lattice grids with some points removed, and dilated simplices k*D_e
+    (k, e <= 3) lifted by heights in 0..2."""
+    kind = draw(st.sampled_from(("entries", "grid", "lifted")))
+    if kind == "entries":
+        d = draw(st.integers(1, 4))
+        pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=14))
+    elif kind == "grid":
+        d = draw(st.integers(1, 4))
+        longest = {1: 6, 2: 3, 3: 2, 4: 1}[d]
+        sides = draw(
+            st.lists(st.integers(1, longest), min_size=d, max_size=d).filter(
+                lambda s: math.prod(x + 1 for x in s) <= 18
+            )
+        )
+        grid = list(itertools.product(*(range(s + 1) for s in sides)))
+        drop = draw(st.sets(st.sampled_from(grid), max_size=len(grid) // 2))
+        pts = [p for p in grid if p not in drop]
+    else:
+        d = draw(st.integers(2, 4))
+        k = draw(st.integers(1, 3))
+        base = [p for p in itertools.product(range(k + 1), repeat=d - 1) if sum(p) <= k]
+        heights = draw(st.lists(st.integers(0, 2), min_size=len(base), max_size=len(base)))
+        pts = [(*p, h) for p, h in zip(base, heights)]
+    return d, pts
+
+
+@settings(max_examples=120, deadline=None)
+@given(degenerate_hull_inputs())
+def test_hull_matches_exhaustive_scan_on_degenerate_inputs(case):
     d, pts = case
     diffs = [linalg.vec_sub(p, pts[0]) for p in pts]
     assume(len(rref_oracle(diffs)[1]) == d)

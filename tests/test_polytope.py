@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyhodge import linalg
+from polyhodge import linalg, polytope
 from polyhodge.polytope import LatticePolytope
 
 from conftest import cube, segment, unit_simplex
@@ -58,6 +58,18 @@ def test_hull_vertices_match_brute_force_certificate():
         others = [q for q in pts if q != p]
         inside = in_convex_hull(p, others, 3)
         assert (p in hull.vertices) == (not inside)
+
+
+def test_hull_certification_rejects_a_wrong_facet(monkeypatch):
+    facet_plane = polytope._facet_plane
+
+    def shifted(points, inside, scale):
+        a, b = facet_plane(points, inside, scale)
+        return a, b + 1
+
+    monkeypatch.setattr(polytope, "_facet_plane", shifted)
+    with pytest.raises(RuntimeError, match="hull certification failed"):
+        polytope._hull_in_full_dim(2, [(0, 0), (2, 0), (0, 2), (1, 1)])
 
 
 def test_face_lattice_counts():

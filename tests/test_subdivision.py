@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polyhodge import linalg, memo
 from polyhodge.generators import instance_corpus, random_height_function, random_lattice_polytope
 from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import EulerianPoset, g_polynomial
@@ -274,3 +277,29 @@ def test_model_rewrites_into_the_span_lattice():
     assert trivial_subdivision(full).model() is trivial_subdivision(full)
     direct = CellComplex(full, [full])
     assert direct.model() is direct
+
+
+# k*D_d with heights 7|x|^2 plus noise in 0..3 from random.Random(1), in the
+# order of itertools.product.  The lower hull of the lift is the only large
+# hull; trying every d-subset of the lift as a facet made about 2 M
+# signed_minors calls on 6*D3.
+LADDERS = {"ladder_6x3.json": 169, "ladder_3x4.json": 56}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_subdivision_needs_no_candidate_scan(name, monkeypatch):
+    data = json.loads((Path(__file__).parent / "data" / name).read_text())
+    heights = {tuple(e["coords"]): Fraction(e["height"]) for e in data["points"]}
+    memo.clear()
+    height_fn = HeightFunction(LatticePolytope.convex_hull(list(heights)), heights)
+    calls = []
+    signed_minors = linalg.signed_minors
+
+    def counted(rows, n):
+        calls.append(n)
+        return signed_minors(rows, n)
+
+    monkeypatch.setattr(linalg, "signed_minors", counted)
+    s = regular_subdivision(height_fn)
+    assert len(s.maximal_cells) == LADDERS[name]
+    assert len(calls) < 10_000
