@@ -255,17 +255,11 @@ class LatticePolytope:
         v0 = self._model_vertices[0]
         total = 0
         lattice = self.face_lattice()
-        for fid in lattice.faces_of_dim(self.dim - 1):
-            fp = lattice.face_polytope(fid)
-            # Locate the facet inequality tight on this face.
-            for a, b in self._facets:
-                if all(
-                    linalg.dot(a, self._map.to_model(v)) == b for v in fp.vertices
-                ):
-                    h = linalg.dot(a, v0) - b
-                    if h > 0:
-                        total += h * fp.normalized_volume()
-                    break
+        for (a, b), tight in zip(self._facets, self.facet_tight_sets()):
+            h = linalg.dot(a, v0) - b
+            if h > 0:
+                facet = lattice.face_polytope(tuple(sorted(tight)))
+                total += h * facet.normalized_volume()
         return total
 
     # -- faces ---------------------------------------------------------------

@@ -11,13 +11,17 @@ subdivision, whose one maximal cell is P.
 
 Construction validates the subdivision axioms: the given cells are
 full-dimensional, their normalized volumes add up to the volume of P,
-relative interiors partition the lattice points of P, and any two cells meet
-in a common face.
+relative interiors partition the lattice points of P, and any two maximal
+cells meet in a common face.  That last check compares vertex sets, and
+checking the maximal pairs covers every pair of cells: each cell is a face of
+a maximal one, and faces of two cells that meet in a common face meet in a
+common face of theirs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Mapping
 
@@ -82,17 +86,18 @@ class CellComplex:
         cells: dict[CellId, LatticePolytope] = {
             (): LatticePolytope.empty(polytope.ambient_dim)
         }
+        # The nonempty faces of each maximal cell: the cell incidence.
+        self._faces: dict[CellId, frozenset] = {}
         for poly in maximal:
             lat = poly.face_lattice()
-            for fid in lat.all_faces():
-                if fid != ():
-                    face = lat.face_polytope(fid)
-                    cells[face.vertices] = face
+            faces = [lat.face_polytope(fid) for fid in lat.all_faces() if fid != ()]
+            cells.update((face.vertices, face) for face in faces)
+            self._faces[poly.vertices] = frozenset(face.vertices for face in faces)
         self.cells = dict(sorted(cells.items(), key=lambda kv: (kv[1].dim, kv[0])))
         self.ids = tuple(self.cells)
         self._vsets = {cid: frozenset(cid) for cid in self.ids}
         self._dims = {cid: poly.dim for cid, poly in self.cells.items()}
-        self.maximal_cells = tuple(sorted({poly.vertices for poly in maximal}))
+        self.maximal_cells = tuple(sorted(self._faces))
         self._carrier = self._compute_carriers()
         self._validate()
 
@@ -115,8 +120,13 @@ class CellComplex:
         return self._vsets[a] <= self._vsets[b]
 
     def cells_containing(self, cid: CellId):
+        """Cells above ``cid`` in ``ids`` order, read off the maximal cells."""
+        if cid == ():
+            return self.ids
         vs = self._vsets[cid]
-        return tuple(b for b in self.ids if vs <= self._vsets[b])
+        above = {b for faces in self._faces.values() if cid in faces for b in faces}
+        above = [b for b in above if vs <= self._vsets[b]]
+        return tuple(sorted(above, key=lambda b: (self._dims[b], b)))
 
     def _compute_carriers(self):
         lattice = self.polytope.face_lattice()
@@ -228,25 +238,14 @@ class CellComplex:
         )
         if pts != p.lattice_point_count(1):
             raise ValueError("cell interiors do not partition the lattice points of P")
-        # Pairwise intersections are common faces.
-        face_sets = {}
-        for cid, poly in self.cells.items():
-            if cid == ():
-                continue
-            lat = poly.face_lattice()
-            face_sets[cid] = {
-                lat.face_polytope(f).vertices for f in lat.all_faces() if f != ()
-            }
-        ids = self.nonempty_ids()
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                common = tuple(sorted(self._vsets[a] & self._vsets[b]))
-                if not common:
-                    continue
-                if common not in self.cells:
-                    raise ValueError("cells intersect in a non-cell")
-                if common not in face_sets[a] or common not in face_sets[b]:
-                    raise ValueError("cells intersect in a non-face")
+        # Any two maximal cells meet, on vertex sets, in a common face.  This
+        # covers every pair of cells, as each cell is a face of a maximal
+        # one: if A ∩ B = F is a face of A and of B, then for faces a ≤ A and
+        # b ≤ B, a ∩ b = (a ∩ F) ∩ (b ∩ F) is a face of F, so of a and of b.
+        for a, b in combinations(self.maximal_cells, 2):
+            common = tuple(sorted(self._vsets[a] & self._vsets[b]))
+            if common and not (common in self._faces[a] and common in self._faces[b]):
+                raise ValueError("cells intersect in a non-face")
 
 
 def trivial_subdivision(polytope: LatticePolytope) -> CellComplex:

@@ -344,11 +344,12 @@ def test_golden_outputs_on_lower_dimensional_input():
 
 
 # sha256 of the JSON stdout of hodge on the k*D_d ladders in tests/data
-# (6*D3 with 84 points, 3*D4 with 35), whose lifted hulls are the largest in
-# the suite.
+# (6*D3 with 84 points, 3*D4 with 35, 5*D4 with 126), whose lifted hulls and
+# cell complexes are the largest in the suite.
 GOLDEN_LADDERS = {
     "ladder_6x3.json": "647363245e3bf45dec0d707adac99745bb583f1dbf5dd1a8cb69cbbe024bbcea",
     "ladder_3x4.json": "42e79555cdb81e9f9894eccd1f6792013a5bab9b3ef99def67c5d376b20084e5",
+    "ladder_5x4.json": "d7fa6f87bc03ad33727ac40e5995d3c5d95e30dd7f1ebff2b2f03c884ebbc820",
 }
 
 

@@ -1,9 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhodge import linalg, memo
 from polyhodge.generators import instance_corpus, random_height_function, random_lattice_polytope
@@ -236,6 +238,12 @@ def test_cells_are_the_faces_of_the_maximal_cells(corpus25):
         assert s.key == (s.polytope.key, s.maximal_cells)
 
 
+def test_cells_containing_matches_cell_scan(corpus25):
+    for s in _gate_complexes(corpus25):
+        for c in s.ids:
+            assert s.cells_containing(c) == tuple(b for b in s.ids if s.leq(c, b))
+
+
 def test_restriction_keeps_the_cells_carried_by_the_face(corpus25):
     for s in _gate_complexes(corpus25):
         lattice = s.polytope.face_lattice()
@@ -277,6 +285,109 @@ def test_model_rewrites_into_the_span_lattice():
     assert trivial_subdivision(full).model() is trivial_subdivision(full)
     direct = CellComplex(full, [full])
     assert direct.model() is direct
+
+
+def _hull(points):
+    return LatticePolytope.convex_hull(list(points))
+
+
+SQUARE = _hull(itertools.product(range(3), repeat=2))
+# The 146 two-dimensional hulls of 3 or 4 lattice points of [0,2]^2.
+SQUARE_CELLS = sorted(
+    {
+        hull.vertices: hull
+        for k in (3, 4)
+        for points in itertools.combinations(SQUARE.lattice_points(), k)
+        if (hull := _hull(points)).dim == 2
+    }.values(),
+    key=lambda hull: hull.vertices,
+)
+
+
+def _rejects(p, maximal):
+    try:
+        CellComplex(p, maximal)
+    except ValueError:
+        return True
+    return False
+
+
+def _rejected_by_all_pairs_check(p, maximal):
+    """Reference validation that asks every pair of cells, not only the
+    maximal ones, to meet in a common face."""
+    if not maximal or any(c.dim != p.dim for c in maximal):
+        return True
+    vertex_sets = {c.vertices for c in maximal}
+    if sum(_hull(cid).normalized_volume() for cid in vertex_sets) != p.normalized_volume():
+        return True
+    cells = _face_closure(vertex_sets) - {()}
+    points = sum(_hull(cid).interior_lattice_point_count() for cid in cells)
+    if points != p.lattice_point_count(1):
+        return True
+    faces = {cid: _face_closure([cid]) for cid in cells}
+    for a, b in itertools.combinations(cells, 2):
+        common = tuple(sorted(set(a) & set(b)))
+        if common and not (common in cells and common in faces[a] and common in faces[b]):
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validation_matches_all_pairs_check_on_square_cells(data):
+    maximal = data.draw(st.lists(st.sampled_from(SQUARE_CELLS), max_size=2))
+    # The last cell completes the volume of P when one can, so that most
+    # draws reach the lattice-point and common-face checks.
+    rest = SQUARE.normalized_volume() - sum(c.normalized_volume() for c in maximal)
+    fits = [c for c in SQUARE_CELLS if c.normalized_volume() == rest]
+    maximal.append(data.draw(st.sampled_from(fits or SQUARE_CELLS)))
+    assert _rejects(SQUARE, maximal) == _rejected_by_all_pairs_check(SQUARE, maximal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validation_matches_all_pairs_check_on_corrupted_complexes(corpus25, data):
+    s = data.draw(st.sampled_from(corpus25))
+    maximal = [s.cell_polytope(c) for c in s.maximal_cells]
+    points = s.polytope.lattice_points()
+    change = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    if change != "add":
+        dropped = maximal.pop(data.draw(st.integers(0, len(maximal) - 1)))
+    if change == "swap":
+        # The new cell lies on the points of the dropped cell and of a
+        # neighbour, so it often keeps the volume and the lattice points.
+        near = [c for c in maximal if set(c.vertices) & set(dropped.vertices)]
+        neighbour = data.draw(st.sampled_from(near)) if near else dropped
+        points = sorted(set(dropped.lattice_points()) | set(neighbour.lattice_points()))
+    if change != "drop":
+        dim = s.polytope.dim
+        chosen = data.draw(
+            st.lists(st.sampled_from(points), min_size=dim + 1, max_size=dim + 2, unique=True)
+        )
+        maximal.append(_hull(chosen))
+    assert _rejects(s.polytope, maximal) == _rejected_by_all_pairs_check(
+        s.polytope, maximal
+    )
+
+
+def test_cells_meeting_in_a_non_face_are_rejected():
+    maximal = [
+        _hull([(0, 0), (0, 1), (1, 0), (1, 2)]),
+        _hull([(0, 0), (1, 2), (2, 0), (2, 1)]),
+    ]
+    with pytest.raises(ValueError, match="cells intersect in a non-face"):
+        CellComplex(SQUARE, maximal)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the common-face check compares vertex sets, so two cells on the "
+    "same side of a shared edge are accepted",
+)
+def test_overlapping_cells_are_rejected():
+    maximal = [_hull([(0, 0), (0, 2), (2, 0)]), _hull([(0, 0), (0, 2), (2, 2)])]
+    with pytest.raises(ValueError):
+        CellComplex(SQUARE, maximal)
 
 
 # k*D_d with heights 7|x|^2 plus noise in 0..3 from random.Random(1), in the
