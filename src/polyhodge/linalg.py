@@ -5,10 +5,10 @@ kernel and solve: every intermediate entry is an integer minor of the input,
 so the divisions are exact and no rational arithmetic happens on the way.
 Run to the reduced form, it yields D times the reduced row echelon form,
 where D is the determinant of the pivot minor; that form is unique, so
-kernel vectors read off it are canonical.  Hyperplane normals are the signed
-maximal minors directly, and the saturated integer kernel comes with the
-inverse of its unimodular completion, which gives integer left inverses of
-lattice bases.
+kernel vectors read off it are canonical.  The normal of a hyperplane
+through d points is the one kernel vector of their d - 1 difference rows,
+and the saturated integer kernel comes with the inverse of its unimodular
+completion, which gives integer left inverses of lattice bases.
 """
 
 from __future__ import annotations
@@ -191,34 +191,4 @@ def integer_kernel_basis(rows: list[tuple[int, ...]], n: int):
     basis = [tuple(u[i][j] for i in range(n)) for j in range(lead, n)]
     left_inverse = [tuple(u_inv[j]) for j in range(lead, n)]
     return basis, left_inverse
-
-
-def signed_minors(rows, n: int) -> list[int]:
-    """Entry j is (-1)^j times the minor of the (n-1) x n matrix without column j.
-
-    The result is orthogonal to every row, and it is zero exactly when the
-    rows have rank < n - 1.  Built by Laplace expansion along one row at a
-    time: after k rows, minors maps each k-subset of columns (as a bitmask)
-    to its k x k minor.
-    """
-    minors = {0: 1}
-    for k, row in enumerate(rows):
-        grown = {}
-        for mask, det in minors.items():
-            if not det:
-                continue
-            sign = -1 if k % 2 else 1  # (-1)^(k + position of j) below
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    sign = -sign
-                    continue
-                if row[j]:
-                    key = mask | bit
-                    grown[key] = grown.get(key, 0) + sign * row[j] * det
-        minors = grown
-    full = (1 << n) - 1
-    return [
-        (-1 if j % 2 else 1) * minors.get(full ^ (1 << j), 0) for j in range(n)
-    ]
 

@@ -3,10 +3,10 @@
 All geometry is exact integer arithmetic; rationals appear only in the
 vertices of a polar dual.  Hulls are built by beneath-beyond: the points are
 inserted one at a time into a triangulated boundary grown from a simplex,
-each boundary simplex carries the hyperplane of its signed maximal minors,
-and the simplices are merged by hyperplane into facets, each certified
-against all points.  The hull of d + 1 points in dimension d is a simplex,
-whose facets are its d-subsets.
+each boundary simplex carries the hyperplane whose normal is the kernel of
+its d - 1 edge vectors, and the simplices are merged by hyperplane into
+facets, each certified against all points.  The hull of d + 1 points in
+dimension d is a simplex, whose facets are its d-subsets.
 
 Polytopes are immutable; derived data (facets, face lattice, point counts)
 is cached on first use.  A lower-dimensional polytope carries a unimodular
@@ -90,7 +90,6 @@ class LatticePolytope:
         "_map",
         "_model_vertices",
         "_facets",
-        "_span_equations",
         "_face_lattice",
         "_count_cache",
         "_interior_cache",
@@ -104,7 +103,6 @@ class LatticePolytope:
         self._map = map_
         self._model_vertices = model_vertices
         self._facets = facets  # list of (normal in Z^dim, rhs int): <a,x> >= b
-        self._span_equations = None
         self._face_lattice = None
         self._count_cache = {}
         self._interior_cache = None
@@ -156,36 +154,6 @@ class LatticePolytope:
         if self.is_empty:
             return "LatticePolytope(empty)"
         return f"LatticePolytope(dim={self.dim}, vertices={list(self.vertices)})"
-
-    # -- span and membership -------------------------------------------------
-
-    @property
-    def span_equations(self):
-        """Integer equations <e,x> = c cutting out the affine span."""
-        if self._span_equations is None:
-            if self.is_empty:
-                self._span_equations = ()
-            else:
-                base = self.vertices[0]
-                diffs = [linalg.vec_sub(v, base) for v in self.vertices[1:]]
-                if not diffs:
-                    normals = _std_basis(self.ambient_dim)
-                else:
-                    normals = linalg.kernel_basis(diffs)
-                self._span_equations = tuple(
-                    (e, linalg.dot(e, base)) for e in normals
-                )
-        return self._span_equations
-
-    def contains(self, pt) -> bool:
-        """Exact membership test for an ambient lattice point."""
-        if self.is_empty:
-            return False
-        for e, c in self.span_equations:
-            if linalg.dot(e, pt) != c:
-                return False
-        x = self._map.to_model(pt)
-        return all(linalg.dot(a, x) >= b for a, b in self._facets)
 
     # -- lattice point enumeration -------------------------------------------
 
@@ -318,7 +286,7 @@ class LatticePolytope:
         dual = self.dual_polytope()
         lat = self.face_lattice()
         dlat = dual.face_lattice()
-        normals = [a for a, _ in self._facets]
+        tight_sets = self.facet_tight_sets()
         dual_index = {v: i for i, v in enumerate(dual.vertices)}
         by_vertexset = {frozenset(fid): fid for fid in dlat.faces}
         mapping = {}
@@ -329,11 +297,10 @@ class LatticePolytope:
             if fid == lat.top:
                 mapping[fid] = ()
                 continue
-            verts = [self._model_vertices[i] for i in fid]
             tight = frozenset(
-                dual_index[tuple(a)]
-                for a, b in self._facets
-                if all(linalg.dot(a, v) == b for v in verts)
+                dual_index[a]
+                for (a, _), t in zip(self._facets, tight_sets)
+                if t.issuperset(fid)
             )
             if tight not in by_vertexset:
                 raise ValueError("dual face correspondence failed; polytope not reflexive?")
@@ -451,10 +418,10 @@ def _facet_plane(points, inside, scale):
     """Primitive normal a and rhs b of the hyperplane through d points, with
     <a, inside> > scale * b."""
     base = points[0]
-    normal = linalg.signed_minors([linalg.vec_sub(q, base) for q in points[1:]], len(base))
+    rows = [linalg.vec_sub(q, base) for q in points[1:]]
+    normal = linalg.kernel_basis(rows)[0] if rows else (1,)
     if linalg.dot(normal, inside) < scale * linalg.dot(normal, base):
-        normal = [-x for x in normal]
-    normal = linalg.primitive(normal)
+        normal = tuple(-x for x in normal)
     return normal, linalg.dot(normal, base)
 
 

@@ -11,15 +11,19 @@ subdivision, whose one maximal cell is P.
 
 Construction validates the subdivision axioms: the given cells are
 full-dimensional, their normalized volumes add up to the volume of P,
-relative interiors partition the lattice points of P, and any two maximal
-cells meet in a common face.  That last check compares vertex sets, and
-checking the maximal pairs covers every pair of cells: each cell is a face of
-a maximal one, and faces of two cells that meet in a common face meet in a
-common face of theirs.
+relative interiors partition the lattice points of P, any two maximal
+cells meet in a common face, and each facet of a maximal cell lies in
+exactly one maximal cell if it is in the boundary of P and in exactly two
+otherwise.  The common-face check compares vertex sets, and checking the
+maximal pairs covers every pair of cells: each cell is a face of a maximal
+one, and faces of two cells that meet in a common face meet in a common face
+of theirs.  The facet count rejects cells that overlap or leave a gap,
+which vertex sets alone cannot see.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -246,6 +250,15 @@ class CellComplex:
             common = tuple(sorted(self._vsets[a] & self._vsets[b]))
             if common and not (common in self._faces[a] and common in self._faces[b]):
                 raise ValueError("cells intersect in a non-face")
+        # A facet of a maximal cell lies in one maximal cell on the boundary
+        # of P and in two inside it; overlaps and gaps break that count.
+        holders = Counter(
+            f for faces in self._faces.values() for f in faces
+            if self._dims[f] == p.dim - 1
+        )
+        for f, n in holders.items():
+            if n != (1 if self.is_boundary(f) else 2):
+                raise ValueError("cells overlap or leave a gap at a facet")
 
 
 def trivial_subdivision(polytope: LatticePolytope) -> CellComplex:
@@ -294,10 +307,12 @@ def euler_relation_check(complex_: CellComplex, face_id=None) -> bool:
         raise ValueError("not a face of P")
     if face_id == lattice.top:
         raise ValueError("face must be proper")
-    qpoly = lattice.face_polytope(face_id)
+    # A vertex v of a cell lies in the face iff the carrier of the 0-cell
+    # (v,) does.
+    face = set(face_id)
     total = 0
     for cid in complex_.interior_ids():
-        if qpoly.is_empty or not any(qpoly.contains(v) for v in cid):
+        if not any(set(complex_.carrier((v,))) <= face for v in cid):
             total += (-1) ** complex_.dim_of(cid)
     expected = (-1) ** p.dim if face_id == () else 0
     return total == expected

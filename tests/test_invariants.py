@@ -15,6 +15,14 @@ def test_h_star_of_unimodular_simplices():
         assert inv.h_star(unit_simplex(d) if d else unit_simplex(0)) == ONE
 
 
+def test_h_star_of_unimodular_cells(corpus25):
+    cells = [s.cell_polytope(c) for s in corpus25 for c in s.nonempty_ids()]
+    unimodular = [p for p in cells if p.normalized_volume() == 1]
+    assert (len(unimodular), len(cells)) == (363, 473)
+    for p in unimodular:
+        assert inv.h_star(p) == ONE
+
+
 def test_h_star_examples():
     assert inv.h_star(cube(2)) == 1 + U
     two_delta = LatticePolytope.convex_hull([(0, 0), (2, 0), (0, 2)])

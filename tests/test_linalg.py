@@ -72,23 +72,6 @@ def solve_oracle(rows, rhs):
     return tuple(x)
 
 
-def det_oracle(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(len(m)):
-        pivot = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 def mat_vec(rows, v):
     return tuple(sum(x * y for x, y in zip(r, v)) for r in rows)
 
@@ -171,22 +154,6 @@ def test_solve_accepts_rational_entries(rows, den):
     rhs = [Fraction(i + 1, den) for i in range(len(rows))]
     scaled = [[Fraction(x, den) for x in r] for r in rows]
     assert linalg.solve(scaled, rhs) == solve_oracle(scaled, rhs)
-
-
-# -- normals ----------------------------------------------------------------------
-
-
-@SETTINGS
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), points(n, n))))
-def test_signed_minors_and_hyperplane_normal(case):
-    n, pts = case
-    rows = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
-    minors = linalg.signed_minors(rows, n)
-    for j in range(n):
-        without_j = [[r[c] for c in range(n) if c != j] for r in rows]
-        assert minors[j] == (-1) ** j * det_oracle(without_j)
-    kernel = kernel_oracle(rows) if rows else [(1,)]
-    assert any(minors) == (len(kernel) == 1)
 
 
 # -- lattices and maps ---------------------------------------------------------------

@@ -60,8 +60,7 @@ def test_carrier_matches_brute_force():
             for fid in lat.all_faces():
                 if fid == ():
                     continue
-                poly = lat.face_polytope(fid)
-                if all(poly.contains(v) for v in cid):
+                if set(cid) <= set(lat.face_polytope(fid).lattice_points()):
                     if best is None or lat.face_dim(fid) < lat.face_dim(best):
                         best = fid
             assert s.carrier(cid) == best
@@ -312,9 +311,45 @@ def _rejects(p, maximal):
     return False
 
 
+def _edges(cell):
+    lattice = cell.face_lattice()
+    return [
+        linalg.vec_sub(cell.vertices[j], cell.vertices[i])
+        for i, j in lattice.faces_of_dim(1)
+    ]
+
+
+def _cross(e, f):
+    return (
+        e[1] * f[2] - e[2] * f[1],
+        e[2] * f[0] - e[0] * f[2],
+        e[0] * f[1] - e[1] * f[0],
+    )
+
+
+def _interiors_meet(a, b):
+    """Exact separating-axis test for full-dimensional cells in dimension at
+    most 3.  The interiors are disjoint iff the origin is not inside A - B,
+    iff a facet normal of A - B weakly separates A from B; those normals are
+    the facet normals of A and of B and, in dimension 3, the cross products
+    of an edge of A with an edge of B."""
+    axes = [n for n, _ in a._facets + b._facets]
+    if a.dim == 3:
+        axes += [_cross(e, f) for e in _edges(a) for f in _edges(b)]
+    for n in axes:
+        if not any(n):
+            continue
+        on_a = [linalg.dot(n, v) for v in a.vertices]
+        on_b = [linalg.dot(n, v) for v in b.vertices]
+        if max(on_a) <= min(on_b) or max(on_b) <= min(on_a):
+            return False
+    return True
+
+
 def _rejected_by_all_pairs_check(p, maximal):
     """Reference validation that asks every pair of cells, not only the
-    maximal ones, to meet in a common face."""
+    maximal ones, to meet in a common face, and the interiors of any two
+    maximal cells to be disjoint."""
     if not maximal or any(c.dim != p.dim for c in maximal):
         return True
     vertex_sets = {c.vertices for c in maximal}
@@ -329,7 +364,10 @@ def _rejected_by_all_pairs_check(p, maximal):
         common = tuple(sorted(set(a) & set(b)))
         if common and not (common in cells and common in faces[a] and common in faces[b]):
             return True
-    return False
+    return any(
+        _interiors_meet(_hull(a), _hull(b))
+        for a, b in itertools.combinations(vertex_sets, 2)
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,21 +417,25 @@ def test_cells_meeting_in_a_non_face_are_rejected():
         CellComplex(SQUARE, maximal)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the common-face check compares vertex sets, so two cells on the "
-    "same side of a shared edge are accepted",
-)
 def test_overlapping_cells_are_rejected():
+    # Both triangles lie on the same side of their shared edge.
     maximal = [_hull([(0, 0), (0, 2), (2, 0)]), _hull([(0, 0), (0, 2), (2, 2)])]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cells overlap or leave a gap at a facet"):
         CellComplex(SQUARE, maximal)
+
+
+def test_overlapping_segments_are_rejected():
+    # The volumes add up to 7 and the cell interiors hold 8 lattice points,
+    # as [0, 7] does, but [4, 5] lies inside [3, 6] and nothing covers [0, 3].
+    maximal = [_hull([(a,), (b,)]) for a, b in ((3, 6), (4, 5), (5, 7), (6, 7))]
+    with pytest.raises(ValueError, match="cells overlap or leave a gap at a facet"):
+        CellComplex(_hull([(0,), (7,)]), maximal)
 
 
 # k*D_d with heights 7|x|^2 plus noise in 0..3 from random.Random(1), in the
 # order of itertools.product.  The lower hull of the lift is the only large
 # hull; trying every d-subset of the lift as a facet made about 2 M
-# signed_minors calls on 6*D3.
+# hyperplane normals on 6*D3.
 LADDERS = {"ladder_6x3.json": 169, "ladder_3x4.json": 56}
 
 
@@ -404,13 +446,13 @@ def test_ladder_subdivision_needs_no_candidate_scan(name, monkeypatch):
     memo.clear()
     height_fn = HeightFunction(LatticePolytope.convex_hull(list(heights)), heights)
     calls = []
-    signed_minors = linalg.signed_minors
+    kernel_basis = linalg.kernel_basis
 
-    def counted(rows, n):
-        calls.append(n)
-        return signed_minors(rows, n)
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel_basis(rows)
 
-    monkeypatch.setattr(linalg, "signed_minors", counted)
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
     s = regular_subdivision(height_fn)
     assert len(s.maximal_cells) == LADDERS[name]
     assert len(calls) < 10_000
