@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import hodge, invariants as inv
-from .fans import Refinement, TruncatedNormalFan, cone_contains, identity_refinement
+from .fans import Refinement, TruncatedNormalFan, identity_refinement
 from .generators import instance_corpus
 from .laurent import LaurentPoly
 from .linalg import primitive
@@ -198,19 +198,18 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: st
                 "into the subfan list"
             )
         fid = subfan_ids[sigma]
-        coarse = fan.cone_rays[fid]
+        # A vector lies in the cone of a face exactly when it is least on
+        # all of the face; the smallest cone holding every ray is then the
+        # cone of the face where all of them are least.
         for r in rays:
-            if not cone_contains(coarse, r):
+            if not set(fid) <= fan.face_of(r):
                 raise InputError(
                     f"{path}: refinement[{i}] has a ray outside its sigma cone"
                 )
-        for other in fan.face_ids:
-            if set(fid) < set(other) and all(
-                cone_contains(fan.cone_rays[other], r) for r in rays
-            ):
-                raise InputError(
-                    f"{path}: refinement[{i}].sigma is not the smallest containing cone"
-                )
+        if fan.smallest_face_for_rays(rays) != fid:
+            raise InputError(
+                f"{path}: refinement[{i}].sigma is not the smallest containing cone"
+            )
         cones[rays] = fid
     return Refinement(fan, cones)
 

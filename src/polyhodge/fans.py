@@ -5,10 +5,12 @@ the coordinates of its unimodular model, so a face of a larger polytope has
 the fan of its model.  The normal fan of P with its maximal cones removed has
 cones indexed by the positive-dimensional faces Q of P (inclusion-reversing,
 dim cone = dim P - dim Q), plus the zero cone for Q = P.  Rays are the
-primitive inner facet normals of the model, so all incidence questions
-reduce to combinatorics of the face lattice: a ray
-lies in the cone of Q exactly when its facet contains Q, and the smallest
-cone containing a set of rays is indexed by the intersection of their facets.
+primitive inner facet normals of the model.  Every membership question is
+answered by vertex minima: with facets <a, x> >= b, the cone of Q is the set
+of y whose minimum over P is attained on all of Q, so y lies in the cone of Q
+exactly when Q is contained in the face where <y, .> is least.  The smallest
+cone holding a set of vectors of one cone is indexed by the intersection of
+their minimizing faces; for a ray that face is its facet.
 
 Simplicial refinements are produced by pulling triangulations with a global
 deterministic ray order; every refinement carries its carrier map onto the
@@ -17,40 +19,8 @@ coarse fan.
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
 from .polytope import LatticePolytope
-
-
-def cone_contains(rays, point) -> bool:
-    """Exact membership of a rational point in the cone spanned by rays.
-
-    Uses Caratheodory: the point lies in the cone iff it is a nonnegative
-    combination of some linearly independent subset of rays.
-    """
-    if all(x == 0 for x in point):
-        return True
-    if not rays:
-        return False
-    r = linalg.rank(list(rays))
-    for size in range(1, r + 1):
-        for subset in itertools.combinations(rays, size):
-            if linalg.rank(list(subset)) != size:
-                continue
-            # Solve sum(l_i * ray_i) = point exactly.
-            cols = [tuple(ray[i] for ray in subset) for i in range(len(point))]
-            sol = linalg.solve(cols, list(point))
-            if sol is None:
-                continue
-            # Verify (solve ignores redundant rows only if consistent).
-            ok = all(
-                sum(l * ray[i] for l, ray in zip(sol, subset)) == point[i]
-                for i in range(len(point))
-            )
-            if ok and all(l >= 0 for l in sol):
-                return True
-    return False
 
 
 class TruncatedNormalFan:
@@ -62,8 +32,8 @@ class TruncatedNormalFan:
         self.dim = polytope.dim
         tight = polytope.facet_tight_sets()
         facet_ids = {}
-        for (a, b), t in zip(polytope._facets, tight):
-            facet_ids[tuple(sorted(t))] = linalg.primitive(a)
+        for (a, _), t in zip(polytope._facets, tight):
+            facet_ids[tuple(sorted(t))] = a
         self.ray_facet = {ray: fid for fid, ray in facet_ids.items()}
         self.face_ids = tuple(
             fid
@@ -87,17 +57,25 @@ class TruncatedNormalFan:
     def cone_dim(self, fid) -> int:
         return self.dim - self.lattice.face_dim(fid)
 
-    def smallest_face_for_rays(self, rays) -> tuple:
-        """Face id indexing the smallest cone containing the given rays.
+    def face_of(self, y) -> frozenset:
+        """Model-vertex indices where <y, .> is least: the face of P whose
+        normal cone has y in its relative interior."""
+        values = [linalg.dot(y, v) for v in self.polytope._model_vertices]
+        low = min(values)
+        return frozenset(i for i, x in enumerate(values) if x == low)
 
-        Rays must be rays of this fan; the answer is the intersection of
-        their facets (the top face for the empty set, i.e. the zero cone).
+    def smallest_face_for_rays(self, rays) -> tuple:
+        """Face id indexing the smallest cone containing the given vectors.
+
+        The answer is the intersection of the faces where they are least
+        (the top face for the empty set, i.e. the zero cone); it indexes a
+        cone of the truncated fan when the vectors lie in a common cone.
         """
-        face = set(self.lattice.top)
+        face = frozenset(self.lattice.top)
         for ray in rays:
-            face &= set(self.ray_facet[ray])
+            face &= self.face_of(ray)
         fid = tuple(sorted(face))
-        if fid not in self.lattice.faces or self.lattice.face_dim(fid) < 1:
+        if self.lattice.face_dim(fid) < 1:
             raise ValueError("ray set does not lie in a cone of the truncated fan")
         return fid
 
@@ -205,9 +183,10 @@ def simplicial_refinement(fan: TruncatedNormalFan, subfan=None, ray_order=None) 
     cones: dict[tuple, tuple] = {(): fan.lattice.top}
     for fid, simplices in tri.items():
         for simplex in simplices:
-            for size in range(1, len(simplex) + 1):
-                for subset in itertools.combinations(simplex, size):
-                    key = tuple(sorted(subset))
-                    if key not in cones:
-                        cones[key] = fan.smallest_face_for_rays(key)
+            faces = [()]
+            for ray in simplex:  # simplices are sorted, so their faces are too
+                faces += [face + (ray,) for face in faces]
+            for face in faces:
+                if face not in cones:
+                    cones[face] = fan.smallest_face_for_rays(face)
     return Refinement(fan, cones)

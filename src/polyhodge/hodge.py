@@ -259,9 +259,8 @@ def partial_compactification_E(
     The zero subfan returns the open refined E; the full fan with the
     identity refinement gives the (possibly singular) compactification.
     """
-    fan = TruncatedNormalFan(s.polytope)
     if refinement is None:
-        refinement = identity_refinement(fan, subfan)
+        refinement = identity_refinement(TruncatedNormalFan(s.polytope), subfan)
     mult = refinement.multiplicity_polys(UVW2 - 1)
     total = ZERO
     for fid, m in mult.items():
@@ -273,9 +272,8 @@ def partial_compactification_psi(
     s: CellComplex, subfan=None, refinement: Refinement | None = None
 ) -> LaurentPoly:
     """Nearby-fiber realization of the partial compactification, in (u, v)."""
-    fan = TruncatedNormalFan(s.polytope)
     if refinement is None:
-        refinement = identity_refinement(fan, subfan)
+        refinement = identity_refinement(TruncatedNormalFan(s.polytope), subfan)
     mult = refinement.multiplicity_polys(UV - 1)
     total = ZERO
     for fid, m in mult.items():

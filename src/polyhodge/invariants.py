@@ -173,9 +173,8 @@ def lambda_phi(s: CellComplex, refinement: Refinement | None = None):
     the (uvw^2)^(dim P + 1) palindromy for any refinement.
     """
     p = s.polytope
-    fan = TruncatedNormalFan(p)
     if refinement is None:
-        refinement = simplicial_refinement(fan)
+        refinement = simplicial_refinement(TruncatedNormalFan(p))
     elif refinement.fan.polytope.key != p.key:
         raise ValueError("refinement belongs to a different normal fan")
     shifted = UVW2 - 1

@@ -29,7 +29,6 @@ are safe to share between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import sub
 from typing import Iterable, Mapping
 
@@ -318,12 +317,11 @@ class LaurentPoly:
                     raise ValueError(f"no value supplied for variable {name}")
                 x = values[name]
                 if k < 0:
-                    f = Fraction(x) ** k
-                    if f.denominator != 1:
+                    # 1/x is an integer only at x = 1 and x = -1, where it is x.
+                    if x not in (1, -1):
                         raise ValueError("non-integer evaluation")
-                    term *= int(f)
-                else:
-                    term *= x**k
+                    k = -k
+                term *= x**k
             total += term
         return total
 

@@ -1,8 +1,8 @@
 """Exact integer linear algebra used by the polytope machinery.
 
-One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves rank,
-kernel and solve: every intermediate entry is an integer minor of the input,
-so the divisions are exact and no rational arithmetic happens on the way.
+One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves rank
+and kernel: every intermediate entry is an integer minor of the input, so the
+divisions are exact and no rational number is ever formed.
 Run to the reduced form, it yields D times the reduced row echelon form,
 where D is the determinant of the pivot minor; that form is unique, so
 kernel vectors read off it are canonical.  The normal of a hyperplane
@@ -13,8 +13,7 @@ completion, which gives integer left inverses of lattice bases.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 
 
@@ -107,30 +106,6 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
             v[p] = -sign * row[f]
         basis.append(primitive(v))
     return basis
-
-
-def solve(rows, rhs):
-    """Solve a linear system exactly; returns None if inconsistent.
-
-    Entries may be integers or Fractions; each equation is scaled to integers
-    before the elimination.  For underdetermined systems an arbitrary
-    solution (free vars = 0) is returned, as a tuple of Fractions.
-    """
-    if not rows:
-        return tuple()
-    augmented = []
-    for row, b in zip(rows, rhs):
-        eq = (*row, b)
-        den = lcm(*(x.denominator for x in eq))
-        augmented.append([x.numerator * (den // x.denominator) for x in eq])
-    red, pivots, det = _bareiss(augmented, reduced=True)
-    ncols = len(rows[0])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = Fraction(row[-1], det)
-    return tuple(x)
 
 
 def integer_kernel_basis(rows: list[tuple[int, ...]], n: int):

@@ -1,12 +1,13 @@
 """Exact lattice polytopes: hulls, face lattices, lattice point enumeration.
 
-All geometry is exact integer arithmetic; rationals appear only in the
-vertices of a polar dual.  Hulls are built by beneath-beyond: the points are
-inserted one at a time into a triangulated boundary grown from a simplex,
-each boundary simplex carries the hyperplane whose normal is the kernel of
-its d - 1 edge vectors, and the simplices are merged by hyperplane into
-facets, each certified against all points.  The hull of d + 1 points in
-dimension d is a simplex, whose facets are its d-subsets.
+All geometry is exact integer arithmetic, and facet normals are primitive,
+so the polar dual of a reflexive polytope is the hull of its facet normals.
+Hulls are built by beneath-beyond: the points are inserted one at a time into
+a triangulated boundary grown from a simplex, each boundary simplex carries
+the hyperplane whose normal is the kernel of its d - 1 edge vectors, and the
+simplices are merged by hyperplane into facets, each certified against all
+points.  The hull of d + 1 points in dimension d is a simplex, whose facets
+are its d-subsets.
 
 Polytopes are immutable; derived data (facets, face lattice, point counts)
 is cached on first use.  A lower-dimensional polytope carries a unimodular
@@ -18,7 +19,6 @@ and model coordinates cost integer dot products only.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import mul
 
 from . import linalg
@@ -253,29 +253,26 @@ class LatticePolytope:
 
     # -- duality ---------------------------------------------------------------
 
-    def _dual_vertex_fractions(self):
+    def reflexive_check(self) -> bool:
+        """True iff the polar dual is again a lattice polytope.
+
+        Its vertices are a / -b for the facets <a, x> >= b, and a facet
+        normal is primitive, so a / -b is a lattice point exactly when b = -1.
+        """
+        return self.dim == self.ambient_dim and all(b == -1 for _, b in self._facets)
+
+    def dual_polytope(self) -> "LatticePolytope":
+        """Polar dual {y : <y, x> >= -1 on P} for a reflexive polytope: the
+        hull of its facet normals."""
         if self.dim != self.ambient_dim:
             raise ValueError("dual polytope requires a full-dimensional polytope")
         if not all(b < 0 for _, b in self._facets):
             raise ValueError("dual polytope requires the origin in the interior")
         if self.dim == 0:
-            return [()]  # the polar dual of the origin of R^0 is itself
-        return [tuple(Fraction(ai, -b) for ai in a) for a, b in self._facets]
-
-    def reflexive_check(self) -> bool:
-        """True iff the polar dual is again a lattice polytope."""
-        try:
-            duals = self._dual_vertex_fractions()
-        except ValueError:
-            return False
-        return all(all(c.denominator == 1 for c in v) for v in duals)
-
-    def dual_polytope(self) -> "LatticePolytope":
-        """Polar dual {y : <y, x> >= -1 on P} for a reflexive polytope."""
-        duals = self._dual_vertex_fractions()
-        if not all(all(c.denominator == 1 for c in v) for v in duals):
+            return self  # the polar dual of the origin of R^0 is itself
+        if not self.reflexive_check():
             raise ValueError("polytope is not reflexive: dual has non-lattice vertices")
-        return LatticePolytope.convex_hull([tuple(int(c) for c in v) for v in duals])
+        return LatticePolytope.convex_hull([a for a, _ in self._facets])
 
     def dual_face_map(self):
         """Inclusion-reversing face correspondence of a reflexive polytope.

@@ -13,7 +13,6 @@ from . import hodge, invariants as inv
 from .laurent import NEG_INF, U, UVW2, V, W, ZERO
 from .poset import stanley_inversion_check
 from .subdivision import CellComplex, euler_relation_check, regular_subdivision
-from .fans import TruncatedNormalFan, simplicial_refinement
 
 
 @dataclass
@@ -202,9 +201,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
                 bad = (a, b, c)
                 break
         out.append(_result("small_coefficient_oracle", bad is None, f"index {bad}"))
-    fan = TruncatedNormalFan(p)
-    refinement = simplicial_refinement(fan)
-    lam, _ = inv.lambda_phi(s, refinement)
+    lam, _ = inv.lambda_phi(s)
     pal = UVW2 ** (d + 1) * lam.substitute({"u": U**-1, "v": V**-1, "w": W**-1})
     out.append(_result("lambda_palindromy", pal == lam))
     lam_mixed = inv.lambda_mixed(lam)

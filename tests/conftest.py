@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -49,8 +50,6 @@ def unit_simplex(dim):
 
 
 def cube(dim):
-    import itertools
-
     return LatticePolytope.convex_hull(list(itertools.product((0, 1), repeat=dim)))
 
 
@@ -65,3 +64,56 @@ def cross_polytope(dim):
         for s in (1, -1)
     ]
     return LatticePolytope.convex_hull(pts)
+
+
+# -- exact rational references -------------------------------------------------
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def solve_oracle(rows, rhs):
+    """One solution of rows @ x = rhs over Q (free variables 0), or None."""
+    red, pivots = rref_oracle([list(r) + [b] for r, b in zip(rows, rhs)])
+    ncols = len(rows[0])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[-1]
+    return tuple(x)
+
+
+def cone_contains_reference(rays, point) -> bool:
+    """Caratheodory: a point lies in the cone spanned by rays iff it is a
+    nonnegative combination of some linearly independent subset of them."""
+    if all(x == 0 for x in point):
+        return True
+    rank = len(rref_oracle(rays)[1])
+    for size in range(1, rank + 1):
+        for subset in itertools.combinations(rays, size):
+            if len(rref_oracle(subset)[1]) != size:
+                continue
+            cols = [tuple(ray[i] for ray in subset) for i in range(len(point))]
+            sol = solve_oracle(cols, list(point))
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
+    return False

@@ -360,6 +360,42 @@ def test_golden_hodge_on_ladders():
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), name
 
 
+# The 4-dim cross-polytope with the subfan of the cones of the faces that
+# hold the edge from (1, 0, 0, 0) to (0, 1, 0, 0).  That edge's cone has four
+# rays and is not simplicial; the refinement is its pulling triangulation, so
+# one refinement cone, [[-1, -1, -1, -1], [-1, -1, 1, 1]], splits the edge's
+# cone along a diagonal and is carried by it.
+CROSS4 = DATA / "cross4_refinement.json"
+CROSS4_HODGE = "520870ec8c921ee4ca6357255248d4d1b79442a7de8aa2db6afeb1acc7e423a7"
+
+
+def test_golden_hodge_on_a_non_simplicial_refinement():
+    memo.clear()
+    code, out = run_cli(["hodge", str(CROSS4)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, CROSS4_HODGE)
+
+
+@pytest.mark.parametrize(
+    "cone, message",
+    [
+        # (1, 1, 1, 1) is least on the facet opposite the edge.
+        ({"rays": [[1, 1, 1, 1]], "sigma": 1}, " has a ray outside its sigma cone"),
+        # Both rays lie in the edge's cone, but also in the smaller cone of
+        # the triangle on (0, 0, 1, 0): their facets meet there.
+        (
+            {"rays": [[-1, -1, -1, -1], [-1, -1, -1, 1]], "sigma": 1},
+            ".sigma is not the smallest containing cone",
+        ),
+    ],
+)
+def test_refinement_errors_on_a_non_simplicial_cone(tmp_path, capsys, cone, message):
+    data = json.loads(CROSS4.read_text())
+    data["refinement"].append(cone)
+    path = write_input(tmp_path, data)
+    assert run_cli(["hodge", path]) == (1, "")
+    assert capsys.readouterr().err == f"input error: {path}: refinement[11]{message}\n"
+
+
 def test_text_format():
     code, out = run_cli(["nearby", CONCRETE, "--format", "text"])
     assert code == 0

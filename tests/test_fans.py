@@ -2,17 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from polyhodge.fans import (
-    TruncatedNormalFan,
-    cone_contains,
-    identity_refinement,
-    simplicial_refinement,
-)
+from polyhodge.fans import TruncatedNormalFan, identity_refinement, simplicial_refinement
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
-from conftest import cross_polytope, cube
+from conftest import cone_contains_reference, cross_polytope, cube
 
 
 def test_normal_fan_of_quartic_triangle():
@@ -82,7 +78,7 @@ def test_cross_polytope_refinement_splits_square_cones():
         assert len(rays) == (0 if not rays else len(rays))
         # carrier contains the cone
         for r in rays:
-            assert cone_contains(fan.cone_rays[fid], r)
+            assert cone_contains_reference(fan.cone_rays[fid], r)
     # every non-simplicial 3-cone splits into two simplicial pieces
     tops = {}
     for rays, fid in ref.cones.items():
@@ -102,7 +98,7 @@ def test_sigma_map_minimality():
         # No strictly smaller coarse cone (larger face) contains all rays.
         for other in fan.face_ids:
             if set(fid) < set(other):
-                assert not all(cone_contains(fan.cone_rays[other], r) for r in rays)
+                assert not all(cone_contains_reference(fan.cone_rays[other], r) for r in rays)
 
 
 def test_refinement_support_sampling():
@@ -124,8 +120,8 @@ def test_refinement_support_sampling():
                 sum(w * r[i] for w, r in zip(weights, coarse))
                 for i in range(len(coarse[0]))
             )
-            assert cone_contains(coarse, pt)
-            assert any(cone_contains(simplex, pt) for simplex in tops)
+            assert cone_contains_reference(coarse, pt)
+            assert any(cone_contains_reference(simplex, pt) for simplex in tops)
 
 
 def test_nested_nonsimplicial_refinement():
@@ -144,7 +140,7 @@ def test_nested_nonsimplicial_refinement():
         if rays:
             assert linalg.rank(list(rays)) == len(rays)
             for r in rays:
-                assert cone_contains(fan.cone_rays[fid], r)
+                assert cone_contains_reference(fan.cone_rays[fid], r)
     rng = random.Random(1)
     deep = [f for f in fan.face_ids if fan.cone_dim(f) == 4][:3]
     for fid in deep:
@@ -155,7 +151,7 @@ def test_nested_nonsimplicial_refinement():
             pt = tuple(
                 sum(w * r[i] for w, r in zip(weights, coarse)) for i in range(5)
             )
-            assert any(cone_contains(t, pt) for t in tops)
+            assert any(cone_contains_reference(t, pt) for t in tops)
 
 
 def test_subfan_validation():
@@ -174,11 +170,106 @@ def test_subfan_validation():
         fan3.subfan([two_cone])  # missing the zero cone
 
 
-def test_cone_contains_basics():
-    rays = ((1, 0), (1, 2))
-    assert cone_contains(rays, (2, 2))
-    assert cone_contains(rays, (0, 0))
-    assert not cone_contains(rays, (0, 1))
-    assert not cone_contains(rays, (-1, 0))
-    assert cone_contains((), (0, 0))
-    assert not cone_contains((), (1, 0))
+def test_face_of_on_the_quartic_triangle():
+    # Vertices (0, 0), (0, 4), (4, 0) have indices 0, 1, 2.
+    fan = TruncatedNormalFan(LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)]))
+    assert fan.face_of((0, 0)) == {0, 1, 2}
+    assert fan.face_of((1, 0)) == fan.face_of((3, 0)) == {0, 1}
+    assert fan.face_of((0, 1)) == {0, 2}
+    assert fan.face_of((-1, -1)) == {1, 2}
+    assert fan.face_of((1, 2)) == {0}  # inside a maximal cone, which is removed
+    assert fan.face_of((-1, 0)) == {2}
+    for y, face in (((2, 0), (0, 1)), ((0, 0), (0, 1)), ((0, 0), (0, 1, 2))):
+        assert set(face) <= fan.face_of(y)
+    for y, face in (((0, 1), (0, 1)), ((-1, 0), (0, 1)), ((1, 0), (0, 1, 2))):
+        assert not set(face) <= fan.face_of(y)
+    assert fan.smallest_face_for_rays(()) == fan.lattice.top
+    assert fan.smallest_face_for_rays([(1, 0), (2, 0)]) == (0, 1)
+    assert fan.smallest_face_for_rays([(0, 0), (-2, -2)]) == (1, 2)
+    with pytest.raises(ValueError):
+        fan.smallest_face_for_rays([(1, 0), (0, 1)])
+
+
+def _fan_cases():
+    cube3 = cube(3).face_lattice()
+    return [
+        LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)]),
+        cube(2),
+        cube3.polytope,
+        cross_polytope(3),
+        cross_polytope(4),
+        cube3.face_polytope(cube3.faces_of_dim(2)[0]),  # lower-dimensional
+        LatticePolytope.convex_hull([(1, 2, 3), (3, 6, 9)]),
+    ]
+
+
+FAN_CASES = [TruncatedNormalFan(p) for p in _fan_cases()]
+
+
+@st.composite
+def fans(draw):
+    """A fixed fan above, or the fan of the hull of 3-7 random points."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FAN_CASES))
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=3, max_size=7))
+    fan = TruncatedNormalFan(LatticePolytope.convex_hull(pts))
+    assume(fan.face_ids)
+    return fan
+
+
+def vectors_in_cone(draw, fan, fid, count):
+    """Nonnegative integer combinations of the rays of the cone of fid."""
+    rays = fan.cone_rays[fid]
+    weights = st.lists(st.integers(0, 3), min_size=len(rays), max_size=len(rays))
+    out = []
+    for _ in range(count):
+        w = draw(weights)
+        out.append(tuple(sum(c * r[i] for c, r in zip(w, rays)) for i in range(fan.dim)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(fans(), st.data())
+def test_face_of_decides_cone_membership_like_the_reference(fan, data):
+    if data.draw(st.booleans()):
+        y = data.draw(st.tuples(*[st.integers(-3, 3)] * fan.dim))
+    else:
+        y = vectors_in_cone(data.draw, fan, data.draw(st.sampled_from(fan.face_ids)), 1)[0]
+    containing = []
+    for fid in fan.face_ids:
+        inside = cone_contains_reference(fan.cone_rays[fid], y)
+        assert (set(fid) <= fan.face_of(y)) == inside
+        if inside:
+            containing.append(fid)
+    if containing:
+        smallest = fan.smallest_face_for_rays([y])
+        assert all(set(fid) <= set(smallest) for fid in containing)
+        assert smallest in containing
+    else:
+        with pytest.raises(ValueError):
+            fan.smallest_face_for_rays([y])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fans(), st.data())
+def test_smallest_cone_of_vectors_in_one_cone_matches_the_reference(fan, data):
+    cone = data.draw(st.sampled_from(fan.face_ids))
+    vectors = vectors_in_cone(data.draw, fan, cone, data.draw(st.integers(0, 3)))
+    containing = [
+        fid
+        for fid in fan.face_ids
+        if all(cone_contains_reference(fan.cone_rays[fid], y) for y in vectors)
+    ]
+    smallest = max(containing, key=len)
+    assert all(set(fid) <= set(smallest) for fid in containing)
+    assert fan.smallest_face_for_rays(vectors) == smallest
+
+
+def test_every_cone_is_the_cone_of_its_ray_sum():
+    # The sum of a cone's rays lies in its relative interior, so it is least
+    # exactly on the cone's face.
+    for fan in FAN_CASES:
+        for fid, rays in fan.cone_rays.items():
+            y = tuple(map(sum, zip(*rays))) if rays else (0,) * fan.dim
+            assert fan.face_of(y) == set(fid)

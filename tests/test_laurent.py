@@ -145,6 +145,16 @@ def test_eval_int():
         (U**-1).eval_int({"u": 2})
 
 
+def test_eval_int_at_a_negative_power_is_integer_only_at_plus_minus_one():
+    p = 3 * U**-3 * V**2 + U**-2 - 5
+    assert p.eval_int({"u": 1, "v": 2}) == 12 + 1 - 5
+    assert p.eval_int({"u": -1, "v": 2}) == -12 + 1 - 5
+    for x in (0, 2, -3):
+        with pytest.raises(ValueError, match="non-integer evaluation"):
+            p.eval_int({"u": x, "v": 1})
+    assert (U**-1 * V).eval_int({"u": -1, "v": 0}) == 0
+
+
 def test_coeff_in_and_assemble():
     p = (U * V * W**2 - 1) ** 2 + W
     parts = {k: p.coeff_in("w", k) for k in range(5)}

@@ -10,31 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from polyhodge import linalg
 from polyhodge.polytope import AffineUnimodularMap, _hull_in_full_dim
 
+from conftest import rref_oracle, solve_oracle
+
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
 # -- oracle -------------------------------------------------------------------
-
-
-def rref_oracle(rows):
-    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
 
 
 def primitive_positive_multiple(v):
@@ -59,17 +40,6 @@ def kernel_oracle(rows):
             v[p] = -row[f]
         out.append(primitive_positive_multiple(v))
     return out
-
-
-def solve_oracle(rows, rhs):
-    red, pivots = rref_oracle([list(r) + [b] for r, b in zip(rows, rhs)])
-    ncols = len(rows[0])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return tuple(x)
 
 
 def mat_vec(rows, v):
@@ -104,7 +74,7 @@ def points(d, count):
     )
 
 
-# -- rank, kernel, solve ---------------------------------------------------------
+# -- rank and kernel ---------------------------------------------------------
 
 
 @SETTINGS
@@ -129,31 +99,6 @@ def test_kernel_basis_is_the_primitive_rref_kernel(rows):
         assert all(isinstance(x, int) for x in v)
         assert linalg.primitive(v) == v
         assert mat_vec(rows, v) == (0,) * len(rows)
-
-
-@SETTINGS
-@given(matrices(), st.data())
-def test_solve_matches_oracle(rows, data):
-    ncols = len(rows[0])
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols))
-        rhs = list(mat_vec(rows, x))
-    else:
-        m = len(rows)
-        rhs = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
-    sol = linalg.solve(rows, rhs)
-    assert sol == solve_oracle(rows, rhs)
-    if sol is not None:
-        assert all(isinstance(c, Fraction) for c in sol)
-        assert mat_vec(rows, sol) == tuple(rhs)
-
-
-@SETTINGS
-@given(matrices(), st.integers(1, 4))
-def test_solve_accepts_rational_entries(rows, den):
-    rhs = [Fraction(i + 1, den) for i in range(len(rows))]
-    scaled = [[Fraction(x, den) for x in r] for r in rows]
-    assert linalg.solve(scaled, rhs) == solve_oracle(scaled, rhs)
 
 
 # -- lattices and maps ---------------------------------------------------------------

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhodge import linalg, polytope
 from polyhodge.polytope import LatticePolytope
 
-from conftest import cube, segment, unit_simplex
+from conftest import cross_polytope, cube, segment, solve_oracle, unit_simplex
 
 
 def in_convex_hull(point, others, dim):
@@ -21,7 +22,7 @@ def in_convex_hull(point, others, dim):
                 continue
             cols = [tuple(r[i] for r in rows) for i in range(dim)]
             target = linalg.vec_sub(point, base)
-            sol = linalg.solve(cols, list(target)) if rows else ()
+            sol = solve_oracle(cols, list(target)) if rows else ()
             if rows:
                 if sol is None:
                     continue
@@ -202,6 +203,58 @@ def test_dual_and_reflexive():
     off = LatticePolytope.convex_hull([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError):
         off.dual_polytope()
+
+
+def fraction_dual_vertices(p):
+    """Vertices a / -b of the polar dual, one per facet <a, x> >= b, as
+    Fractions; None unless P is full-dimensional with the origin inside."""
+    if p.dim != p.ambient_dim or not all(b < 0 for _, b in p._facets):
+        return None
+    return [tuple(Fraction(x, -b) for x in a) for a, b in p._facets]
+
+
+def reflexive_reference(p):
+    duals = fraction_dual_vertices(p)
+    return duals is not None and all(x.denominator == 1 for v in duals for x in v)
+
+
+REFLEXIVE = [
+    cross_polytope(2),
+    cross_polytope(3),
+    LatticePolytope.convex_hull([(-1, -1), (2, -1), (-1, 2)]),
+    LatticePolytope.convex_hull([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)]),
+    LatticePolytope.convex_hull(list(itertools.product((-1, 1), repeat=3))),
+    LatticePolytope.convex_hull([()]),  # the point of R^0 is its own dual
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=7)
+    )
+)
+def test_reflexive_check_matches_the_fraction_dual(pts):
+    p = LatticePolytope.convex_hull(pts)
+    assert p.reflexive_check() == reflexive_reference(p)
+
+
+def test_reflexive_check_and_double_dual_on_reflexive_and_scaled_polytopes():
+    for p in REFLEXIVE:
+        assert p.reflexive_check() and reflexive_reference(p)
+        dual = p.dual_polytope()
+        assert dual.dual_polytope() == p
+        if not p.dim:
+            assert dual is p
+            continue
+        expected = fraction_dual_vertices(p)
+        assert sorted(dual.vertices) == sorted(tuple(map(int, v)) for v in expected)
+        # Doubling moves every facet to b = -2: the origin stays inside, the
+        # dual vertices a / 2 are not lattice points.
+        doubled = LatticePolytope.convex_hull([tuple(2 * x for x in v) for v in p.vertices])
+        assert not doubled.reflexive_check() and not reflexive_reference(doubled)
+        with pytest.raises(ValueError, match="not reflexive"):
+            doubled.dual_polytope()
 
 
 def test_dual_face_map_pairing():
