@@ -250,6 +250,16 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
 # -- partial compactifications ------------------------------------------------------
 
 
+def _subfan_refinement(s: CellComplex, subfan, refinement) -> Refinement:
+    """The refinement, which must refine the normal fan of s.polytope, or
+    the identity refinement of the subfan when none is given."""
+    if refinement is None:
+        return identity_refinement(TruncatedNormalFan(s.polytope), subfan)
+    if refinement.fan.polytope.key != s.polytope.key:
+        raise ValueError("refinement belongs to a different normal fan")
+    return refinement
+
+
 def partial_compactification_E(
     s: CellComplex, subfan=None, refinement: Refinement | None = None
 ) -> LaurentPoly:
@@ -259,9 +269,7 @@ def partial_compactification_E(
     The zero subfan returns the open refined E; the full fan with the
     identity refinement gives the (possibly singular) compactification.
     """
-    if refinement is None:
-        refinement = identity_refinement(TruncatedNormalFan(s.polytope), subfan)
-    mult = refinement.multiplicity_polys(UVW2 - 1)
+    mult = _subfan_refinement(s, subfan, refinement).multiplicity_polys(UVW2 - 1)
     total = ZERO
     for fid, m in mult.items():
         total = total + refined_E(s.restrict(fid)) * m
@@ -272,9 +280,7 @@ def partial_compactification_psi(
     s: CellComplex, subfan=None, refinement: Refinement | None = None
 ) -> LaurentPoly:
     """Nearby-fiber realization of the partial compactification, in (u, v)."""
-    if refinement is None:
-        refinement = identity_refinement(TruncatedNormalFan(s.polytope), subfan)
-    mult = refinement.multiplicity_polys(UV - 1)
+    mult = _subfan_refinement(s, subfan, refinement).multiplicity_polys(UV - 1)
     total = ZERO
     for fid, m in mult.items():
         total = total + nearby_fiber_E(s.restrict(fid)) * m

@@ -9,6 +9,12 @@ simplices are merged by hyperplane into facets, each certified against all
 points.  The hull of d + 1 points in dimension d is a simplex, whose facets
 are its d-subsets.
 
+Lattice points of a dilate are counted fiber by fiber along the longest side
+of its bounding box: on each line parallel to that axis through a lattice
+point of the box's other sides, the facet inequalities cut out one interval,
+found by integer floor and ceiling division, so a count costs one facet pass
+per line rather than per point.  Point lists expand the intervals and sort.
+
 Polytopes are immutable; derived data (facets, face lattice, point counts)
 is cached on first use.  A lower-dimensional polytope carries a unimodular
 affine model of itself in the saturated lattice of its affine span, with an
@@ -157,25 +163,58 @@ class LatticePolytope:
 
     # -- lattice point enumeration -------------------------------------------
 
+    def _fibers(self, m: int, interior: bool):
+        """Lattice points of the m-th dilate (its interior if asked), as fibers.
+
+        The fiber axis k is the longest side of the dilate's bounding box.
+        For each point y of the box with axis k left out, every facet
+        <a, x> >= m*b becomes a bound a_k * t >= m*b - <a', y> on x_k = t
+        (strict for interior points), solved by exact floor and ceiling
+        division; a facet with a_k = 0 holds or fails for the whole fiber.
+        Yields (head, tail, lo, hi) for each nonempty fiber: its points are
+        head + (t,) + tail for lo <= t <= hi.
+        """
+        verts = [tuple(m * c for c in v) for v in self._model_vertices]
+        lo = [min(v[i] for v in verts) for i in range(self.dim)]
+        hi = [max(v[i] for v in verts) for i in range(self.dim)]
+        # Ties go to the last axis, along which the fibers come out sorted.
+        k = max(range(self.dim), key=lambda i: (hi[i] - lo[i], i))
+        strict = 1 if interior else 0
+        # a_k * t >= m*b + strict - <a', y> for each facet, a' = a without a_k.
+        bounds = [(a[k], a[:k] + a[k + 1 :], m * b + strict) for a, b in self._facets]
+        ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
+        del ranges[k]
+        for y in itertools.product(*ranges):
+            t_lo, t_hi = lo[k], hi[k]
+            for ak, rest, c in bounds:
+                c -= sum(map(mul, rest, y))
+                if ak > 0:
+                    t_lo = max(t_lo, -(-c // ak))
+                elif ak < 0:
+                    t_hi = min(t_hi, c // ak)
+                elif c > 0:
+                    break
+                if t_lo > t_hi:
+                    break
+            else:
+                yield y[:k], y[k:], t_lo, t_hi
+
     def model_lattice_points(self, m: int = 1, interior: bool = False):
-        """Lattice points of the m-th dilate, in model coordinates."""
+        """Lattice points of the m-th dilate (its relative interior if asked),
+        in model coordinates and lexicographic order.
+
+        The points are the expanded fibers of `_fibers`, sorted, since the
+        fiber axis need not be the last one.
+        """
         if self.is_empty:
             return []
         if self.dim == 0:
             return [self._model_vertices[0]]
-        verts = [tuple(m * c for c in v) for v in self._model_vertices]
-        lo = [min(v[i] for v in verts) for i in range(self.dim)]
-        hi = [max(v[i] for v in verts) for i in range(self.dim)]
-        out = []
-        facets = [(a, m * b) for a, b in self._facets]
-        for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            if interior:
-                if all(linalg.dot(a, x) > b for a, b in facets):
-                    out.append(x)
-            else:
-                if all(linalg.dot(a, x) >= b for a, b in facets):
-                    out.append(x)
-        return out
+        return sorted(
+            head + (t,) + tail
+            for head, tail, lo, hi in self._fibers(m, interior)
+            for t in range(lo, hi + 1)
+        )
 
     def lattice_point_count(self, m: int) -> int:
         """Number of lattice points in the m-th dilate; 0 for the empty polytope."""
@@ -188,7 +227,9 @@ class LatticePolytope:
         if self.dim == 0:
             return 1
         if m not in self._count_cache:
-            self._count_cache[m] = len(self.model_lattice_points(m))
+            self._count_cache[m] = sum(
+                hi - lo + 1 for _, _, lo, hi in self._fibers(m, False)
+            )
         return self._count_cache[m]
 
     def interior_lattice_point_count(self) -> int:
@@ -198,7 +239,9 @@ class LatticePolytope:
         if self.dim == 0:
             return 1
         if self._interior_cache is None:
-            self._interior_cache = len(self.model_lattice_points(1, interior=True))
+            self._interior_cache = sum(
+                hi - lo + 1 for _, _, lo, hi in self._fibers(1, True)
+            )
         return self._interior_cache
 
     def lattice_points(self):

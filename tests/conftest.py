@@ -66,6 +66,29 @@ def cross_polytope(dim):
     return LatticePolytope.convex_hull(pts)
 
 
+# -- lattice point references ---------------------------------------------------
+
+
+def box_scan_lattice_points(p, m=1, interior=False):
+    """Lattice points of the m-th dilate of p in model coordinates, by testing
+    every point of the dilate's bounding box against every facet, in
+    lexicographic order."""
+    if p.is_empty:
+        return []
+    if p.dim == 0:
+        return [p._model_vertices[0]]
+    verts = [tuple(m * c for c in v) for v in p._model_vertices]
+    lo = [min(v[i] for v in verts) for i in range(p.dim)]
+    hi = [max(v[i] for v in verts) for i in range(p.dim)]
+    facets = [(a, m * b) for a, b in p._facets]
+    out = []
+    for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        values = [sum(ai * xi for ai, xi in zip(a, x)) - b for a, b in facets]
+        if all(v > 0 if interior else v >= 0 for v in values):
+            out.append(x)
+    return out
+
+
 # -- exact rational references -------------------------------------------------
 
 

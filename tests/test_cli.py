@@ -431,16 +431,35 @@ def test_lower_dimensional_input_is_normalized(tmp_path):
 
 
 def test_unexpected_exceptions_exit_2_without_traceback(tmp_path, capsys):
-    # A segment too long for the bounding-box scan: point enumeration raises
-    # OverflowError, which is neither an input error nor a ValueError.
-    path = write_input(
-        tmp_path, {"dim": 1, "points": [{"coords": [0]}, {"coords": [10**30]}]}
-    )
+    # A triangle long on two axes: each fiber is solved exactly, but the
+    # fibers are indexed by a range too long for a C index, which raises
+    # OverflowError, neither an input error nor a ValueError.
+    points = [{"coords": [0, 0]}, {"coords": [10**30, 0]}, {"coords": [0, 10**30]}]
+    path = write_input(tmp_path, {"dim": 2, "points": points})
     for command in ("hstar", "hodge", "verify", "stringy", "dk-check", "intersection"):
         assert run_cli([command, path]) == (2, ""), command
         err = capsys.readouterr().err
         assert err.startswith("computation error: OverflowError: "), command
         assert "Traceback" not in err
+
+
+def test_hstar_counts_a_segment_longer_than_a_c_index():
+    code, out = run_cli(["hstar", str(DATA / "long_segment.json")])
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["h_star"]["pretty"] == f"1 + {10**30 - 1}*u"
+    assert report["tables"]["ehrhart"]["1"] == str(10**30 + 1)
+
+
+def test_hstar_of_a_thin_triangle(tmp_path):
+    # Pick: area 50000 = I + B/2 - 1 with B = 100002 boundary points, I = 0.
+    points = [{"coords": [0, 0]}, {"coords": [100000, 1]}, {"coords": [0, 1]}]
+    path = write_input(tmp_path, {"dim": 2, "points": points})
+    code, out = run_cli(["hstar", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["h_star"]["pretty"] == "1 + 99999*u"
+    assert report["tables"]["ehrhart"]["1"] == "100002"
 
 
 def test_conflicting_duplicate_heights_are_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from polyhodge import hodge, invariants as inv, memo
+from polyhodge.fans import TruncatedNormalFan, identity_refinement
 from polyhodge.laurent import L, ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
@@ -221,6 +222,15 @@ def test_partial_compactification_full_fan_dim2():
 def test_partial_compactification_psi_two_forms(corpus25):
     for s in corpus25[:8]:
         assert hodge.partial_compactification_psi(s) == hodge.compactified_psi_face_sum(s)
+
+
+def test_partial_compactification_rejects_another_polytopes_refinement():
+    s = trivial_subdivision(cube(2))
+    triangle = LatticePolytope.convex_hull([(0, 0), (2, 0), (0, 2)])
+    other = identity_refinement(TruncatedNormalFan(triangle))
+    for fn in (hodge.partial_compactification_E, hodge.partial_compactification_psi):
+        with pytest.raises(ValueError, match="refinement belongs to a different normal fan"):
+            fn(s, refinement=other)
 
 
 def test_stringy_E_reflexive_square():

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from polyhodge import linalg, polytope
 from polyhodge.polytope import LatticePolytope
 
-from conftest import cross_polytope, cube, segment, solve_oracle, unit_simplex
+from conftest import (
+    box_scan_lattice_points,
+    cross_polytope,
+    cube,
+    segment,
+    solve_oracle,
+    unit_simplex,
+)
 
 
 def in_convex_hull(point, others, dim):
@@ -129,6 +136,60 @@ def test_boundary_plus_interior():
             if f != () and f != lattice.top
         )
         assert p.lattice_point_count(1) == boundary + p.interior_lattice_point_count()
+
+
+def assert_matches_box_scan(p):
+    for m in range(p.dim + 2):
+        assert p.lattice_point_count(m) == len(box_scan_lattice_points(p, m))
+        for interior in (False, True):
+            expected = box_scan_lattice_points(p, m, interior)
+            assert p.model_lattice_points(m, interior) == expected
+    assert p.interior_lattice_point_count() == len(box_scan_lattice_points(p, 1, True))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # The slanted side x + y <= 2 is parallel to the long prism axis but
+        # is not a side of the bounding box.
+        [(x, y, z) for x, y in ((0, 0), (2, 0), (0, 2)) for z in (0, 5)],
+        # Long along the first axis: sorted order is not fiber order.
+        [(0, 0), (5, 0), (0, 1)],
+        [(0, 0, 0), (7, 0, 1), (0, 1, 1), (3, 1, 0)],
+        [(2, 0), (2, 9)],
+        [(1, 2, 3)],
+    ],
+)
+def test_fiber_counts_match_the_box_scan_on_fixed_polytopes(pts):
+    assert_matches_box_scan(LatticePolytope.convex_hull(pts))
+
+
+@st.composite
+def sheared_polytopes(draw):
+    """Hulls of a few points of a small box in Z^d, padded with zeros to Z^n
+    (n >= d) and moved by a signed permutation and one shear x_i += s * x_j,
+    so that the longest side of a dilate's box can be any axis."""
+    d = draw(st.integers(0, 4))
+    width = (1, 4, 3, 2, 1)[d]  # keeps the box scan of the dilates small
+    pts = draw(
+        st.lists(st.tuples(*[st.integers(0, width)] * d), min_size=1, max_size=d + 3)
+    )
+    n = d + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    padded = [p + (0,) * (n - d) for p in pts]
+    moved = [tuple(signs[i] * p[perm[i]] for i in range(n)) for p in padded]
+    if n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        s = draw(st.sampled_from((1, -1)))
+        moved = [p[:i] + (p[i] + s * p[j],) + p[i + 1 :] for p in moved]
+    return LatticePolytope.convex_hull(moved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sheared_polytopes())
+def test_fiber_counts_match_the_box_scan(p):
+    assert_matches_box_scan(p)
 
 
 def lagrange_fit(values):
