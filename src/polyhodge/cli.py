@@ -360,6 +360,8 @@ def cmd_intersection(parsed: ParsedInput, args) -> dict:
 
 def cmd_stringy(parsed: ParsedInput, args) -> dict:
     s = build_complex(parsed)
+    if not s.polytope.reflexive_check():
+        raise InputError(f"{args.input}: stringy E requires a reflexive polytope")
     e_st = hodge.stringy_E(s)
     results = {
         "stringy_E": _poly(e_st),

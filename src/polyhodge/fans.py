@@ -20,6 +20,7 @@ coarse fan.
 from __future__ import annotations
 
 from . import linalg
+from .laurent import ZERO, power_sum
 from .polytope import LatticePolytope
 
 
@@ -122,19 +123,20 @@ class Refinement:
     def multiplicity_polys(self, shifted):
         """For each coarse face id Q: sum over refinement cones carried by Q
         of shifted^(dim coarse cone - dim cone)."""
-        out = {}
+        counts = {}  # coarse face id -> {codimension: number of cones}
         for _, d, fid in self.cone_dims():
-            coarse = self.fan.cone_dim(fid)
-            out[fid] = out.get(fid, 0) + shifted ** (coarse - d)
-        return out
+            by_codim = counts.setdefault(fid, {})
+            k = self.fan.cone_dim(fid) - d
+            by_codim[k] = by_codim.get(k, ZERO) + 1
+        return {fid: power_sum(by_codim, shifted) for fid, by_codim in counts.items()}
 
     def total_poly(self, shifted):
         """Sum over all refinement cones of shifted^(dim P - dim cone)."""
-        total = 0
-        n = self.fan.dim
+        by_codim = {}
         for _, d, _fid in self.cone_dims():
-            total = shifted ** (n - d) + total
-        return total
+            k = self.fan.dim - d
+            by_codim[k] = by_codim.get(k, ZERO) + 1
+        return power_sum(by_codim, shifted)
 
 
 def identity_refinement(fan: TruncatedNormalFan, subfan=None) -> Refinement:

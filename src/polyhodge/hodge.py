@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentPoly, ONE, U, UV, UVW2, V, W, ZERO
+from .laurent import LaurentPoly, ONE, U, UV, UVW2, V, W, ZERO, power_sum
 from .polytope import LatticePolytope
 from .subdivision import CellComplex
 from .fans import Refinement, TruncatedNormalFan, identity_refinement, simplicial_refinement
@@ -129,11 +129,12 @@ def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
     agrees with the refined polynomial at w = 1.
     """
     p = s.polytope
-    total = ZERO
+    by_codim = {}
     for cid in s.interior_ids():
         cell = s.cell_polytope(cid)
-        total = total + hodge_deligne_uv(cell) * (1 - UV) ** (p.dim - cell.dim)
-    return total
+        k = p.dim - cell.dim
+        by_codim[k] = by_codim.get(k, ZERO) + hodge_deligne_uv(cell)
+    return power_sum(by_codim, 1 - UV)
 
 
 def nearby_fiber_class(s: CellComplex) -> LaurentPoly | None:
@@ -290,13 +291,13 @@ def partial_compactification_psi(
 def compactified_psi_face_sum(s: CellComplex) -> LaurentPoly:
     """Cell-sum form of the full compactification's nearby fiber:
     sum over nonempty cells F of E(V_F;u,v) (1-uv)^(dim carrier - dim F)."""
-    total = ZERO
+    by_codim = {}
     lattice = s.polytope.face_lattice()
     for cid in s.nonempty_ids():
         cell = s.cell_polytope(cid)
-        codim = lattice.face_dim(s.carrier(cid)) - cell.dim
-        total = total + hodge_deligne_uv(cell) * (1 - UV) ** codim
-    return total
+        k = lattice.face_dim(s.carrier(cid)) - cell.dim
+        by_codim[k] = by_codim.get(k, ZERO) + hodge_deligne_uv(cell)
+    return power_sum(by_codim, 1 - UV)
 
 
 # -- stringy invariants ---------------------------------------------------------------

@@ -36,6 +36,7 @@ from .laurent import (
     W,
     ZERO,
     from_univariate,
+    power_sum,
 )
 from .polytope import LatticePolytope
 from .poset import link_h_polynomial
@@ -50,11 +51,15 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
 
     Determined by 1 + sum_{m>0} f_P(m) u^m = h*(P;u) / (1-u)^(dim P + 1);
     the coefficients come from the finite alternating-binomial convolution
-    of the counts f_P(0..dim P).
+    of the counts f_P(0..dim P).  A simplex of normalized volume 1 has
+    h* = 1 without counting: h*(P; 1) is the normalized volume, h*_0 = 1 and
+    no coefficient is negative (Stanley 1980).
     """
     if p.is_empty:
         return ONE
     d = p.dim
+    if len(p.vertices) == d + 1 and p.normalized_volume() == 1:
+        return ONE
     counts = [p.lattice_point_count(m) for m in range(d + 1)]
     coeffs = {}
     for k in range(d + 1):
@@ -99,11 +104,12 @@ def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
 
 def limit_mixed_h_star_by_cells(s: CellComplex) -> LaurentPoly:
     """Alternative form: sum over interior cells of (uv-1)^codim h*(F;u,v)."""
-    total = ZERO
+    by_codim = {}
     for cid in s.interior_ids():
         cell = s.cell_polytope(cid)
-        total = total + (UV - 1) ** (s.polytope.dim - cell.dim) * mixed_h_star(cell)
-    return total
+        k = s.polytope.dim - cell.dim
+        by_codim[k] = by_codim.get(k, ZERO) + mixed_h_star(cell)
+    return power_sum(by_codim, UV - 1)
 
 
 @memo("MIXED", key=lambda p: p.key)

@@ -426,6 +426,23 @@ def from_univariate(coeffs: Mapping[int, int], name: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def power_sum(parts: Mapping[int, LaurentPoly], base: LaurentPoly) -> LaurentPoly:
+    """Sum of base^k * parts[k] over the keys k >= 0 of ``parts``.
+
+    Callers add up the terms that share an exponent first, so each power of
+    a multi-term base such as t - 1 or 1 - uv is built once, step by step.
+    """
+    total = parts.get(0, ZERO)
+    power = base
+    for k in range(1, max(parts, default=0) + 1):
+        if k > 1:
+            power = power * base
+        part = parts.get(k)
+        if part:
+            total = total + power * part
+    return total
+
+
 def div_exact_t_minus_one(p: LaurentPoly, name: str = "t") -> LaurentPoly:
     """Exact division of a univariate polynomial by (name - 1).
 

@@ -28,7 +28,7 @@ import itertools
 from operator import mul
 
 from . import linalg
-from .laurent import LaurentPoly
+from .laurent import ONE, LaurentPoly
 from .memo import table
 from .poset import EulerianPoset
 
@@ -547,7 +547,19 @@ class FaceLattice:
         return poset.interval_idx(self._index[f], self._index[g])
 
     def g(self, lower, upper, dual: bool = False) -> LaurentPoly:
-        """g-polynomial (in t) of the interval [lower, upper], or of its dual."""
+        """g-polynomial (in t) of the interval [lower, upper], or of its dual.
+
+        On a simplex every interval and its dual is Boolean, so g = 1
+        (Stanley 1987) and no poset is built; the 2^(d+1) faces of a
+        d-simplex are counted first, so a lattice that is not Boolean raises.
+        """
+        nverts = len(self.polytope.vertices)
+        if nverts == self.polytope.dim + 1:
+            if len(self.faces) != 1 << nverts:
+                raise ValueError("simplex face lattice is not Boolean; face lattice bug")
+            if not set(lower) <= set(upper):
+                raise ValueError("not an interval: elements are not nested")
+            return ONE
         poset = self.poset()
         i, j = self._index[lower], self._index[upper]
         return poset.dual().g(j, i) if dual else poset.g(i, j)

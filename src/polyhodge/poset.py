@@ -6,17 +6,23 @@ the interval [z, x] by the defining reciprocal recursion, directly on the
 bitmasks, and keeps the value in a table that the poset shares with its
 dual; a face lattice's g values therefore live and die with its polytope.
 
-Every g of an interval of rank >= 3 is verified against the recursion
-before it is stored, so a poset bug surfaces as an error rather than a
-wrong polynomial.  Intervals of rank <= 2 need no check: g is 1 in rank 0
-and 1, and in rank 2 the recursion gives g = a - 1 for an interval with a
-atoms.  An Eulerian rank-2 interval has exactly two atoms (1 - a + 1 = 0),
-and ``require_eulerian`` has checked every interval before any g is read.
+Every g that a poset computes for an interval of rank >= 3 is verified
+against the recursion before it is stored, so a poset bug surfaces as an
+error rather than a wrong polynomial.  Intervals of rank <= 2 need no check:
+g is 1 in rank 0 and 1, and in rank 2 the recursion gives g = a - 1 for an
+interval with a atoms.  An Eulerian rank-2 interval has exactly two atoms
+(1 - a + 1 = 0), and ``require_eulerian`` has checked every interval before
+any g is read.  The face lattice of a simplex builds no poset at all: its
+intervals are Boolean, so ``FaceLattice.g`` returns 1 once the lattice's
+face count certifies it, and ``verify`` checks the recursion on a separate
+copy of each face lattice.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, ONE, T, T_INV, ZERO, from_univariate, univariate
+from .laurent import (
+    LaurentPoly, ONE, T, T_INV, ZERO, from_univariate, power_sum, univariate,
+)
 
 
 class EulerianPoset:
@@ -196,20 +202,16 @@ class EulerianPoset:
         g = self._g.get((z, x))
         if g is not None:
             return g
-        # Sum g([z, y]) over each rank first, so each (t-1)^k is built once.
-        by_rank = [ZERO] * n
-        base = self.ranks[z]
+        # Sum g([z, y]) over each corank first, so each (t-1)^k is built once.
+        by_corank = {}
+        top = self.ranks[x]
         m = self.up[z] & self.down[x] & ~(1 << x)
         while m:
             y = (m & -m).bit_length() - 1
             m &= m - 1
-            k = self.ranks[y] - base
-            by_rank[k] = by_rank[k] + self._g_of(z, y)
-        rest = ZERO
-        step = power = T - 1
-        for k in range(n - 1, -1, -1):
-            rest = rest + power * by_rank[k]
-            power = power * step
+            k = top - self.ranks[y]
+            by_corank[k] = by_corank.get(k, ZERO) + self._g_of(z, y)
+        rest = power_sum(by_corank, T - 1)
         coeffs = univariate(rest, "t")
         g = from_univariate({i: -coeffs.get(i, 0) for i in range((n - 1) // 2 + 1)}, "t")
         # Exact verification of the defining identity.
@@ -224,21 +226,29 @@ def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
     return poset.g(poset.bottom, poset.top)
 
 
-def stanley_inversion_check(poset: EulerianPoset) -> bool:
-    """Exact check of the g-inversion identity on a positive-rank poset.
+def stanley_inversion_check(poset: EulerianPoset, interval=None) -> bool:
+    """Exact check of the g-inversion identity on a positive-rank poset, or
+    on its interval [bottom, top] when ``interval`` is that pair of elements.
 
     Both alternating convolutions (dualizing the upper or the lower factor)
-    must vanish identically.
+    must vanish identically.  Checking several intervals of one poset reads
+    each g from the poset's table once.
     """
-    if poset.rank < 1:
+    bottom, top = (poset.bottom, poset.top) if interval is None else interval
+    if not poset.up[bottom] >> top & 1:
+        raise ValueError("not an interval: elements are not nested")
+    base = poset.ranks[bottom]
+    if poset.ranks[top] - base < 1:
         raise ValueError("inversion identity requires positive rank")
     poset.require_eulerian()
     dual = poset.dual()
-    bottom, top = poset.bottom, poset.top
     first = ZERO
     second = ZERO
-    for i in range(len(poset.elements)):
-        sign = (-1) ** poset.ranks[i]
+    m = poset.up[bottom] & poset.down[top]
+    while m:
+        i = (m & -m).bit_length() - 1
+        m &= m - 1
+        sign = (-1) ** (poset.ranks[i] - base)
         first = first + sign * poset.g(bottom, i) * dual.g(top, i)
         second = second + sign * dual.g(i, bottom) * poset.g(i, top)
     return first == ZERO and second == ZERO
@@ -255,12 +265,14 @@ def link_h_polynomial(complex_, cell) -> LaurentPoly:
     if cell not in complex_.cells:
         raise ValueError(f"{cell!r} is not a cell of the subdivision")
     dim_f = complex_.dim_of(cell)
-    rest = ZERO
+    delta = dim_p - dim_f
+    # Sum g([F, F']) over each codimension first, so each (t-1)^k is built once.
+    by_codim = {}
     for other in complex_.cells_containing(cell):
         lattice, lower, upper = complex_.interval_faces(cell, other)
-        g = lattice.g(lower, upper)
-        rest = rest + (T - 1) ** (dim_p - complex_.dim_of(other)) * g
-    delta = dim_p - dim_f
+        k = dim_p - complex_.dim_of(other)
+        by_codim[k] = by_codim.get(k, ZERO) + lattice.g(lower, upper)
+    rest = power_sum(by_codim, T - 1)
     h = rest.substitute({"t": T_INV}) * T**delta
     if not h.is_polynomial():
         raise ValueError("link h-polynomial is not polynomial; subdivision bug")

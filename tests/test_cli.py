@@ -170,13 +170,14 @@ def test_stringy_command(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_stringy_rejects_non_reflexive(tmp_path):
+def test_stringy_rejects_non_reflexive(tmp_path, capsys):
     path = write_input(
         tmp_path,
         {"dim": 2, "points": [{"coords": [0, 0]}, {"coords": [1, 0]}, {"coords": [0, 1]}]},
     )
-    code, _ = run_cli(["stringy", path])
-    assert code == 2
+    assert run_cli(["stringy", path]) == (1, "")
+    err = capsys.readouterr().err
+    assert err == f"input error: {path}: stringy E requires a reflexive polytope\n"
 
 
 def test_intersection_command():
@@ -294,14 +295,15 @@ def test_subfan_and_refinement_errors_name_the_input_file(tmp_path, capsys):
 
 
 # Exit code and sha256 of the JSON stdout of every command on the worked
-# example.  The triangle is not reflexive, so stringy exits 2 and prints nothing.
+# example.  The triangle is not reflexive, an input error for stringy, which
+# exits 1 and prints nothing.
 GOLDEN = {
     "hstar": (0, "39030d869fb6afeb5378e5a2bd5724bac22a2668ae0ff0b577e42d360e887e88"),
     "gpoly": (0, "20876f1170d2ed75b946827369f320a209829e7ee551b237680000bad73e1527"),
     "invariants": (0, "499abd6a8fea6ae21a2e13f74ee72db858be4a849508934b647222d8ccca68db"),
     "hodge": (0, "0acf5abaf6fd85b06d72411608b1356b10dbc501c52c0e59d2a05668970686da"),
     "intersection": (0, "0687ff13633bbd799f5bb0c6834bd86e0c716a13f7efb40b153c354c9ff12ea1"),
-    "stringy": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "stringy": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "nearby": (0, "facf91e2bbb123907c425929ea4cf6c4b356b2aac55e502350ccff231a0eadbe"),
     "dk-check": (0, "4b76c0f7a90307c07eb28d81a90d8f04a0cc4573e83741d65c4f7efedbba7286"),
     "verify": (0, "1f8301ed61d54924d72936d863de9e0d617343657a48af47c2369bd58bb1f217"),
@@ -328,7 +330,7 @@ GOLDEN_IN_PLANE = {
     "invariants": (0, "cbbd262c8db4e712b84e924485c8f88fd3253a95aaebe33a5edd81a7e553e9ba"),
     "hodge": (0, "747b5b8c6198d13f479cd535847cbe301ce34224e5c9c5270def1b127d09e747"),
     "intersection": (0, "0f51a7d89976987f7d1342de14d88d1656f16ab08040c18bf07e3a1b00cfcdb5"),
-    "stringy": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "stringy": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "nearby": (0, "d0db1783783a33e11a4547e97b9ed79e179ce883408c0be54d3b658d636e642a"),
     "dk-check": (0, "37ed3a8d9ad2508405008cb530f0728c5edae08910c4ceb1f1cdca2c736799ac"),
     "verify": (0, "8ced6b230919b6484a6b7fe646087968aa47b4a0fb0809e61ddd08621a4be551"),

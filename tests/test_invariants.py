@@ -1,5 +1,10 @@
+from math import comb
+
+from hypothesis import given, settings, strategies as st
+
 from polyhodge import invariants as inv
-from polyhodge.laurent import ONE, T, U, V, W, ZERO
+from polyhodge.generators import instance_corpus
+from polyhodge.laurent import ONE, T, U, V, W, ZERO, from_univariate
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
@@ -15,12 +20,42 @@ def test_h_star_of_unimodular_simplices():
         assert inv.h_star(unit_simplex(d) if d else unit_simplex(0)) == ONE
 
 
+def h_star_by_counting(p):
+    """h* from the lattice point counts of the dilates 0..dim P, by the
+    alternating-binomial sum, with no shortcut."""
+    d = p.dim
+    counts = [p.lattice_point_count(m) for m in range(d + 1)]
+    coeffs = {
+        k: sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1))
+        for k in range(d + 1)
+    }
+    return from_univariate(coeffs, "u")
+
+
+def is_unimodular_simplex(p):
+    return len(p.vertices) == p.dim + 1 and p.normalized_volume() == 1
+
+
 def test_h_star_of_unimodular_cells(corpus25):
     cells = [s.cell_polytope(c) for s in corpus25 for c in s.nonempty_ids()]
-    unimodular = [p for p in cells if p.normalized_volume() == 1]
+    unimodular = [p for p in cells if is_unimodular_simplex(p)]
     assert (len(unimodular), len(cells)) == (363, 473)
+    for p in cells:
+        assert inv.h_star(p) == h_star_by_counting(p)
     for p in unimodular:
-        assert inv.h_star(p) == ONE
+        assert h_star_by_counting(p) == ONE
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_h_star_matches_counting_on_random_cells(seed):
+    for s in instance_corpus(seed, 3):
+        for cid in s.nonempty_ids():
+            p = s.cell_polytope(cid)
+            expected = h_star_by_counting(p)
+            assert inv.h_star(p) == expected
+            if is_unimodular_simplex(p):
+                assert expected == ONE
 
 
 def test_h_star_examples():

@@ -1,17 +1,19 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from polyhodge import invariants as inv, memo
 from polyhodge.laurent import ONE, T, ZERO, from_univariate, univariate
-from polyhodge.polytope import LatticePolytope
+from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.poset import (
     EulerianPoset,
     g_polynomial,
     link_h_polynomial,
     stanley_inversion_check,
 )
-from polyhodge.subdivision import trivial_subdivision
+from polyhodge.subdivision import HeightFunction, regular_subdivision, trivial_subdivision
 
 from conftest import cross_polytope, cube, quartic_triangle_pair, unit_simplex
 
@@ -211,6 +213,13 @@ def test_g_rejects_elements_that_are_not_nested():
     poset = cube(3).face_lattice().poset()
     with pytest.raises(ValueError, match="not nested"):
         poset.g(poset.top, poset.bottom)
+    # A simplex lattice answers g without a poset and still checks nesting.
+    lattice = FaceLattice(unit_simplex(3))
+    for dual in (False, True):
+        with pytest.raises(ValueError, match="not nested"):
+            lattice.g((0, 1), (1, 2, 3), dual=dual)
+        with pytest.raises(ValueError, match="not nested"):
+            lattice.g(lattice.top, (), dual=dual)
 
 
 def test_link_h_matches_cell_scan(corpus25):
@@ -242,3 +251,55 @@ def test_tower_reads_g_without_copying_intervals(monkeypatch):
     for s in (quartic_triangle_pair(), trivial_subdivision(cube(4))):
         assert inv.refined_limit_mixed_h_star(s).substitute({"w": 1}) == inv.limit_mixed_h_star(s)
     assert copies == []
+
+
+# -- the simplex shortcut ---------------------------------------------------------
+
+
+def noisy_dilate_triangulation(k, d):
+    """k * Delta_d subdivided by heights 7|x|^2 plus noise in 0..3, seed 1."""
+    rng = random.Random(1)
+    pts = [x for x in itertools.product(range(k + 1), repeat=d) if sum(x) <= k]
+    heights = {x: Fraction(7 * sum(c * c for c in x) + rng.randint(0, 3)) for x in pts}
+    return regular_subdivision(HeightFunction(LatticePolytope.convex_hull(pts), heights))
+
+
+def test_simplex_g_certifies_its_face_count():
+    lattice = FaceLattice(unit_simplex(3))
+    assert lattice.g((), lattice.top) == ONE
+    assert lattice.g((0,), (0, 1, 2), dual=True) == ONE
+    del lattice.faces[(0, 1)]
+    with pytest.raises(ValueError, match="not Boolean"):
+        lattice.g((), lattice.top)
+
+
+def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypatch):
+    memo.clear()
+    posets, counts = [], []
+    poset, count = FaceLattice.poset, LatticePolytope.lattice_point_count
+
+    def is_simplex(p):
+        return len(p.vertices) == p.dim + 1
+
+    def counted_poset(self):
+        if is_simplex(self.polytope):
+            posets.append(self.polytope)
+        return poset(self)
+
+    def counted_count(self, m):
+        if is_simplex(self) and self.normalized_volume() == 1:
+            counts.append((self.dim, m))
+        return count(self, m)
+
+    monkeypatch.setattr(FaceLattice, "poset", counted_poset)
+    monkeypatch.setattr(LatticePolytope, "lattice_point_count", counted_count)
+    for k, d in ((3, 2), (2, 3)):
+        s = noisy_dilate_triangulation(k, d)
+        cells = [s.cell_polytope(cid) for cid in s.nonempty_ids()]
+        assert all(is_simplex(c) and c.normalized_volume() == 1 for c in cells)
+        refined = inv.refined_limit_mixed_h_star(s)
+        assert refined.substitute({"w": 1}) == inv.limit_mixed_h_star(s)
+    assert posets == []
+    # The only counts left are of a point P, by the validation of each
+    # restriction to a vertex of k * Delta_d; h* counts no dilate.
+    assert set(counts) == {(0, 1)}
