@@ -24,6 +24,7 @@ from .subdivision import CellComplex, HeightFunction, regular_subdivision, trivi
 from .verify import run_checks
 
 SCHEMA_VERSION = 1
+MAX_DILATION = 12  # largest dilate that `hstar --max-dilation` may ask for
 
 
 class InputError(Exception):
@@ -269,8 +270,7 @@ def cmd_hstar(parsed: ParsedInput, args) -> dict:
         "mixed_h_star": _poly(inv.mixed_h_star(p)),
         "normalized_volume": str(p.normalized_volume()),
     }
-    limit = min(args.max_dilation, 12)
-    ehrhart = {str(m): str(p.lattice_point_count(m)) for m in range(limit + 1)}
+    ehrhart = {str(m): str(p.lattice_point_count(m)) for m in range(args.max_dilation + 1)}
     return _report("hstar", parsed, results, tables={"ehrhart": ehrhart})
 
 
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--max-dilation",
                 type=int,
                 default=6,
-                help="largest dilate whose point count is reported",
+                help=f"largest dilate whose point count is reported (0..{MAX_DILATION})",
             )
         if name == "verify":
             p.add_argument(
@@ -463,15 +463,25 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=0,
                 metavar="N",
-                help="also verify N random instances",
+                help="also verify N >= 0 random instances",
             )
             p.add_argument("--seed", type=int, default=0)
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject a count flag out of its range rather than clamp or ignore it."""
+    dilation = getattr(args, "max_dilation", 0)
+    if not 0 <= dilation <= MAX_DILATION:
+        raise InputError(f"--max-dilation must be in 0..{MAX_DILATION}, got {dilation}")
+    if getattr(args, "random", 0) < 0:
+        raise InputError(f"--random must be >= 0, got {args.random}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         parsed = parse_input(args.input)
         report = _COMMANDS[args.command](parsed, args)
     except InputError as exc:

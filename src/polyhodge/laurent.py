@@ -271,6 +271,8 @@ class LaurentPoly:
                         f"substitution target for {name} must be a monomial or constant"
                     )
                 targets[i] = next(iter(value._terms.items()))
+        if self._terms.keys() <= {_ZERO_EXP}:
+            return self  # a constant is its own image
         out: dict[Exponent, int] = {}
         for e, c in self._terms.items():
             new_exp = [0] * NVARS

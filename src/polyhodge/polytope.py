@@ -469,8 +469,11 @@ class FaceLattice:
     """All faces of a polytope, graded by rho(Q) = dim Q + 1.
 
     Faces are identified by sorted tuples of vertex indices; () is the empty
-    face and the full index tuple is the polytope itself.  The lattice is
-    Eulerian; intervals are exposed as validated Eulerian posets.
+    face and the full index tuple is the polytope itself.  ``poset()`` builds
+    the lattice once as an ``EulerianPoset``, which checks gradedness and the
+    Euler relation as it is built, so intervals and the dual need no check.
+    A face's polytope is looked up among the interned hulls before any hull
+    is built, so a face shared by several lattices is hulled once.
     """
 
     def __init__(self, polytope: LatticePolytope):
@@ -520,12 +523,15 @@ class FaceLattice:
 
     def face_polytope(self, fid) -> LatticePolytope:
         if fid not in self._polytopes:
+            n = self.polytope.ambient_dim
             if not fid:
-                self._polytopes[fid] = LatticePolytope.empty(self.polytope.ambient_dim)
+                self._polytopes[fid] = LatticePolytope.empty(n)
             else:
-                self._polytopes[fid] = LatticePolytope.convex_hull(
-                    [self.polytope.vertices[i] for i in fid]
-                )
+                # The vertices of a face are sorted and distinct, and a hull is
+                # interned under its vertices, so a shared face is a lookup.
+                verts = tuple(self.polytope.vertices[i] for i in fid)
+                face = _HULL_CACHE.get((n, verts))
+                self._polytopes[fid] = face or LatticePolytope.convex_hull(verts)
         return self._polytopes[fid]
 
     def leq(self, f, g) -> bool:
@@ -537,7 +543,7 @@ class FaceLattice:
     def poset(self) -> EulerianPoset:
         if self._poset is None:
             faces = self.all_faces()
-            self._poset = EulerianPoset.from_leq(faces, self.leq, validate=True)
+            self._poset = EulerianPoset.from_leq(faces, self.leq)
             self._index = {fid: i for i, fid in enumerate(faces)}
         return self._poset
 

@@ -11,11 +11,11 @@ against the recursion before it is stored, so a poset bug surfaces as an
 error rather than a wrong polynomial.  Intervals of rank <= 2 need no check:
 g is 1 in rank 0 and 1, and in rank 2 the recursion gives g = a - 1 for an
 interval with a atoms.  An Eulerian rank-2 interval has exactly two atoms
-(1 - a + 1 = 0), and ``require_eulerian`` has checked every interval before
-any g is read.  The face lattice of a simplex builds no poset at all: its
-intervals are Boolean, so ``FaceLattice.g`` returns 1 once the lattice's
-face count certifies it, and ``verify`` checks the recursion on a separate
-copy of each face lattice.
+(1 - a + 1 = 0), and ``from_leq`` has checked the Euler relation on every
+interval before the poset exists.  The face lattice of a simplex builds no
+poset at all: its intervals are Boolean, so ``FaceLattice.g`` returns 1 once
+the lattice's face count certifies it, and ``verify`` checks the recursion
+on a separate copy of each face lattice.
 """
 
 from __future__ import annotations
@@ -25,29 +25,45 @@ from .laurent import (
 )
 
 
+def _members(mask: int):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class EulerianPoset:
-    """A finite graded poset with 0-hat and 1-hat, tracked as bitmasks."""
+    """A finite graded Eulerian poset with 0-hat and 1-hat, tracked as bitmasks.
 
-    __slots__ = (
-        "elements", "up", "down", "ranks", "bottom", "top", "_eulerian", "_dual", "_g",
-    )
+    Eulerian by construction: only ``_finish`` (reached from ``from_leq``),
+    ``dual`` and ``interval_idx`` call the constructor.  ``_finish`` checks
+    gradedness and the Euler relation, and the duals and intervals of an
+    Eulerian poset are Eulerian.
+    """
 
-    def __init__(self, elements, up, down, ranks, bottom, top, eulerian=None):
+    __slots__ = ("elements", "up", "down", "ranks", "bottom", "top", "_dual", "_g")
+
+    def __init__(self, elements, up, down, ranks, bottom, top):
         self.elements = elements
         self.up = up  # up[i]: bitmask of j with element_i <= element_j
         self.down = down
         self.ranks = ranks
         self.bottom = bottom
         self.top = top
-        self._eulerian = eulerian
         self._dual = None
         self._g = {}  # g of each interval of rank >= 3, keyed by (z, x)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_leq(elements, leq, validate: bool = False) -> "EulerianPoset":
-        """Build from a reflexive partial order callable leq(a, b)."""
+    def from_leq(elements, leq) -> "EulerianPoset":
+        """Build from a reflexive partial order callable leq(a, b).
+
+        Raises ValueError unless the order has a unique bottom and top, is
+        graded, and is Eulerian: every interval [z, x] with z < x holds as
+        many elements of odd rank as of even rank.
+        """
         elements = tuple(elements)
         n = len(elements)
         up = [0] * n
@@ -57,10 +73,7 @@ class EulerianPoset:
                 if leq(a, b):
                     up[i] |= 1 << j
                     down[j] |= 1 << i
-        poset = EulerianPoset._finish(elements, up, down)
-        if validate:
-            poset.require_eulerian()
-        return poset
+        return EulerianPoset._finish(elements, up, down)
 
     @staticmethod
     def _finish(elements, up, down) -> "EulerianPoset":
@@ -72,25 +85,23 @@ class EulerianPoset:
             raise ValueError("poset must have a unique bottom and top")
         bottom, top = bottoms[0], tops[0]
         # Longest-chain ranks, processed in a linear extension.
-        order = sorted(range(n), key=lambda i: bin(down[i]).count("1"))
+        order = sorted(range(n), key=lambda i: down[i].bit_count())
         ranks = [0] * n
         for j in order:
-            below = down[j] & ~(1 << j)
-            r = 0
-            while below:
-                i = (below & -below).bit_length() - 1
-                below &= below - 1
-                r = max(r, ranks[i] + 1)
-            ranks[j] = r
+            ranks[j] = max((ranks[i] + 1 for i in _members(down[j] & ~(1 << j))), default=0)
         # Gradedness: every covering step raises rank by exactly one.
         for j in range(n):
-            below = down[j] & ~(1 << j)
-            while below:
-                i = (below & -below).bit_length() - 1
-                below &= below - 1
+            for i in _members(down[j] & ~(1 << j)):
                 between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
                 if between == 0 and ranks[j] != ranks[i] + 1:
                     raise ValueError("poset is not graded")
+        # Euler relation: each [z, x], z < x, balances odd and even ranks.
+        odd = sum(1 << i for i in range(n) if ranks[i] & 1)
+        for x in range(n):
+            for z in _members(down[x] & ~(1 << x)):
+                mask = up[z] & down[x]
+                if 2 * (mask & odd).bit_count() != mask.bit_count():
+                    raise ValueError("poset is not Eulerian")
         return EulerianPoset(elements, tuple(up), tuple(down), tuple(ranks), bottom, top)
 
     # -- basic structure ------------------------------------------------------
@@ -106,36 +117,6 @@ class EulerianPoset:
     def leq_idx(self, i, j) -> bool:
         return bool(self.up[i] & (1 << j))
 
-    # -- Eulerian validation --------------------------------------------------
-
-    def is_eulerian(self) -> bool:
-        """Every interval [z, x], z < x, balances odd and even ranks."""
-        if self._eulerian is None:
-            n = len(self.elements)
-            signs = [(-1) ** r for r in self.ranks]
-            ok = True
-            for z in range(n):
-                for x in range(n):
-                    if z != x and self.leq_idx(z, x):
-                        mask = self.up[z] & self.down[x]
-                        total = 0
-                        m = mask
-                        while m:
-                            i = (m & -m).bit_length() - 1
-                            m &= m - 1
-                            total += signs[i]
-                        if total != 0:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            self._eulerian = ok
-        return self._eulerian
-
-    def require_eulerian(self):
-        if not self.is_eulerian():
-            raise ValueError("poset is not Eulerian")
-
     # -- derived posets ---------------------------------------------------------
 
     def dual(self) -> "EulerianPoset":
@@ -143,41 +124,29 @@ class EulerianPoset:
         if self._dual is None:
             ranks = tuple(self.rank - r for r in self.ranks)
             self._dual = EulerianPoset(
-                self.elements, self.down, self.up, ranks, self.top, self.bottom,
-                eulerian=self._eulerian,
+                self.elements, self.down, self.up, ranks, self.top, self.bottom
             )
             # A dual key (x, z) has x above z here, so no key is in both.
             self._dual._g = self._g
         return self._dual
 
     def interval_idx(self, zi: int, xi: int) -> "EulerianPoset":
+        """The interval [zi, xi] as a poset of its own, with its own g table."""
         mask = self.up[zi] & self.down[xi]
-        members = []
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(i)
-        members.sort()
+        members = list(_members(mask))
         pos = {i: k for k, i in enumerate(members)}
-        up = [0] * len(members)
-        down = [0] * len(members)
+
+        def local(bits):
+            return sum(1 << pos[j] for j in _members(bits & mask))
+
         base = self.ranks[zi]
-        for i in members:
-            for j in members:
-                if self.leq_idx(i, j):
-                    up[pos[i]] |= 1 << pos[j]
-                    down[pos[j]] |= 1 << pos[i]
-        ranks = tuple(self.ranks[i] - base for i in members)
-        # Intervals of an Eulerian poset are Eulerian; inherit validation.
         return EulerianPoset(
             tuple(self.elements[i] for i in members),
-            tuple(up),
-            tuple(down),
-            ranks,
+            tuple(local(self.up[i]) for i in members),
+            tuple(local(self.down[i]) for i in members),
+            tuple(self.ranks[i] - base for i in members),
             pos[zi],
             pos[xi],
-            eulerian=self._eulerian if self._eulerian else None,
         )
 
     # -- g-polynomials ------------------------------------------------------------
@@ -192,7 +161,6 @@ class EulerianPoset:
         """
         if not self.up[z] >> x & 1:
             raise ValueError("not an interval: elements are not nested")
-        self.require_eulerian()
         return self._g_of(z, x)
 
     def _g_of(self, z: int, x: int) -> LaurentPoly:
@@ -205,10 +173,7 @@ class EulerianPoset:
         # Sum g([z, y]) over each corank first, so each (t-1)^k is built once.
         by_corank = {}
         top = self.ranks[x]
-        m = self.up[z] & self.down[x] & ~(1 << x)
-        while m:
-            y = (m & -m).bit_length() - 1
-            m &= m - 1
+        for y in _members(self.up[z] & self.down[x] & ~(1 << x)):
             k = top - self.ranks[y]
             by_corank[k] = by_corank.get(k, ZERO) + self._g_of(z, y)
         rest = power_sum(by_corank, T - 1)
@@ -240,14 +205,10 @@ def stanley_inversion_check(poset: EulerianPoset, interval=None) -> bool:
     base = poset.ranks[bottom]
     if poset.ranks[top] - base < 1:
         raise ValueError("inversion identity requires positive rank")
-    poset.require_eulerian()
     dual = poset.dual()
     first = ZERO
     second = ZERO
-    m = poset.up[bottom] & poset.down[top]
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
+    for i in _members(poset.up[bottom] & poset.down[top]):
         sign = (-1) ** (poset.ranks[i] - base)
         first = first + sign * poset.g(bottom, i) * dual.g(top, i)
         second = second + sign * dual.g(i, bottom) * poset.g(i, top)

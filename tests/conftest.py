@@ -66,6 +66,25 @@ def cross_polytope(dim):
     return LatticePolytope.convex_hull(pts)
 
 
+# -- Eulerian reference -------------------------------------------------------------
+
+
+def eulerian_by_signed_sums(elements, leq, rank):
+    """Every interval [z, x] with z < x has sum of (-1)^rank(y) over y in it
+    equal to 0, summed element by element through ``leq``."""
+    return all(
+        sum((-1) ** rank(y) for y in elements if leq(z, y) and leq(y, x)) == 0
+        for z in elements
+        for x in elements
+        if z != x and leq(z, x)
+    )
+
+
+def poset_is_eulerian(poset):
+    """The signed-sum reference on a built poset, read through ``leq_idx``."""
+    return eulerian_by_signed_sums(range(len(poset)), poset.leq_idx, poset.ranks.__getitem__)
+
+
 # -- lattice point references ---------------------------------------------------
 
 

@@ -138,6 +138,35 @@ def test_verify_with_random_instances(tmp_path):
     assert any(c["name"].startswith("random[") for c in report["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hstar", CONCRETE, "--max-dilation", "20"], "--max-dilation must be in 0..12, got 20"),
+        (["hstar", CONCRETE, "--max-dilation", "-3"], "--max-dilation must be in 0..12, got -3"),
+        (["verify", CONCRETE, "--random", "-4"], "--random must be >= 0, got -4"),
+    ],
+)
+def test_count_flags_out_of_range_are_rejected(argv, message, capsys, monkeypatch):
+    # Rejected before the input is read, rather than clamped or ignored.
+    def unreachable(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "parse_input", unreachable)
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_count_flags_at_their_bounds_are_accepted():
+    code, out = run_cli(["hstar", CONCRETE, "--max-dilation", "12"])
+    assert code == 0
+    assert list(json.loads(out)["tables"]["ehrhart"]) == [str(m) for m in range(13)]
+    code, out = run_cli(["hstar", CONCRETE, "--max-dilation", "0"])
+    assert (code, json.loads(out)["tables"]["ehrhart"]) == (0, {"0": "1"})
+    code, out = run_cli(["verify", CONCRETE, "--random", "0"])
+    assert code == 0
+    assert not any(c["name"].startswith("random[") for c in json.loads(out)["checks"])
+
+
 def test_dk_check_command():
     code, out = run_cli(["dk-check", CONCRETE])
     assert code == 0

@@ -108,6 +108,13 @@ def test_substitution_rejects_division():
     assert p.substitute({"u": -1}) == -ONE
 
 
+def test_substitute_returns_a_constant_itself_after_checking_targets():
+    for c in (ZERO, ONE, -7 * ONE):
+        assert c.substitute({"u": U**-1, "v": 2, "t": -1}) is c
+        with pytest.raises(ValueError, match="monomial or constant"):
+            c.substitute({"u": U + V})
+
+
 def test_coeff_and_degree():
     p = U * V * W**2
     assert p.coeff({"u": 1, "v": 1, "w": 2}) == 1

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import linalg, polytope
+from polyhodge import linalg, memo, polytope
 from polyhodge.polytope import LatticePolytope
 
 from conftest import (
     box_scan_lattice_points,
     cross_polytope,
     cube,
+    poset_is_eulerian,
     segment,
     solve_oracle,
     unit_simplex,
@@ -80,6 +81,29 @@ def test_hull_certification_rejects_a_wrong_facet(monkeypatch):
         polytope._hull_in_full_dim(2, [(0, 0), (2, 0), (0, 2), (1, 1)])
 
 
+def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
+    memo.clear()
+    square = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
+    pyramid = LatticePolytope.convex_hull(square + ((0, 0, -1),))
+    lattices = [cube(3).face_lattice(), pyramid.face_lattice()]
+    fids = [tuple(i for i, v in enumerate(l.polytope.vertices) if v in square) for l in lattices]
+    hulls = []
+    hull = LatticePolytope.convex_hull
+
+    def counted(points):
+        hulls.append(tuple(points))
+        return hull(points)
+
+    monkeypatch.setattr(LatticePolytope, "convex_hull", staticmethod(counted))
+    face = lattices[0].face_polytope(fids[0])
+    assert hulls == [square]
+    assert lattices[1].face_polytope(fids[1]) is face
+    assert hulls == [square]
+    # A face no lattice has interned yet is still hulled.
+    lattices[1].face_polytope((0, 1))
+    assert len(hulls) == 2
+
+
 def test_face_lattice_counts():
     assert len(cube(2).face_lattice().faces) == 10
     tri = LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)])
@@ -95,7 +119,7 @@ def test_face_lattices_are_eulerian():
         p = LatticePolytope.convex_hull(sorted(pts))
         polys.append(p)
     for p in polys:
-        assert p.face_lattice().poset().is_eulerian()
+        assert poset_is_eulerian(p.face_lattice().poset())
 
 
 def count_triangle_dilate(m):

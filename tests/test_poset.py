@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhodge import invariants as inv, memo
 from polyhodge.laurent import ONE, T, ZERO, from_univariate, univariate
@@ -15,7 +16,10 @@ from polyhodge.poset import (
 )
 from polyhodge.subdivision import HeightFunction, regular_subdivision, trivial_subdivision
 
-from conftest import cross_polytope, cube, quartic_triangle_pair, unit_simplex
+from conftest import (
+    cross_polytope, cube, eulerian_by_signed_sums, poset_is_eulerian, quartic_triangle_pair,
+    unit_simplex,
+)
 
 
 def abstract_polygon_lattice(n):
@@ -32,7 +36,7 @@ def abstract_polygon_lattice(n):
             return i in (j, (j + 1) % n)
         return False
 
-    return EulerianPoset.from_leq(elements, leq, validate=True)
+    return EulerianPoset.from_leq(elements, leq)
 
 
 def test_g_rank_zero_is_one():
@@ -98,12 +102,8 @@ def test_inversion_on_cube_and_random_polygons():
 
 
 def test_non_eulerian_poset_rejected():
-    chain3 = EulerianPoset.from_leq(
-        ["a", "b", "c"], lambda x, y: "abc".index(x) <= "abc".index(y)
-    )
-    assert not chain3.is_eulerian()
-    with pytest.raises(ValueError):
-        g_polynomial(chain3)
+    with pytest.raises(ValueError, match="not Eulerian"):
+        EulerianPoset.from_leq(["a", "b", "c"], lambda x, y: "abc".index(x) <= "abc".index(y))
 
 
 def test_non_graded_poset_rejected():
@@ -155,7 +155,7 @@ def test_link_h_on_subdivided_triangle():
 def test_cell_interval_posets_are_eulerian():
     s = quartic_triangle_pair()
     for cid in s.maximal_cells:
-        assert s.interval_poset((), cid).is_eulerian()
+        assert poset_is_eulerian(s.interval_poset((), cid))
         assert stanley_inversion_check(s.interval_poset((), cid))
 
 
@@ -224,7 +224,7 @@ def test_g_rejects_elements_that_are_not_nested():
 
 def test_link_h_matches_cell_scan(corpus25):
     # The reference scans every cell for those above F and builds each
-    # interval [F, F'] from every cell between the two, validated, instead of
+    # interval [F, F'] from every cell between the two, checked, instead of
     # reading the maximal cells and F''s face lattice.
     for s in [quartic_triangle_pair()] + [corpus25[i] for i in (4, 5, 11, 12)]:
         dim_p = s.polytope.dim
@@ -232,7 +232,7 @@ def test_link_h_matches_cell_scan(corpus25):
             rest = ZERO
             for other in [c for c in s.ids if s.leq(cell, c)]:
                 members = [c for c in s.ids if s.leq(cell, c) and s.leq(c, other)]
-                interval = EulerianPoset.from_leq(members, s.leq, validate=True)
+                interval = EulerianPoset.from_leq(members, s.leq)
                 rest = rest + (T - 1) ** (dim_p - s.dim_of(other)) * stanley_g(interval)
             expected = rest.substitute({"t": T**-1}) * T ** (dim_p - s.dim_of(cell))
             assert link_h_polynomial(s, cell) == expected
@@ -303,3 +303,64 @@ def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypa
     # The only counts left are of a point P, by the validation of each
     # restriction to a vertex of k * Delta_d; h* counts no dilate.
     assert set(counts) == {(0, 1)}
+
+
+# -- Eulerian by construction ---------------------------------------------------------
+
+
+@st.composite
+def random_polytopes(draw):
+    """The hull of d + 1 to d + 3 distinct points of {0, 1, 2}^d, d in 1..4."""
+    d = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(0, 2)] * d)
+    return LatticePolytope.convex_hull(
+        draw(st.lists(coords, min_size=d + 1, max_size=d + 3, unique=True))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_polytopes(), st.data())
+def test_from_leq_accepts_a_graded_poset_exactly_when_it_is_eulerian(p, data):
+    # A face lattice is Eulerian; without one proper face it stays graded,
+    # with the same ranks, but the interval [(), G] for a G covering that
+    # face loses one signed term.
+    lattice = p.face_lattice()
+    faces = lattice.all_faces()
+    removed = data.draw(st.sampled_from((None,) + faces[1:-1]))
+    elements = [f for f in faces if f != removed]
+
+    def rank(f):
+        return lattice.face_dim(f) + 1
+
+    eulerian = eulerian_by_signed_sums(elements, lattice.leq, rank)
+    assert eulerian == (removed is None)
+    if eulerian:
+        poset = EulerianPoset.from_leq(elements, lattice.leq)
+        assert list(poset.ranks) == [rank(f) for f in elements]
+    else:
+        with pytest.raises(ValueError, match="not Eulerian"):
+            EulerianPoset.from_leq(elements, lattice.leq)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_polytopes())
+def test_intervals_and_duals_of_face_lattices_are_eulerian(p):
+    # Neither is checked again when it is built, so the reference checks them.
+    poset = p.face_lattice().poset()
+    dual = poset.dual()
+    assert poset_is_eulerian(dual)
+    index = {f: i for i, f in enumerate(poset.elements)}
+    for z in range(len(poset)):
+        for x in range(len(poset)):
+            if not poset.leq_idx(z, x):
+                continue
+            for source, lo, hi in ((poset, z, x), (dual, x, z)):
+                interval = source.interval_idx(lo, hi)
+                assert poset_is_eulerian(interval)
+                # The copy keeps the relation and the ranks above lo.
+                where = [index[f] for f in interval.elements]
+                assert (where[interval.bottom], where[interval.top]) == (lo, hi)
+                for a, i in enumerate(where):
+                    assert interval.ranks[a] == source.ranks[i] - source.ranks[lo]
+                    for b, j in enumerate(where):
+                        assert interval.leq_idx(a, b) == source.leq_idx(i, j)

