@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -237,9 +238,8 @@ def _report(command: str, parsed: ParsedInput, results, tables=None, checks=None
     }
 
 
-def _emit(report: dict, fmt: str, out=None) -> None:
-    if out is None:
-        out = sys.stdout
+def _emit(report: dict, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "json":
         json.dump(report, out, indent=2)
         out.write("\n")
@@ -493,8 +493,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug or a resource limit, never a traceback
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format)
     failed = any(c["status"] == "fail" for c in report.get("checks", []))
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: the flush at exit must not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 3 if failed else 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from . import linalg
 from .laurent import ZERO, power_sum
 from .polytope import LatticePolytope
+from .poset import set_bits
 
 
 class TruncatedNormalFan:
@@ -31,24 +32,17 @@ class TruncatedNormalFan:
         self.polytope = polytope
         self.lattice = polytope.face_lattice()
         self.dim = polytope.dim
-        tight = polytope.facet_tight_sets()
-        facet_ids = {}
-        for (a, _), t in zip(polytope._facets, tight):
-            facet_ids[tuple(sorted(t))] = a
-        self.ray_facet = {ray: fid for fid, ray in facet_ids.items()}
-        self.face_ids = tuple(
-            fid
-            for fid in self.lattice.all_faces()
-            if self.lattice.face_dim(fid) >= 1
-        )
+        self.ray_facet = {
+            a: tuple(set_bits(t)) for (a, _), t in zip(polytope._facets, polytope._facet_masks)
+        }
+        self.face_ids = tuple(fid for fid, k in self.lattice.faces.items() if k >= 1)
         self.cone_rays = {}
         for fid in self.face_ids:
-            fset = set(fid)
             rays = tuple(
                 sorted(
                     ray
-                    for facet_id, ray in facet_ids.items()
-                    if fset <= set(facet_id)
+                    for ray, facet_id in self.ray_facet.items()
+                    if self.lattice.leq(fid, facet_id)
                 )
             )
             self.cone_rays[fid] = rays
@@ -97,7 +91,7 @@ class TruncatedNormalFan:
             if fid not in self.cone_rays:
                 raise ValueError("subfan selection contains a non-cone")
             for other in self.face_ids:
-                if set(fid) <= set(other) and other not in sel:
+                if self.lattice.leq(fid, other) and other not in sel:
                     raise ValueError("subfan selection is not closed under faces")
         return sel
 
@@ -147,7 +141,7 @@ def identity_refinement(fan: TruncatedNormalFan, subfan=None) -> Refinement:
     return Refinement(fan, cones)
 
 
-def simplicial_refinement(fan: TruncatedNormalFan, subfan=None, ray_order=None) -> Refinement:
+def simplicial_refinement(fan: TruncatedNormalFan, ray_order=None) -> Refinement:
     """Pulling triangulation of each cone, using only existing rays.
 
     Cones are processed by increasing dimension; a non-simplicial cone is
@@ -155,7 +149,7 @@ def simplicial_refinement(fan: TruncatedNormalFan, subfan=None, ray_order=None) 
     the triangulations of the facets avoiding that ray.  A single global ray
     order makes the pieces agree on shared faces.
     """
-    sel = fan.full_subfan() if subfan is None else fan.subfan(subfan)
+    sel = fan.full_subfan()
     if ray_order is None:
         ray_order = sorted(fan.ray_facet)
     position = {ray: i for i, ray in enumerate(ray_order)}
@@ -172,7 +166,7 @@ def simplicial_refinement(fan: TruncatedNormalFan, subfan=None, ray_order=None) 
         pieces = []
         for other in fan.face_ids:
             # Facets of the cone of fid are cones of faces covering fid.
-            if set(fid) < set(other) and fan.cone_dim(other) == d - 1:
+            if fan.cone_dim(other) == d - 1 and fan.lattice.leq(fid, other):
                 if pivot in fan.cone_rays[other]:
                     continue
                 if other not in tri:

@@ -35,6 +35,7 @@ from .laurent import (
     V,
     W,
     ZERO,
+    div_exact_t_minus_one,
     from_univariate,
     power_sum,
 )
@@ -204,8 +205,6 @@ def lambda_mixed(lam: LaurentPoly) -> LaurentPoly:
 def e_int_lef(p: LatticePolytope) -> LaurentPoly:
     """Lefschetz-forced intersection polynomial E(P;t): the unique polynomial
     with (t-1) E = t^dim g([empty,P]*;1/t) - g([empty,P]*;t)."""
-    from .laurent import div_exact_t_minus_one
-
     lattice = p.face_lattice()
     gdual = lattice.g((), lattice.top, dual=True)
     rhs = gdual.substitute({"t": T_INV}) * T**p.dim - gdual

@@ -47,7 +47,7 @@ _ZERO_EXP: Exponent = (0,) * NVARS
 class LaurentPoly:
     """Immutable Laurent polynomial over Z in the variables u, v, w, t, L."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
         clean: dict[Exponent, int] = {}
@@ -56,7 +56,6 @@ class LaurentPoly:
                 if coeff:
                     clean[tuple(exp)] = int(coeff)
         self._terms = clean
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -65,7 +64,6 @@ class LaurentPoly:
         """Wrap a map that already satisfies the invariant, without copying."""
         p = object.__new__(LaurentPoly)
         p._terms = terms
-        p._hash = None
         return p
 
     @staticmethod
@@ -99,9 +97,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -445,20 +441,20 @@ def power_sum(parts: Mapping[int, LaurentPoly], base: LaurentPoly) -> LaurentPol
     return total
 
 
-def div_exact_t_minus_one(p: LaurentPoly, name: str = "t") -> LaurentPoly:
-    """Exact division of a univariate polynomial by (name - 1).
+def div_exact_t_minus_one(p: LaurentPoly) -> LaurentPoly:
+    """Exact division of a polynomial in t by (t - 1).
 
     Raises ValueError when the division leaves a remainder; used where a
     vanishing remainder is a structural guarantee and a nonzero one signals
     an upstream bug.
     """
-    coeffs = univariate(p, name)
+    coeffs = univariate(p, "t")
     if not coeffs:
         return ZERO
     lo, hi = min(coeffs), max(coeffs)
     if lo < 0:
         raise ValueError("expected a polynomial, got negative exponents")
-    # Synthetic division from the top: p = (x-1) q + r with r = p(1).
+    # Synthetic division from the top: p = (t-1) q + r with r = p(1).
     q: dict[int, int] = {}
     carry = 0
     for k in range(hi, 0, -1):
@@ -466,5 +462,5 @@ def div_exact_t_minus_one(p: LaurentPoly, name: str = "t") -> LaurentPoly:
         q[k - 1] = carry
     remainder = carry + coeffs.get(0, 0)
     if remainder != 0:
-        raise ValueError(f"inexact division by ({name} - 1): remainder {remainder}")
-    return from_univariate(q, name)
+        raise ValueError(f"inexact division by (t - 1): remainder {remainder}")
+    return from_univariate(q, "t")

@@ -15,22 +15,27 @@ point of the box's other sides, the facet inequalities cut out one interval,
 found by integer floor and ceiling division, so a count costs one facet pass
 per line rather than per point.  Point lists expand the intervals and sort.
 
-Polytopes are immutable; derived data (facets, face lattice, point counts)
-is cached on first use.  A lower-dimensional polytope carries a unimodular
-affine model of itself in the saturated lattice of its affine span, with an
-integer left inverse, so that lattice point counts and volumes are intrinsic
-and model coordinates cost integer dot products only.
+Faces come from one vertex-facet incidence, one vertex bitmask per facet,
+stored when the polytope is built: the face lattice is found level by level
+from it, and face containment is a bitmask test.
+
+Polytopes are immutable; derived data (face lattice, point counts) is cached
+on first use.  A lower-dimensional polytope carries a unimodular affine model
+of itself in the saturated lattice of its affine span, with an integer left
+inverse, so that lattice point counts and volumes are intrinsic and model
+coordinates cost integer dot products only.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 from . import linalg
 from .laurent import ONE, LaurentPoly
 from .memo import table
-from .poset import EulerianPoset
+from .poset import EulerianPoset, set_bits
 
 Point = tuple[int, ...]
 
@@ -96,6 +101,7 @@ class LatticePolytope:
         "_map",
         "_model_vertices",
         "_facets",
+        "_facet_masks",
         "_face_lattice",
         "_count_cache",
         "_interior_cache",
@@ -109,6 +115,11 @@ class LatticePolytope:
         self._map = map_
         self._model_vertices = model_vertices
         self._facets = facets  # list of (normal in Z^dim, rhs int): <a,x> >= b
+        # The vertex-facet incidence: bit i of a facet's mask is vertex i.
+        self._facet_masks = tuple(
+            sum(1 << i for i, v in enumerate(model_vertices) if linalg.dot(a, v) == b)
+            for a, b in facets
+        )
         self._face_lattice = None
         self._count_cache = {}
         self._interior_cache = None
@@ -266,10 +277,10 @@ class LatticePolytope:
         v0 = self._model_vertices[0]
         total = 0
         lattice = self.face_lattice()
-        for (a, b), tight in zip(self._facets, self.facet_tight_sets()):
+        for (a, b), mask in zip(self._facets, self._facet_masks):
             h = linalg.dot(a, v0) - b
             if h > 0:
-                facet = lattice.face_polytope(tuple(sorted(tight)))
+                facet = lattice.face_polytope(tuple(set_bits(mask)))
                 total += h * facet.normalized_volume()
         return total
 
@@ -281,18 +292,6 @@ class LatticePolytope:
                 raise ValueError("face lattice of the empty polytope")
             self._face_lattice = FaceLattice(self)
         return self._face_lattice
-
-    def facet_tight_sets(self):
-        """Vertex index sets of the facets (in model facet order)."""
-        out = []
-        for a, b in self._facets:
-            tight = frozenset(
-                i
-                for i, v in enumerate(self._model_vertices)
-                if linalg.dot(a, v) == b
-            )
-            out.append(tight)
-        return out
 
     # -- duality ---------------------------------------------------------------
 
@@ -326,35 +325,29 @@ class LatticePolytope:
         dual = self.dual_polytope()
         lat = self.face_lattice()
         dlat = dual.face_lattice()
-        tight_sets = self.facet_tight_sets()
         dual_index = {v: i for i, v in enumerate(dual.vertices)}
-        by_vertexset = {frozenset(fid): fid for fid in dlat.faces}
+        # Each facet of P, as a face id, with the bit of its normal in the dual.
+        facets = [
+            (tuple(set_bits(t)), 1 << dual_index[a])
+            for (a, _), t in zip(self._facets, self._facet_masks)
+        ]
         mapping = {}
         for fid in lat.faces:
-            if fid == ():
-                mapping[fid] = dlat.top
-                continue
-            if fid == lat.top:
-                mapping[fid] = ()
-                continue
-            tight = frozenset(
-                dual_index[a]
-                for (a, _), t in zip(self._facets, tight_sets)
-                if t.issuperset(fid)
-            )
-            if tight not in by_vertexset:
+            # The dual face has a vertex for each facet holding the face; a
+            # point has no facet, so its empty face is mapped by convention.
+            gid = tuple(set_bits(sum(bit for facet, bit in facets if lat.leq(fid, facet))))
+            if gid not in dlat.faces:
                 raise ValueError("dual face correspondence failed; polytope not reflexive?")
-            mapping[fid] = by_vertexset[tight]
+            mapping[fid] = gid if fid else dlat.top
         for fid, gid in mapping.items():
-            if fid not in ((), lat.top):
-                if lat.face_dim(fid) + dlat.face_dim(gid) != self.dim - 1:
-                    raise ValueError("dual face dimensions are inconsistent")
+            if lat.face_dim(fid) + dlat.face_dim(gid) != self.dim - 1:
+                raise ValueError("dual face dimensions are inconsistent")
         if set(mapping.values()) != set(dlat.faces):
             raise ValueError("dual face correspondence is not a bijection")
         ids = list(mapping)
         for a in ids:
             for b in ids:
-                if set(a) <= set(b) and not set(mapping[b]) <= set(mapping[a]):
+                if lat.leq(a, b) and not dlat.leq(mapping[b], mapping[a]):
                     raise ValueError("dual face correspondence is not inclusion-reversing")
         return dual, mapping
 
@@ -372,7 +365,10 @@ def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
         model_pts = pts
     else:
         eq_rows = linalg.kernel_basis(diffs) if d else _std_basis(n)
-        map_ = AffineUnimodularMap(base, *linalg.integer_kernel_basis(eq_rows, n))
+        # A span through 0 keeps 0 as the model's origin, so that a polytope
+        # reflexive in its span has a reflexive model.
+        origin = base if any(linalg.dot(r, base) for r in eq_rows) else (0,) * n
+        map_ = AffineUnimodularMap(origin, *linalg.integer_kernel_basis(eq_rows, n))
         model_pts = [map_.to_model(p) for p in pts]
     facets, vertex_models = _hull_in_full_dim(d, model_pts)
     # Canonical vertex order: lexicographic on ambient coordinates.
@@ -391,8 +387,10 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
     it (a coplanar facet is not), and every horizon ridge, held by one
     visible and one hidden facet, is coned to p; a point that sees no facet
     is already in the hull.  The boundary simplices are merged by
-    hyperplane into facets, every facet is certified against all points, and
-    the vertices are the points whose tight normals have rank d.
+    hyperplane into facets, and every facet is certified against all points.
+    Every vertex is an input point and the intersection of the facets through
+    it, so a point is a vertex exactly when no other point lies on all of
+    its facets.
     """
     pts = sorted(set(pts))
     if d == 0:
@@ -443,15 +441,14 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
         for ridge in horizon:
             add(tuple(sorted((*ridge, j))))
     facet_list = sorted(set(facets.values()))
+    on_facet = []  # per facet, the bitmask of the points on it
     for a, b in facet_list:
-        if any(sum(map(mul, a, p)) < b for p in pts):
+        values = [sum(map(mul, a, p)) - b for p in pts]
+        if min(values) < 0:
             raise RuntimeError("hull certification failed: a point lies beyond a facet")
-    vertices = []
-    for p in pts:
-        tight_normals = [a for a, b in facet_list if linalg.dot(a, p) == b]
-        if linalg.rank(tight_normals) == d:
-            vertices.append(p)
-    return facet_list, vertices
+        on_facet.append(sum(1 << i for i, v in enumerate(values) if not v))
+    common = [reduce(and_, (m for m in on_facet if m >> i & 1), -1) for i in range(len(pts))]
+    return facet_list, [p for i, p in enumerate(pts) if common[i] == 1 << i]
 
 
 def _facet_plane(points, inside, scale):
@@ -465,49 +462,51 @@ def _facet_plane(points, inside, scale):
     return normal, linalg.dot(normal, base)
 
 
+def _facets_of(face: int, facet_masks) -> list[int]:
+    """The facets of a face of P, as vertex bitmasks: the inclusion-maximal
+    sets face & t over the facets t of P that do not contain the face
+    (Kaibel and Pfetsch, Comput. Geom. 23, 2002)."""
+    cuts = sorted(
+        {face & t for t in facet_masks if face & ~t}, key=int.bit_count, reverse=True
+    )
+    kept = []
+    for cut in cuts:  # a cut inside another has fewer vertices, so comes later
+        if all(cut & ~k for k in kept):
+            kept.append(cut)
+    return kept
+
+
 class FaceLattice:
     """All faces of a polytope, graded by rho(Q) = dim Q + 1.
 
     Faces are identified by sorted tuples of vertex indices; () is the empty
-    face and the full index tuple is the polytope itself.  ``poset()`` builds
-    the lattice once as an ``EulerianPoset``, which checks gradedness and the
-    Euler relation as it is built, so intervals and the dual need no check.
-    A face's polytope is looked up among the interned hulls before any hull
-    is built, so a face shared by several lattices is hulled once.
+    face and the full index tuple is the polytope itself.  Faces are found
+    level by level from P's vertex-facet incidence, so a face's dimension is
+    its level, and each keeps its vertex bitmask.  ``poset()`` builds the
+    lattice once as an ``EulerianPoset`` from those masks, which checks
+    gradedness and the Euler relation as it is built, so intervals and the
+    dual need no check.  A face's polytope is looked up among the interned
+    hulls before any hull is built, so a face shared by several lattices is
+    hulled once.
     """
 
     def __init__(self, polytope: LatticePolytope):
         self.polytope = polytope
         nverts = len(polytope.vertices)
         self.top = tuple(range(nverts))
-        tight_sets = polytope.facet_tight_sets()
-        faces = {frozenset(self.top)}
-        work = [frozenset(self.top)]
-        while work:
-            f = work.pop()
-            for t in tight_sets:
-                g = f & t
-                if g not in faces:
-                    faces.add(g)
-                    work.append(g)
-        faces.add(frozenset())
-        self.faces: dict[tuple, int] = {}
-        for f in faces:
-            fid = tuple(sorted(f))
-            self.faces[fid] = self._dim_of(fid)
+        self._masks: dict[tuple, int] = {}  # face id -> vertex bitmask
         self._by_dim: dict[int, list] = {}
-        for fid in sorted(self.faces):
-            self._by_dim.setdefault(self.faces[fid], []).append(fid)
+        level = {(1 << nverts) - 1}
+        for dim in range(polytope.dim, -2, -1):
+            level = level or {0}  # a point has no facet to cut its empty face
+            ids = {tuple(set_bits(mask)): mask for mask in level}
+            self._masks.update(ids)
+            self._by_dim[dim] = sorted(ids)
+            level = {f for mask in level for f in _facets_of(mask, polytope._facet_masks)}
+        self.faces = {fid: k for k in sorted(self._by_dim) for fid in self._by_dim[k]}
         self._poset = None
         self._index: dict[tuple, int] = {}  # face id -> element of the poset
         self._polytopes: dict[tuple, LatticePolytope] = {}
-
-    def _dim_of(self, fid) -> int:
-        if not fid:
-            return -1
-        vs = [self.polytope.vertices[i] for i in fid]
-        diffs = [linalg.vec_sub(v, vs[0]) for v in vs[1:]]
-        return linalg.rank(diffs) if diffs else 0
 
     def face_dim(self, fid) -> int:
         return self.faces[fid]
@@ -517,9 +516,7 @@ class FaceLattice:
 
     def all_faces(self):
         """Face ids sorted by (dim, id)."""
-        return tuple(
-            fid for k in sorted(self._by_dim) for fid in self._by_dim[k]
-        )
+        return tuple(self.faces)
 
     def face_polytope(self, fid) -> LatticePolytope:
         if fid not in self._polytopes:
@@ -535,7 +532,7 @@ class FaceLattice:
         return self._polytopes[fid]
 
     def leq(self, f, g) -> bool:
-        return set(f) <= set(g)
+        return not self._masks[f] & ~self._masks[g]
 
     def f_vector(self):
         return tuple(len(self._by_dim.get(k, ())) for k in range(-1, self.polytope.dim + 1))
@@ -543,7 +540,13 @@ class FaceLattice:
     def poset(self) -> EulerianPoset:
         if self._poset is None:
             faces = self.all_faces()
-            self._poset = EulerianPoset.from_leq(faces, self.leq)
+            masks = [self._masks[fid] for fid in faces]
+            # Faces come by dimension, so the faces above a face come after it.
+            up = [
+                sum(1 << j for j in range(i, len(masks)) if not a & ~masks[j])
+                for i, a in enumerate(masks)
+            ]
+            self._poset = EulerianPoset.from_masks(faces, up)
             self._index = {fid: i for i, fid in enumerate(faces)}
         return self._poset
 
@@ -563,7 +566,7 @@ class FaceLattice:
         if nverts == self.polytope.dim + 1:
             if len(self.faces) != 1 << nverts:
                 raise ValueError("simplex face lattice is not Boolean; face lattice bug")
-            if not set(lower) <= set(upper):
+            if not self.leq(lower, upper):
                 raise ValueError("not an interval: elements are not nested")
             return ONE
         poset = self.poset()

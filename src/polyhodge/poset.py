@@ -11,11 +11,11 @@ against the recursion before it is stored, so a poset bug surfaces as an
 error rather than a wrong polynomial.  Intervals of rank <= 2 need no check:
 g is 1 in rank 0 and 1, and in rank 2 the recursion gives g = a - 1 for an
 interval with a atoms.  An Eulerian rank-2 interval has exactly two atoms
-(1 - a + 1 = 0), and ``from_leq`` has checked the Euler relation on every
-interval before the poset exists.  The face lattice of a simplex builds no
-poset at all: its intervals are Boolean, so ``FaceLattice.g`` returns 1 once
-the lattice's face count certifies it, and ``verify`` checks the recursion
-on a separate copy of each face lattice.
+(1 - a + 1 = 0), and ``from_masks`` (which ``from_leq`` calls) has checked
+the Euler relation on every interval before the poset exists.  The face
+lattice of a simplex builds no poset at all: its intervals are Boolean, so
+``FaceLattice.g`` returns 1 once the lattice's face count certifies it, and
+``verify`` checks the recursion on a separate copy of each face lattice.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .laurent import (
 )
 
 
-def _members(mask: int):
+def set_bits(mask: int):
     """The indices of the set bits of ``mask``, in increasing order."""
     while mask:
         low = mask & -mask
@@ -36,8 +36,9 @@ def _members(mask: int):
 class EulerianPoset:
     """A finite graded Eulerian poset with 0-hat and 1-hat, tracked as bitmasks.
 
-    Eulerian by construction: only ``_finish`` (reached from ``from_leq``),
-    ``dual`` and ``interval_idx`` call the constructor.  ``_finish`` checks
+    Eulerian by construction: only ``from_masks`` (which ``from_leq`` calls
+    and ``FaceLattice.poset`` calls with the face lattice's masks), ``dual``
+    and ``interval_idx`` call the constructor.  ``from_masks`` checks
     gradedness and the Euler relation, and the duals and intervals of an
     Eulerian poset are Eulerian.
     """
@@ -58,7 +59,16 @@ class EulerianPoset:
 
     @staticmethod
     def from_leq(elements, leq) -> "EulerianPoset":
-        """Build from a reflexive partial order callable leq(a, b).
+        """Build from a reflexive partial order callable leq(a, b), checked
+        as ``from_masks`` checks it."""
+        elements = tuple(elements)
+        up = [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+        return EulerianPoset.from_masks(elements, up)
+
+    @staticmethod
+    def from_masks(elements, up) -> "EulerianPoset":
+        """Build from the order as bitmasks: bit j of up[i] is set when
+        elements[i] <= elements[j].
 
         Raises ValueError unless the order has a unique bottom and top, is
         graded, and is Eulerian: every interval [z, x] with z < x holds as
@@ -66,18 +76,10 @@ class EulerianPoset:
         """
         elements = tuple(elements)
         n = len(elements)
-        up = [0] * n
         down = [0] * n
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                if leq(a, b):
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        return EulerianPoset._finish(elements, up, down)
-
-    @staticmethod
-    def _finish(elements, up, down) -> "EulerianPoset":
-        n = len(elements)
+        for i, mask in enumerate(up):
+            for j in set_bits(mask):
+                down[j] |= 1 << i
         full = (1 << n) - 1
         bottoms = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
@@ -88,17 +90,17 @@ class EulerianPoset:
         order = sorted(range(n), key=lambda i: down[i].bit_count())
         ranks = [0] * n
         for j in order:
-            ranks[j] = max((ranks[i] + 1 for i in _members(down[j] & ~(1 << j))), default=0)
+            ranks[j] = max((ranks[i] + 1 for i in set_bits(down[j] & ~(1 << j))), default=0)
         # Gradedness: every covering step raises rank by exactly one.
         for j in range(n):
-            for i in _members(down[j] & ~(1 << j)):
+            for i in set_bits(down[j] & ~(1 << j)):
                 between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
                 if between == 0 and ranks[j] != ranks[i] + 1:
                     raise ValueError("poset is not graded")
         # Euler relation: each [z, x], z < x, balances odd and even ranks.
         odd = sum(1 << i for i in range(n) if ranks[i] & 1)
         for x in range(n):
-            for z in _members(down[x] & ~(1 << x)):
+            for z in set_bits(down[x] & ~(1 << x)):
                 mask = up[z] & down[x]
                 if 2 * (mask & odd).bit_count() != mask.bit_count():
                     raise ValueError("poset is not Eulerian")
@@ -133,11 +135,11 @@ class EulerianPoset:
     def interval_idx(self, zi: int, xi: int) -> "EulerianPoset":
         """The interval [zi, xi] as a poset of its own, with its own g table."""
         mask = self.up[zi] & self.down[xi]
-        members = list(_members(mask))
+        members = list(set_bits(mask))
         pos = {i: k for k, i in enumerate(members)}
 
         def local(bits):
-            return sum(1 << pos[j] for j in _members(bits & mask))
+            return sum(1 << pos[j] for j in set_bits(bits & mask))
 
         base = self.ranks[zi]
         return EulerianPoset(
@@ -173,7 +175,7 @@ class EulerianPoset:
         # Sum g([z, y]) over each corank first, so each (t-1)^k is built once.
         by_corank = {}
         top = self.ranks[x]
-        for y in _members(self.up[z] & self.down[x] & ~(1 << x)):
+        for y in set_bits(self.up[z] & self.down[x] & ~(1 << x)):
             k = top - self.ranks[y]
             by_corank[k] = by_corank.get(k, ZERO) + self._g_of(z, y)
         rest = power_sum(by_corank, T - 1)
@@ -208,7 +210,7 @@ def stanley_inversion_check(poset: EulerianPoset, interval=None) -> bool:
     dual = poset.dual()
     first = ZERO
     second = ZERO
-    for i in _members(poset.up[bottom] & poset.down[top]):
+    for i in set_bits(poset.up[bottom] & poset.down[top]):
         sign = (-1) ** (poset.ranks[i] - base)
         first = first + sign * poset.g(bottom, i) * dual.g(top, i)
         second = second + sign * dual.g(i, bottom) * poset.g(i, top)

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import and_
 from typing import Mapping
 
+from .linalg import dot
 from .polytope import LatticePolytope
-from .poset import EulerianPoset
+from .poset import EulerianPoset, set_bits
 from .memo import table
 
 CellId = tuple  # sorted tuple of vertex coordinate tuples; () is the empty cell
@@ -133,21 +136,18 @@ class CellComplex:
         return tuple(sorted(above, key=lambda b: (self._dims[b], b)))
 
     def _compute_carriers(self):
-        lattice = self.polytope.face_lattice()
-        tight_sets = self.polytope.facet_tight_sets()
-        nverts = len(self.polytope.vertices)
+        """Each cell's carrier: the facets of P through all its vertices, intersected."""
+        p = self.polytope
+        on = {}  # point -> bitmask of the facets of P through it
         carrier = {(): ()}
-        to_model = self.polytope._map.to_model
-        facets = self.polytope._facets
-        for cid in self.ids:
-            if cid == ():
-                continue
-            pts = [to_model(v) for v in cid]
-            face = set(range(nverts))
-            for i, (a, b) in enumerate(facets):
-                if all(sum(x * y for x, y in zip(a, p)) == b for p in pts):
-                    face &= tight_sets[i]
-            carrier[cid] = tuple(sorted(face))
+        for cid in self.ids[1:]:  # () first, then the points, by (dim, id)
+            if len(cid) == 1:
+                x = p._map.to_model(cid[0])
+                on[cid[0]] = sum(1 << j for j, (a, b) in enumerate(p._facets) if dot(a, x) == b)
+            face = (1 << len(p.vertices)) - 1
+            for j in set_bits(reduce(and_, (on[v] for v in cid))):
+                face &= p._facet_masks[j]
+            carrier[cid] = tuple(set_bits(face))
         return carrier
 
     def carrier(self, cid: CellId):
@@ -202,11 +202,10 @@ class CellComplex:
         if face_id == lattice.top:
             return self
         qdim = lattice.face_dim(face_id)
-        target = frozenset(face_id)
         kept = [
             self.cells[cid]
             for cid in self.ids
-            if self._dims[cid] == qdim and frozenset(self._carrier[cid]) <= target
+            if self._dims[cid] == qdim and lattice.leq(self._carrier[cid], face_id)
         ]
         return CellComplex.interned(lattice.face_polytope(face_id), kept)
 
@@ -284,10 +283,9 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
         # Affine heights: every lifted point is on the one lower facet.
         return CellComplex.interned(p, [p], heights=height_fn)
     maximal = []
-    tight_sets = hull.facet_tight_sets()
-    for (a, b), tight in zip(hull._facets, tight_sets):
+    for (a, b), mask in zip(hull._facets, hull._facet_masks):
         if a[-1] > 0:
-            pts = [map_.from_model(hull._model_vertices[i][:-1]) for i in tight]
+            pts = [map_.from_model(hull._model_vertices[i][:-1]) for i in set_bits(mask)]
             maximal.append(LatticePolytope.convex_hull(pts))
     return CellComplex.interned(p, maximal, heights=height_fn)
 
@@ -309,10 +307,9 @@ def euler_relation_check(complex_: CellComplex, face_id=None) -> bool:
         raise ValueError("face must be proper")
     # A vertex v of a cell lies in the face iff the carrier of the 0-cell
     # (v,) does.
-    face = set(face_id)
     total = 0
     for cid in complex_.interior_ids():
-        if not any(set(complex_.carrier((v,))) <= face for v in cid):
+        if not any(lattice.leq(complex_.carrier((v,)), face_id) for v in cid):
             total += (-1) ** complex_.dim_of(cid)
     expected = (-1) ** p.dim if face_id == () else 0
     return total == expected

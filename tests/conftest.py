@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyhodge import linalg
 from polyhodge.generators import instance_corpus
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import HeightFunction, regular_subdivision
@@ -83,6 +84,49 @@ def eulerian_by_signed_sums(elements, leq, rank):
 def poset_is_eulerian(poset):
     """The signed-sum reference on a built poset, read through ``leq_idx``."""
     return eulerian_by_signed_sums(range(len(poset)), poset.leq_idx, poset.ranks.__getitem__)
+
+
+# -- face references ------------------------------------------------------------
+
+
+def dot_incidence(p):
+    """Vertex index sets of p's facets, in facet order, by dot products."""
+    return [
+        frozenset(i for i, v in enumerate(p._model_vertices) if linalg.dot(a, v) == b)
+        for a, b in p._facets
+    ]
+
+
+def face_dims_reference(p):
+    """Face id -> dimension: the closure of the facets' vertex sets under
+    intersection, with P and the empty face, each dimension the rank of the
+    face's vertex differences."""
+    faces = {frozenset(range(len(p.vertices))), frozenset()}
+    work = list(faces)
+    while work:
+        f = work.pop()
+        for t in dot_incidence(p):
+            if f & t not in faces:
+                faces.add(f & t)
+                work.append(f & t)
+    dims = {}
+    for f in faces:
+        vs = [p.vertices[i] for i in sorted(f)]
+        diffs = [linalg.vec_sub(v, vs[0]) for v in vs[1:]]
+        dims[tuple(sorted(f))] = linalg.rank(diffs) if diffs else len(vs) - 1
+    return dims
+
+
+def carrier_reference(s, cid):
+    """The smallest face of P holding the cell: the intersection of the
+    facets' vertex sets over the facets that hold every vertex of the cell."""
+    p = s.polytope
+    pts = [p._map.to_model(v) for v in cid]
+    face = set(range(len(p.vertices)))
+    for (a, b), tight in zip(p._facets, dot_incidence(p)):
+        if all(linalg.dot(a, x) == b for x in pts):
+            face &= tight
+    return tuple(sorted(face))
 
 
 # -- lattice point references ---------------------------------------------------

@@ -1,12 +1,16 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import polyhodge
 from polyhodge import cli, hodge, memo
 from polyhodge.fans import TruncatedNormalFan
 from polyhodge.laurent import LaurentPoly
@@ -207,6 +211,47 @@ def test_stringy_rejects_non_reflexive(tmp_path, capsys):
     assert run_cli(["stringy", path]) == (1, "")
     err = capsys.readouterr().err
     assert err == f"input error: {path}: stringy E requires a reflexive polytope\n"
+
+
+def test_stringy_sees_a_reflexive_polytope_in_a_larger_lattice(tmp_path):
+    # The square [-1, 1]^2 at z = 0 in Z^3, and the segment from (-1, -1) to
+    # (1, 1) in Z^2: each is reflexive in the lattice of its span, so each
+    # gives the stringy output of the same polytope given in its own lattice.
+    def points(*coords):
+        return {"dim": len(coords[0]), "points": [{"coords": c} for c in coords]}
+
+    cases = [
+        (
+            str(DATA / "square_in_space.json"),
+            write_input(tmp_path, points([-1, -1], [-1, 1], [1, -1], [1, 1]), "square.json"),
+        ),
+        (
+            write_input(tmp_path, points([-1, -1], [1, 1]), "diagonal.json"),
+            write_input(tmp_path, points([-1], [1]), "segment.json"),
+        ),
+    ]
+    for embedded, full in cases:
+        code, out = run_cli(["stringy", embedded])
+        assert code == 0, embedded
+        assert json.loads(out)["results"] == json.loads(run_cli(["stringy", full])[1])["results"]
+
+
+def test_a_closed_stdout_ends_quietly():
+    # The reader of stdout is gone before the command writes a byte.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyhodge.cli", "gpoly", CONCRETE, "--format", "text"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
+    assert proc.returncode == 0
 
 
 def test_intersection_command():

@@ -138,6 +138,15 @@ def test_serialization_round_trip_and_order():
     assert all(isinstance(e["coeff"], str) for e in obj)
 
 
+def test_equal_polynomials_hash_equal():
+    built = (1 + T) ** 2 * (1 - U)
+    listed = LaurentPoly({(1, 0, 0, 2, 0): -1, (0, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0): 2})
+    listed = listed - U - 2 * U * T + T**2
+    assert built == listed
+    assert hash(built) == hash(listed)
+    assert len({built, listed}) == 1
+
+
 def test_div_exact_t_minus_one():
     assert div_exact_t_minus_one(T**4 - 1) == T**3 + T**2 + T + 1
     with pytest.raises(ValueError):

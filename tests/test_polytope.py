@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhodge import linalg, memo, polytope
-from polyhodge.polytope import LatticePolytope
+from polyhodge.polytope import FaceLattice, LatticePolytope
+from polyhodge.poset import EulerianPoset
 
 from conftest import (
     box_scan_lattice_points,
     cross_polytope,
     cube,
+    dot_incidence,
+    face_dims_reference,
     poset_is_eulerian,
     segment,
     solve_oracle,
@@ -120,6 +123,79 @@ def test_face_lattices_are_eulerian():
         polys.append(p)
     for p in polys:
         assert poset_is_eulerian(p.face_lattice().poset())
+
+
+def assert_faces_match_the_reference(p):
+    nverts = len(p.vertices)
+    assert dot_incidence(p) == [
+        frozenset(i for i in range(nverts) if mask >> i & 1) for mask in p._facet_masks
+    ]
+    lattice = FaceLattice(p)
+    dims = face_dims_reference(p)
+    assert lattice.faces == dims
+    faces = lattice.all_faces()
+    assert faces == tuple(sorted(dims, key=lambda f: (dims[f], f)))
+    assert lattice.f_vector() == tuple(
+        list(dims.values()).count(k) for k in range(-1, p.dim + 1)
+    )
+    poset = lattice.poset()
+    assert poset.elements == faces
+    for i, f in enumerate(faces):
+        for j, g in enumerate(faces):
+            assert lattice.leq(f, g) == poset.leq_idx(i, j) == (set(f) <= set(g))
+
+
+@st.composite
+def small_polytopes(draw):
+    """The hull of 1 to d + 3 points of {0, 1, 2}^d, d in 0..5, so lower-
+    dimensional hulls come up too; half of them are lifted into the affine
+    plane x_(d+1) = x_1 + ... + x_d - 1 of Z^(d+1)."""
+    d = draw(st.integers(0, 5))
+    pts = draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=d + 3, unique=True)
+    )
+    if draw(st.booleans()):
+        pts = [p + (sum(p) - 1,) for p in pts]
+    return LatticePolytope.convex_hull(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polytopes())
+def test_faces_from_the_incidence_match_the_reference(p):
+    assert_faces_match_the_reference(p)
+
+
+def test_faces_of_every_corpus_cell_match_the_reference(corpus25):
+    for s in corpus25:
+        for cid in s.nonempty_ids():
+            assert_faces_match_the_reference(s.cell_polytope(cid))
+
+
+def test_face_lattices_posets_and_hull_vertices_take_no_rank(monkeypatch):
+    in_space = LatticePolytope.convex_hull([(1, 0, 2), (3, 1, 0), (0, 2, 2)])
+    polytopes = [cube(4), cross_polytope(4), unit_simplex(0), segment(3), in_space]
+    octahedron = cross_polytope(3).vertices
+    rank, calls = linalg.rank, []
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    def no_from_leq(elements, leq):
+        raise AssertionError("from_leq called")
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    monkeypatch.setattr(EulerianPoset, "from_leq", staticmethod(no_from_leq))
+    for p in polytopes:
+        FaceLattice(p).poset()
+    assert calls == []
+    # The 3-cross-polytope with its origin, in sorted order: its first four
+    # points are affinely independent, so the starting simplex takes three
+    # rank calls, and the vertex test takes none.
+    facets, vertices = polytope._hull_in_full_dim(3, sorted(octahedron + ((0, 0, 0),)))
+    assert len(facets) == 8
+    assert vertices == list(octahedron)
+    assert len(calls) == 3
 
 
 def count_triangle_dilate(m):

@@ -19,7 +19,7 @@ from polyhodge.subdivision import (
     trivial_subdivision,
 )
 
-from conftest import cross_polytope, cube, quartic_triangle_pair
+from conftest import carrier_reference, cross_polytope, cube, quartic_triangle_pair
 
 
 def test_quartic_triangle_has_four_maximal_cells():
@@ -64,6 +64,15 @@ def test_carrier_matches_brute_force():
                     if best is None or lat.face_dim(fid) < lat.face_dim(best):
                         best = fid
             assert s.carrier(cid) == best
+
+
+def test_carriers_match_the_dot_product_reference(corpus25):
+    for s in corpus25:
+        lattice = s.polytope.face_lattice()
+        for fid in lattice.all_faces()[1:]:
+            r = s.restrict(fid)
+            for cid in r.nonempty_ids():
+                assert r.carrier(cid) == carrier_reference(r, cid)
 
 
 def test_trivial_subdivision_of_square():
