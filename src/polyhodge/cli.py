@@ -204,7 +204,7 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: st
         # all of the face; the smallest cone holding every ray is then the
         # cone of the face where all of them are least.
         for r in rays:
-            if not set(fid) <= fan.face_of(r):
+            if fid & ~fan.face_of(r):
                 raise InputError(
                     f"{path}: refinement[{i}] has a ray outside its sigma cone"
                 )
@@ -277,8 +277,8 @@ def cmd_hstar(parsed: ParsedInput, args) -> dict:
 def cmd_gpoly(parsed: ParsedInput, args) -> dict:
     p = parsed.polytope
     lattice = p.face_lattice()
-    g = lattice.g((), lattice.top)
-    gd = lattice.g((), lattice.top, dual=True)
+    g = lattice.g(0, lattice.top)
+    gd = lattice.g(0, lattice.top, dual=True)
     results = {
         "g": _poly(g),
         "g_dual": _poly(gd),

@@ -4,11 +4,12 @@ Fans live in the polytope's own lattice: the lattice of its affine span, in
 the coordinates of its unimodular model, so a face of a larger polytope has
 the fan of its model.  The normal fan of P with its maximal cones removed has
 cones indexed by the positive-dimensional faces Q of P (inclusion-reversing,
-dim cone = dim P - dim Q), plus the zero cone for Q = P.  Rays are the
-primitive inner facet normals of the model.  Every membership question is
-answered by vertex minima: with facets <a, x> >= b, the cone of Q is the set
-of y whose minimum over P is attained on all of Q, so y lies in the cone of Q
-exactly when Q is contained in the face where <y, .> is least.  The smallest
+dim cone = dim P - dim Q), plus the zero cone for Q = P.  A face is named by
+its vertex bitmask in P's face lattice.  Rays are the primitive inner facet
+normals of the model.  Every membership question is answered by vertex
+minima: with facets <a, x> >= b, the cone of Q is the set of y whose minimum
+over P is attained on all of Q, so y lies in the cone of Q exactly when the
+mask of Q lies in the mask of the face where <y, .> is least.  The smallest
 cone holding a set of vectors of one cone is indexed by the intersection of
 their minimizing faces; for a ray that face is its facet.
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 from . import linalg
 from .laurent import ZERO, power_sum
 from .polytope import LatticePolytope
-from .poset import set_bits
 
 
 class TruncatedNormalFan:
@@ -32,9 +32,7 @@ class TruncatedNormalFan:
         self.polytope = polytope
         self.lattice = polytope.face_lattice()
         self.dim = polytope.dim
-        self.ray_facet = {
-            a: tuple(set_bits(t)) for (a, _), t in zip(polytope._facets, polytope._facet_masks)
-        }
+        self.ray_facet = {a: t for (a, _), t in zip(polytope._facets, polytope._facet_masks)}
         self.face_ids = tuple(fid for fid, k in self.lattice.faces.items() if k >= 1)
         self.cone_rays = {}
         for fid in self.face_ids:
@@ -52,27 +50,26 @@ class TruncatedNormalFan:
     def cone_dim(self, fid) -> int:
         return self.dim - self.lattice.face_dim(fid)
 
-    def face_of(self, y) -> frozenset:
-        """Model-vertex indices where <y, .> is least: the face of P whose
+    def face_of(self, y) -> int:
+        """Vertex bitmask of where <y, .> is least: the face of P whose
         normal cone has y in its relative interior."""
         values = [linalg.dot(y, v) for v in self.polytope._model_vertices]
         low = min(values)
-        return frozenset(i for i, x in enumerate(values) if x == low)
+        return sum(1 << i for i, x in enumerate(values) if x == low)
 
-    def smallest_face_for_rays(self, rays) -> tuple:
+    def smallest_face_for_rays(self, rays) -> int:
         """Face id indexing the smallest cone containing the given vectors.
 
         The answer is the intersection of the faces where they are least
         (the top face for the empty set, i.e. the zero cone); it indexes a
         cone of the truncated fan when the vectors lie in a common cone.
         """
-        face = frozenset(self.lattice.top)
+        face = self.lattice.top
         for ray in rays:
             face &= self.face_of(ray)
-        fid = tuple(sorted(face))
-        if self.lattice.face_dim(fid) < 1:
+        if self.lattice.face_dim(face) < 1:
             raise ValueError("ray set does not lie in a cone of the truncated fan")
-        return fid
+        return face
 
     def subfan(self, face_ids) -> frozenset:
         """Validate a cone selection (given by face ids) as a subfan.
@@ -103,22 +100,22 @@ class Refinement:
     """A fan refinement of (a subfan of) a truncated normal fan.
 
     cones maps each refinement cone, canonically a sorted tuple of primitive
-    rays, to the face id of the smallest coarse cone containing it.
+    rays, to the face id of the smallest coarse cone containing it.  Each
+    cone's dimension is taken once, when the refinement is built.
     """
 
     def __init__(self, fan: TruncatedNormalFan, cones: dict):
         self.fan = fan
         self.cones = dict(sorted(cones.items()))
-
-    def cone_dims(self):
-        for rays, fid in self.cones.items():
-            yield rays, (linalg.rank(list(rays)) if rays else 0), fid
+        self._dims = [
+            (linalg.rank(list(rays)) if rays else 0, fid) for rays, fid in self.cones.items()
+        ]
 
     def multiplicity_polys(self, shifted):
         """For each coarse face id Q: sum over refinement cones carried by Q
         of shifted^(dim coarse cone - dim cone)."""
         counts = {}  # coarse face id -> {codimension: number of cones}
-        for _, d, fid in self.cone_dims():
+        for d, fid in self._dims:
             by_codim = counts.setdefault(fid, {})
             k = self.fan.cone_dim(fid) - d
             by_codim[k] = by_codim.get(k, ZERO) + 1
@@ -127,7 +124,7 @@ class Refinement:
     def total_poly(self, shifted):
         """Sum over all refinement cones of shifted^(dim P - dim cone)."""
         by_codim = {}
-        for _, d, _fid in self.cone_dims():
+        for d, _fid in self._dims:
             k = self.fan.dim - d
             by_codim[k] = by_codim.get(k, ZERO) + 1
         return power_sum(by_codim, shifted)
@@ -154,7 +151,7 @@ def simplicial_refinement(fan: TruncatedNormalFan, ray_order=None) -> Refinement
         ray_order = sorted(fan.ray_facet)
     position = {ray: i for i, ray in enumerate(ray_order)}
     # Triangulations per coarse cone (face id), by increasing cone dimension.
-    tri: dict[tuple, list] = {}
+    tri: dict[int, list] = {}
     order = sorted(sel, key=fan.cone_dim)
     for fid in order:
         rays = fan.cone_rays[fid]
@@ -176,7 +173,7 @@ def simplicial_refinement(fan: TruncatedNormalFan, ray_order=None) -> Refinement
                 for simplex in tri[other]:
                     pieces.append(tuple(sorted(set(simplex) | {pivot})))
         tri[fid] = sorted(set(pieces))
-    cones: dict[tuple, tuple] = {(): fan.lattice.top}
+    cones: dict[tuple, int] = {(): fan.lattice.top}
     for fid, simplices in tri.items():
         for simplex in simplices:
             faces = [()]

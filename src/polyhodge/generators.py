@@ -14,16 +14,12 @@ from .polytope import LatticePolytope
 from .subdivision import CellComplex, HeightFunction, regular_subdivision, trivial_subdivision
 
 
-def random_lattice_polytope(rng: random.Random, dim: int, coord_bound: int = 3,
-                            n_points: int | None = None) -> LatticePolytope:
-    """A full-dimensional lattice polytope in Z^dim with small coordinates."""
-    if n_points is None:
-        n_points = dim + 2 + rng.randrange(3)
+def random_lattice_polytope(rng: random.Random, dim: int) -> LatticePolytope:
+    """A full-dimensional lattice polytope in Z^dim, the hull of dim + 2 to
+    dim + 4 random points with coordinates in 0..3."""
+    n_points = dim + 2 + rng.randrange(3)
     while True:
-        pts = {
-            tuple(rng.randint(0, coord_bound) for _ in range(dim))
-            for _ in range(n_points)
-        }
+        pts = {tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(n_points)}
         if len(pts) <= dim:
             continue
         poly = LatticePolytope.convex_hull(sorted(pts))
@@ -31,24 +27,23 @@ def random_lattice_polytope(rng: random.Random, dim: int, coord_bound: int = 3,
             return poly
 
 
-def random_height_function(rng: random.Random, polytope: LatticePolytope,
-                           height_bound: int = 3, denominator_bound: int = 2) -> HeightFunction:
-    """Random rational heights on the vertices and a few lattice points of P."""
+def random_height_function(rng: random.Random, polytope: LatticePolytope) -> HeightFunction:
+    """Random heights a/b, 0 <= a <= 3 and 1 <= b <= 2, on the vertices and a
+    few lattice points of P."""
     domain = set(polytope.vertices)
     candidates = [p for p in polytope.lattice_points() if p not in domain]
     rng.shuffle(candidates)
     domain.update(candidates[: rng.randrange(0, len(candidates) + 1)])
     heights = {
-        p: Fraction(rng.randint(0, height_bound), rng.randint(1, denominator_bound))
+        p: Fraction(rng.randint(0, 3), rng.randint(1, 2))
         for p in sorted(domain)
     }
     return HeightFunction(polytope, heights)
 
 
-def random_subdivided_polytope(rng: random.Random, dim: int,
-                               coord_bound: int = 3) -> CellComplex:
+def random_subdivided_polytope(rng: random.Random, dim: int) -> CellComplex:
     """A random (P, S) pair: regular subdivision from random heights."""
-    poly = random_lattice_polytope(rng, dim, coord_bound=coord_bound)
+    poly = random_lattice_polytope(rng, dim)
     if rng.random() < 0.2:
         return trivial_subdivision(poly)
     return regular_subdivision(random_height_function(rng, poly))

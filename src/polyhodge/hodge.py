@@ -238,10 +238,8 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
     lattice = p.face_lattice()
     total = ZERO
     for fid in lattice.all_faces():
-        if fid == ():
-            continue
-        if lattice.face_dim(fid) == 0:
-            continue  # point strata carry the empty hypersurface
+        if lattice.face_dim(fid) <= 0:
+            continue  # the empty face and the point strata carry no hypersurface
         stratum = refined_E(s.restrict(fid))
         g = lattice.g(fid, lattice.top, dual=True)
         total = total + stratum * g.substitute({"t": UVW2})
@@ -317,7 +315,7 @@ def stringy_E(s: CellComplex) -> LaurentPoly:
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
         local2 = (
-            ONE if fid == () else inv.local_limit_mixed_h_star(s.restrict(fid))
+            ONE if not fid else inv.local_limit_mixed_h_star(s.restrict(fid))
         )
         dual_poly = dlattice.face_polytope(face_map[fid])
         local1 = inv.local_h_star(dual_poly).substitute({"u": UVW2})

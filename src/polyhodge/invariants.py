@@ -145,7 +145,7 @@ def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
         sign = (-1) ** (p.dim - qdim)
-        inner = ONE if fid == () else limit_mixed_h_star(s.restrict(fid))
+        inner = ONE if not fid else limit_mixed_h_star(s.restrict(fid))
         g = lattice.g(fid, lattice.top, dual=True)
         total = total + sign * inner * g.substitute({"t": UV})
     return total
@@ -163,7 +163,7 @@ def refined_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     total = ZERO
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
-        local = ONE if fid == () else local_limit_mixed_h_star(s.restrict(fid))
+        local = ONE if not fid else local_limit_mixed_h_star(s.restrict(fid))
         g = lattice.g(fid, lattice.top)
         total = total + W ** (qdim + 1) * local * g.substitute({"t": UVW2})
     if not total.is_polynomial():
@@ -206,7 +206,7 @@ def e_int_lef(p: LatticePolytope) -> LaurentPoly:
     """Lefschetz-forced intersection polynomial E(P;t): the unique polynomial
     with (t-1) E = t^dim g([empty,P]*;1/t) - g([empty,P]*;t)."""
     lattice = p.face_lattice()
-    gdual = lattice.g((), lattice.top, dual=True)
+    gdual = lattice.g(0, lattice.top, dual=True)
     rhs = gdual.substitute({"t": T_INV}) * T**p.dim - gdual
     return div_exact_t_minus_one(rhs)
 
@@ -228,7 +228,7 @@ def small_coeff_oracle(s: CellComplex) -> dict:
     out: dict[tuple, int] = {}
     interior_low = 0
     for fid in lattice.all_faces():
-        if fid != () and lattice.face_dim(fid) <= 1:
+        if fid and lattice.face_dim(fid) <= 1:
             interior_low += lattice.face_polytope(fid).interior_lattice_point_count()
     out[(0, 0, 0)] = interior_low - (d + 1)
     for r in range(1, d):

@@ -17,7 +17,9 @@ per line rather than per point.  Point lists expand the intervals and sort.
 
 Faces come from one vertex-facet incidence, one vertex bitmask per facet,
 stored when the polytope is built: the face lattice is found level by level
-from it, and face containment is a bitmask test.
+from it.  A face is named by its vertex bitmask (bit i is vertex i), from
+the lattice to the carriers, cones and restrictions built on it, so face
+containment is a bitmask test.
 
 Polytopes are immutable; derived data (face lattice, point counts) is cached
 on first use.  A lower-dimensional polytope carries a unimodular affine model
@@ -104,7 +106,6 @@ class LatticePolytope:
         "_facet_masks",
         "_face_lattice",
         "_count_cache",
-        "_interior_cache",
         "_nvol",
     )
 
@@ -121,8 +122,7 @@ class LatticePolytope:
             for a, b in facets
         )
         self._face_lattice = None
-        self._count_cache = {}
-        self._interior_cache = None
+        self._count_cache = {}  # (m, interior) -> lattice points of the m-th dilate
         self._nvol = None
 
     # -- construction ------------------------------------------------------
@@ -231,29 +231,21 @@ class LatticePolytope:
         """Number of lattice points in the m-th dilate; 0 for the empty polytope."""
         if m < 0:
             raise ValueError("dilation factor must be nonnegative")
-        if self.is_empty:
-            return 0
-        if m == 0:
-            return 1
-        if self.dim == 0:
-            return 1
-        if m not in self._count_cache:
-            self._count_cache[m] = sum(
-                hi - lo + 1 for _, _, lo, hi in self._fibers(m, False)
-            )
-        return self._count_cache[m]
+        return self._count(m, False)
 
     def interior_lattice_point_count(self) -> int:
         """Lattice points in the relative interior (a point counts itself)."""
+        return self._count(1, True)
+
+    def _count(self, m: int, interior: bool) -> int:
         if self.is_empty:
             return 0
-        if self.dim == 0:
+        if m == 0 or self.dim == 0:
             return 1
-        if self._interior_cache is None:
-            self._interior_cache = sum(
-                hi - lo + 1 for _, _, lo, hi in self._fibers(1, True)
-            )
-        return self._interior_cache
+        key = (m, interior)
+        if key not in self._count_cache:
+            self._count_cache[key] = sum(hi - lo + 1 for _, _, lo, hi in self._fibers(m, interior))
+        return self._count_cache[key]
 
     def lattice_points(self):
         """Ambient lattice points of the polytope."""
@@ -280,8 +272,7 @@ class LatticePolytope:
         for (a, b), mask in zip(self._facets, self._facet_masks):
             h = linalg.dot(a, v0) - b
             if h > 0:
-                facet = lattice.face_polytope(tuple(set_bits(mask)))
-                total += h * facet.normalized_volume()
+                total += h * lattice.face_polytope(mask).normalized_volume()
         return total
 
     # -- faces ---------------------------------------------------------------
@@ -320,22 +311,18 @@ class LatticePolytope:
         """Inclusion-reversing face correspondence of a reflexive polytope.
 
         Returns (dual polytope, map from face id of P to face id of the dual),
-        with the conventions empty -> dual polytope and P -> empty.
+        with the conventions empty -> dual polytope and P -> empty.  The dual
+        face has one vertex, the facet's normal, for each facet holding the face.
         """
         dual = self.dual_polytope()
         lat = self.face_lattice()
         dlat = dual.face_lattice()
         dual_index = {v: i for i, v in enumerate(dual.vertices)}
-        # Each facet of P, as a face id, with the bit of its normal in the dual.
-        facets = [
-            (tuple(set_bits(t)), 1 << dual_index[a])
-            for (a, _), t in zip(self._facets, self._facet_masks)
-        ]
+        facets = [(t, 1 << dual_index[a]) for (a, _), t in zip(self._facets, self._facet_masks)]
         mapping = {}
         for fid in lat.faces:
-            # The dual face has a vertex for each facet holding the face; a
-            # point has no facet, so its empty face is mapped by convention.
-            gid = tuple(set_bits(sum(bit for facet, bit in facets if lat.leq(fid, facet))))
+            # A point has no facet, so its empty face is mapped by convention.
+            gid = sum(bit for facet, bit in facets if lat.leq(fid, facet))
             if gid not in dlat.faces:
                 raise ValueError("dual face correspondence failed; polytope not reflexive?")
             mapping[fid] = gid if fid else dlat.top
@@ -479,34 +466,29 @@ def _facets_of(face: int, facet_masks) -> list[int]:
 class FaceLattice:
     """All faces of a polytope, graded by rho(Q) = dim Q + 1.
 
-    Faces are identified by sorted tuples of vertex indices; () is the empty
-    face and the full index tuple is the polytope itself.  Faces are found
+    A face is named by its vertex bitmask, bit i for vertex i of P: 0 is the
+    empty face and ``top``, with every bit set, is P itself.  Faces are found
     level by level from P's vertex-facet incidence, so a face's dimension is
-    its level, and each keeps its vertex bitmask.  ``poset()`` builds the
-    lattice once as an ``EulerianPoset`` from those masks, which checks
-    gradedness and the Euler relation as it is built, so intervals and the
-    dual need no check.  A face's polytope is looked up among the interned
-    hulls before any hull is built, so a face shared by several lattices is
-    hulled once.
+    its level.  ``poset()`` builds the lattice once as an ``EulerianPoset``
+    from the masks, which checks gradedness and the Euler relation as it is
+    built, so intervals and the dual need no check.  A face's polytope is
+    looked up among the interned hulls before any hull is built, so a face
+    shared by several lattices is hulled once.
     """
 
     def __init__(self, polytope: LatticePolytope):
         self.polytope = polytope
-        nverts = len(polytope.vertices)
-        self.top = tuple(range(nverts))
-        self._masks: dict[tuple, int] = {}  # face id -> vertex bitmask
+        self.top = (1 << len(polytope.vertices)) - 1
         self._by_dim: dict[int, list] = {}
-        level = {(1 << nverts) - 1}
+        level = {self.top}
         for dim in range(polytope.dim, -2, -1):
             level = level or {0}  # a point has no facet to cut its empty face
-            ids = {tuple(set_bits(mask)): mask for mask in level}
-            self._masks.update(ids)
-            self._by_dim[dim] = sorted(ids)
+            self._by_dim[dim] = sorted(level)
             level = {f for mask in level for f in _facets_of(mask, polytope._facet_masks)}
         self.faces = {fid: k for k in sorted(self._by_dim) for fid in self._by_dim[k]}
         self._poset = None
-        self._index: dict[tuple, int] = {}  # face id -> element of the poset
-        self._polytopes: dict[tuple, LatticePolytope] = {}
+        self._index: dict[int, int] = {}  # face id -> element of the poset
+        self._polytopes: dict[int, LatticePolytope] = {}
 
     def face_dim(self, fid) -> int:
         return self.faces[fid]
@@ -526,13 +508,13 @@ class FaceLattice:
             else:
                 # The vertices of a face are sorted and distinct, and a hull is
                 # interned under its vertices, so a shared face is a lookup.
-                verts = tuple(self.polytope.vertices[i] for i in fid)
+                verts = tuple(self.polytope.vertices[i] for i in set_bits(fid))
                 face = _HULL_CACHE.get((n, verts))
                 self._polytopes[fid] = face or LatticePolytope.convex_hull(verts)
         return self._polytopes[fid]
 
     def leq(self, f, g) -> bool:
-        return not self._masks[f] & ~self._masks[g]
+        return not f & ~g
 
     def f_vector(self):
         return tuple(len(self._by_dim.get(k, ())) for k in range(-1, self.polytope.dim + 1))
@@ -540,20 +522,14 @@ class FaceLattice:
     def poset(self) -> EulerianPoset:
         if self._poset is None:
             faces = self.all_faces()
-            masks = [self._masks[fid] for fid in faces]
             # Faces come by dimension, so the faces above a face come after it.
             up = [
-                sum(1 << j for j in range(i, len(masks)) if not a & ~masks[j])
-                for i, a in enumerate(masks)
+                sum(1 << j for j in range(i, len(faces)) if not a & ~faces[j])
+                for i, a in enumerate(faces)
             ]
             self._poset = EulerianPoset.from_masks(faces, up)
             self._index = {fid: i for i, fid in enumerate(faces)}
         return self._poset
-
-    def interval(self, f, g) -> EulerianPoset:
-        """The interval [f, g] of the face lattice as an Eulerian poset."""
-        poset = self.poset()
-        return poset.interval_idx(self._index[f], self._index[g])
 
     def g(self, lower, upper, dual: bool = False) -> LaurentPoly:
         """g-polynomial (in t) of the interval [lower, upper], or of its dual.

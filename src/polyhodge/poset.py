@@ -15,7 +15,7 @@ interval with a atoms.  An Eulerian rank-2 interval has exactly two atoms
 the Euler relation on every interval before the poset exists.  The face
 lattice of a simplex builds no poset at all: its intervals are Boolean, so
 ``FaceLattice.g`` returns 1 once the lattice's face count certifies it, and
-``verify`` checks the recursion on a separate copy of each face lattice.
+``verify`` checks the recursion on a ``copy`` of each face lattice's poset.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class EulerianPoset:
 
     Eulerian by construction: only ``from_masks`` (which ``from_leq`` calls
     and ``FaceLattice.poset`` calls with the face lattice's masks), ``dual``
-    and ``interval_idx`` call the constructor.  ``from_masks`` checks
-    gradedness and the Euler relation, and the duals and intervals of an
-    Eulerian poset are Eulerian.
+    and ``copy`` call the constructor.  ``from_masks`` checks gradedness and
+    the Euler relation, and the dual and a copy of an Eulerian poset are
+    Eulerian.
     """
 
     __slots__ = ("elements", "up", "down", "ranks", "bottom", "top", "_dual", "_g")
@@ -132,24 +132,10 @@ class EulerianPoset:
             self._dual._g = self._g
         return self._dual
 
-    def interval_idx(self, zi: int, xi: int) -> "EulerianPoset":
-        """The interval [zi, xi] as a poset of its own, with its own g table."""
-        mask = self.up[zi] & self.down[xi]
-        members = list(set_bits(mask))
-        pos = {i: k for k, i in enumerate(members)}
-
-        def local(bits):
-            return sum(1 << pos[j] for j in set_bits(bits & mask))
-
-        base = self.ranks[zi]
-        return EulerianPoset(
-            tuple(self.elements[i] for i in members),
-            tuple(local(self.up[i]) for i in members),
-            tuple(local(self.down[i]) for i in members),
-            tuple(self.ranks[i] - base for i in members),
-            pos[zi],
-            pos[xi],
-        )
+    def copy(self) -> "EulerianPoset":
+        """The same poset with a g table of its own, so that its g values are
+        computed afresh rather than read from this poset's table."""
+        return EulerianPoset(self.elements, self.up, self.down, self.ranks, self.bottom, self.top)
 
     # -- g-polynomials ------------------------------------------------------------
 

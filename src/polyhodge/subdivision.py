@@ -4,8 +4,9 @@ A cell complex is given by its maximal cells, the full-dimensional cells
 of a subdivision of a polytope P.  Its cells are every face of a maximal
 cell plus the empty cell, so the cell set is closed under faces by
 construction.  It stores the inclusion order among cells and per-cell
-metadata: the carrier (smallest face of P containing the cell) and a
-boundary flag.  Regular subdivisions are produced by projecting the lower
+metadata: the carrier (smallest face of P containing the cell, named by its
+vertex bitmask in P's face lattice) and a boundary flag, and it groups the
+cells by carrier.  Regular subdivisions are produced by projecting the lower
 facets of the lifted point set; constant or affine heights give the trivial
 subdivision, whose one maximal cell is P.
 
@@ -33,7 +34,7 @@ from typing import Mapping
 
 from .linalg import dot
 from .polytope import LatticePolytope
-from .poset import EulerianPoset, set_bits
+from .poset import set_bits
 from .memo import table
 
 CellId = tuple  # sorted tuple of vertex coordinate tuples; () is the empty cell
@@ -97,7 +98,7 @@ class CellComplex:
         self._faces: dict[CellId, frozenset] = {}
         for poly in maximal:
             lat = poly.face_lattice()
-            faces = [lat.face_polytope(fid) for fid in lat.all_faces() if fid != ()]
+            faces = [lat.face_polytope(fid) for fid in lat.all_faces() if fid]
             cells.update((face.vertices, face) for face in faces)
             self._faces[poly.vertices] = frozenset(face.vertices for face in faces)
         self.cells = dict(sorted(cells.items(), key=lambda kv: (kv[1].dim, kv[0])))
@@ -105,7 +106,7 @@ class CellComplex:
         self._vsets = {cid: frozenset(cid) for cid in self.ids}
         self._dims = {cid: poly.dim for cid, poly in self.cells.items()}
         self.maximal_cells = tuple(sorted(self._faces))
-        self._carrier = self._compute_carriers()
+        self._carrier, self._carried = self._compute_carriers()
         self._validate()
 
     # -- structure ----------------------------------------------------------
@@ -136,10 +137,11 @@ class CellComplex:
         return tuple(sorted(above, key=lambda b: (self._dims[b], b)))
 
     def _compute_carriers(self):
-        """Each cell's carrier: the facets of P through all its vertices, intersected."""
+        """Each cell's carrier: the facets of P through all its vertices,
+        intersected; and the nonempty cells grouped by carrier, in ``ids`` order."""
         p = self.polytope
         on = {}  # point -> bitmask of the facets of P through it
-        carrier = {(): ()}
+        carrier, carried = {(): 0}, {}
         for cid in self.ids[1:]:  # () first, then the points, by (dim, id)
             if len(cid) == 1:
                 x = p._map.to_model(cid[0])
@@ -147,8 +149,9 @@ class CellComplex:
             face = (1 << len(p.vertices)) - 1
             for j in set_bits(reduce(and_, (on[v] for v in cid))):
                 face &= p._facet_masks[j]
-            carrier[cid] = tuple(set_bits(face))
-        return carrier
+            carrier[cid] = face
+            carried.setdefault(face, []).append(cid)
+        return carrier, carried
 
     def carrier(self, cid: CellId):
         """Face id (in P's face lattice) of the smallest face containing the cell."""
@@ -170,43 +173,35 @@ class CellComplex:
         """The cell interval [a, b] as (lattice, lower, upper) faces.
 
         Every cell below b is a face of b (``_validate`` checks this), so the
-        interval is [a, top] in b's validated face lattice, with faces named
-        by their vertex indices in ``b``.  The empty cell has no face
-        lattice; [(), ()] is the one-point interval of P's lattice.
+        interval is [a, top] in b's validated face lattice, with a named by
+        the bitmask of its vertices among those of ``b``.  The empty cell has
+        no face lattice; [(), ()] is the one-point interval of P's lattice.
         """
         if not self.leq(a, b):
             raise ValueError("not an interval: cells are not nested")
         if b == ():
-            return self.polytope.face_lattice(), (), ()
+            return self.polytope.face_lattice(), 0, 0
         lattice = self.cells[b].face_lattice()
-        position = {v: i for i, v in enumerate(b)}
-        return lattice, tuple(position[v] for v in a), lattice.top
-
-    def interval_poset(self, a: CellId, b: CellId) -> EulerianPoset:
-        """The interval [a, b] of the cell poset as an Eulerian poset."""
-        lattice, lower, upper = self.interval_faces(a, b)
-        return lattice.interval(lower, upper)
+        return lattice, sum(1 << b.index(v) for v in a), lattice.top
 
     # -- derived complexes ------------------------------------------------------
 
     def restrict(self, face_id) -> "CellComplex":
         """The subdivision of a face Q of P by the cells contained in Q.
 
-        Its maximal cells are the cells of dimension dim Q carried by Q.
+        Its maximal cells are the cells of dimension dim Q carried by Q, read
+        off the cells grouped by carrier: a cell of dimension dim Q inside Q
+        is carried by a face of Q of dimension at least dim Q, that is by Q.
         """
         lattice = self.polytope.face_lattice()
         if face_id not in lattice.faces:
             raise ValueError("restriction target is not a face of P")
-        if face_id == ():
+        if not face_id:
             raise ValueError("cannot restrict to the empty face")
         if face_id == lattice.top:
             return self
         qdim = lattice.face_dim(face_id)
-        kept = [
-            self.cells[cid]
-            for cid in self.ids
-            if self._dims[cid] == qdim and lattice.leq(self._carrier[cid], face_id)
-        ]
+        kept = [self.cells[cid] for cid in self._carried[face_id] if self._dims[cid] == qdim]
         return CellComplex.interned(lattice.face_polytope(face_id), kept)
 
     def model(self) -> "CellComplex":
@@ -290,7 +285,7 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
     return CellComplex.interned(p, maximal, heights=height_fn)
 
 
-def euler_relation_check(complex_: CellComplex, face_id=None) -> bool:
+def euler_relation_check(complex_: CellComplex, face_id: int = 0) -> bool:
     """Signed count of interior cells avoiding a proper face of P.
 
     Sums (-1)^dim over nonempty cells F with F disjoint from the face and
@@ -299,8 +294,6 @@ def euler_relation_check(complex_: CellComplex, face_id=None) -> bool:
     """
     p = complex_.polytope
     lattice = p.face_lattice()
-    if face_id is None:
-        face_id = ()
     if face_id not in lattice.faces:
         raise ValueError("not a face of P")
     if face_id == lattice.top:
@@ -311,5 +304,5 @@ def euler_relation_check(complex_: CellComplex, face_id=None) -> bool:
     for cid in complex_.interior_ids():
         if not any(lattice.leq(complex_.carrier((v,)), face_id) for v in cid):
             total += (-1) ** complex_.dim_of(cid)
-    expected = (-1) ** p.dim if face_id == () else 0
+    expected = (-1) ** p.dim if not face_id else 0
     return total == expected

@@ -43,10 +43,10 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
         out.append(_result("face_lattice_eulerian", True))
     except ValueError as exc:
         out.append(CheckResult("face_lattice_eulerian", "fail", str(exc)))
-    # Every [F, P] is checked on one copy of the lattice, whose g table is
-    # its own, so the recursion is checked apart from the g values (and the
-    # simplex shortcut) that the tower reads off the lattice itself.
-    copy = lattice.interval((), lattice.top)
+    # Every [F, P] is checked on a copy of the lattice's poset, whose g table
+    # is its own, so the recursion is checked apart from the g values (and
+    # the simplex shortcut) that the tower reads off the lattice itself.
+    copy = lattice.poset().copy()
     bad = None
     for i, fid in enumerate(copy.elements):
         if i != copy.top and not stanley_inversion_check(copy, (i, copy.top)):
@@ -55,7 +55,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
     out.append(_result("stanley_inversion_faces", bad is None, f"interval [{bad}, P]"))
     bad = None
     for cid in s.maximal_cells:
-        interval = s.interval_poset((), cid)
+        interval = s.cell_polytope(cid).face_lattice().poset().copy()
         if interval.rank >= 1 and not stanley_inversion_check(interval):
             bad = cid
             break

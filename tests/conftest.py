@@ -89,6 +89,11 @@ def poset_is_eulerian(poset):
 # -- face references ------------------------------------------------------------
 
 
+def mask(indices):
+    """The face id of the face with these vertex indices: its vertex bitmask."""
+    return sum(1 << i for i in indices)
+
+
 def dot_incidence(p):
     """Vertex index sets of p's facets, in facet order, by dot products."""
     return [

@@ -248,7 +248,7 @@ def test_stringy_E_reflexive_square():
         qdim = lat.face_dim(fid)
         inner = (
             ONE
-            if fid == ()
+            if not fid
             else inv.local_limit_mixed_h_star(s.restrict(fid)).substitute(
                 {"u": U * W**-1, "v": 1}
             )
@@ -428,7 +428,7 @@ def test_checks_pass_on_lower_dimensional_restrictions(corpus25):
     for s in corpus25:
         lattice = s.polytope.face_lattice()
         for fid in lattice.all_faces():
-            if fid == () or fid == lattice.top:
+            if not fid or fid == lattice.top:
                 continue
             checks = run_checks(s.restrict(fid))
             assert [c for c in checks if not c.ok] == [], (s.key, fid)

@@ -133,7 +133,7 @@ def test_local_limit_mixed_examples():
     for fid in lat.all_faces():
         qdim = lat.face_dim(fid)
         sign = (-1) ** (sq.dim - qdim)
-        part = ONE if fid == () else inv.limit_mixed_h_star(split.restrict(fid))
+        part = ONE if not fid else inv.limit_mixed_h_star(split.restrict(fid))
         g = lat.g(fid, lat.top, dual=True).substitute({"t": U * V})
         direct = direct + sign * part * g
     assert inv.local_limit_mixed_h_star(split) == direct

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhodge import linalg, memo, polytope
+from polyhodge.fans import TruncatedNormalFan
 from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.poset import EulerianPoset
+from polyhodge.subdivision import trivial_subdivision
 
 from conftest import (
     box_scan_lattice_points,
+    carrier_reference,
     cross_polytope,
     cube,
     dot_incidence,
     face_dims_reference,
+    mask,
     poset_is_eulerian,
     segment,
     solve_oracle,
@@ -89,7 +93,7 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
     square = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
     pyramid = LatticePolytope.convex_hull(square + ((0, 0, -1),))
     lattices = [cube(3).face_lattice(), pyramid.face_lattice()]
-    fids = [tuple(i for i, v in enumerate(l.polytope.vertices) if v in square) for l in lattices]
+    fids = [mask(i for i, v in enumerate(l.polytope.vertices) if v in square) for l in lattices]
     hulls = []
     hull = LatticePolytope.convex_hull
 
@@ -103,7 +107,7 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
     assert lattices[1].face_polytope(fids[1]) is face
     assert hulls == [square]
     # A face no lattice has interned yet is still hulled.
-    lattices[1].face_polytope((0, 1))
+    lattices[1].face_polytope(mask((0, 1)))
     assert len(hulls) == 2
 
 
@@ -126,12 +130,11 @@ def test_face_lattices_are_eulerian():
 
 
 def assert_faces_match_the_reference(p):
-    nverts = len(p.vertices)
-    assert dot_incidence(p) == [
-        frozenset(i for i in range(nverts) if mask >> i & 1) for mask in p._facet_masks
-    ]
+    incidence = dot_incidence(p)
+    assert [mask(t) for t in incidence] == list(p._facet_masks)
     lattice = FaceLattice(p)
-    dims = face_dims_reference(p)
+    dims = {mask(f): k for f, k in face_dims_reference(p).items()}
+    vertex_sets = {mask(f): set(f) for f in face_dims_reference(p)}
     assert lattice.faces == dims
     faces = lattice.all_faces()
     assert faces == tuple(sorted(dims, key=lambda f: (dims[f], f)))
@@ -142,7 +145,17 @@ def assert_faces_match_the_reference(p):
     assert poset.elements == faces
     for i, f in enumerate(faces):
         for j, g in enumerate(faces):
-            assert lattice.leq(f, g) == poset.leq_idx(i, j) == (set(f) <= set(g))
+            leq = vertex_sets[f] <= vertex_sets[g]
+            assert lattice.leq(f, g) == poset.leq_idx(i, j) == leq
+    # A facet normal is least on its facet, so face_of names the facet.
+    if p.dim > 0:
+        fan = TruncatedNormalFan(p)
+        assert [fan.face_of(a) for a, _ in p._facets] == [mask(t) for t in incidence]
+
+
+def assert_carriers_match_the_reference(s):
+    for cid in s.nonempty_ids():
+        assert s.carrier(cid) == mask(carrier_reference(s, cid))
 
 
 @st.composite
@@ -163,10 +176,12 @@ def small_polytopes(draw):
 @given(small_polytopes())
 def test_faces_from_the_incidence_match_the_reference(p):
     assert_faces_match_the_reference(p)
+    assert_carriers_match_the_reference(trivial_subdivision(p))
 
 
 def test_faces_of_every_corpus_cell_match_the_reference(corpus25):
     for s in corpus25:
+        assert_carriers_match_the_reference(s)
         for cid in s.nonempty_ids():
             assert_faces_match_the_reference(s.cell_polytope(cid))
 
@@ -233,7 +248,7 @@ def test_boundary_plus_interior():
         boundary = sum(
             lattice.face_polytope(f).interior_lattice_point_count()
             for f in lattice.all_faces()
-            if f != () and f != lattice.top
+            if f and f != lattice.top
         )
         assert p.lattice_point_count(1) == boundary + p.interior_lattice_point_count()
 
@@ -426,14 +441,17 @@ def test_dual_face_map_pairing():
     seen = set()
     for fid, gid in mapping.items():
         seen.add(gid)
-        if fid not in ((), lat.top):
+        if fid not in (0, lat.top):
             assert lat.face_dim(fid) + dlat.face_dim(gid) == diamond.dim - 1
     assert seen == set(dlat.faces)
     # inclusion-reversing
+    def vertices(poly, fid):
+        return {v for i, v in enumerate(poly.vertices) if fid >> i & 1}
+
     for a in mapping:
         for b in mapping:
-            if set(a) <= set(b):
-                assert set(mapping[b]) <= set(mapping[a])
+            if vertices(diamond, a) <= vertices(diamond, b):
+                assert vertices(dual, mapping[b]) <= vertices(dual, mapping[a])
 
 
 def test_normalized_volume_examples():

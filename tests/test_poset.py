@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import invariants as inv, memo
+from polyhodge import invariants as inv, memo, verify
 from polyhodge.laurent import ONE, T, ZERO, from_univariate, univariate
 from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.poset import (
@@ -17,9 +17,22 @@ from polyhodge.poset import (
 from polyhodge.subdivision import HeightFunction, regular_subdivision, trivial_subdivision
 
 from conftest import (
-    cross_polytope, cube, eulerian_by_signed_sums, poset_is_eulerian, quartic_triangle_pair,
-    unit_simplex,
+    cross_polytope, cube, eulerian_by_signed_sums, mask, poset_is_eulerian,
+    quartic_triangle_pair, unit_simplex,
 )
+
+
+def interval(poset, z, x):
+    """The interval [z, x] as a poset of its own, built by ``from_leq`` on its
+    members; its elements are indices into ``poset``."""
+    members = [y for y in range(len(poset)) if poset.leq_idx(z, y) and poset.leq_idx(y, x)]
+    return EulerianPoset.from_leq(members, poset.leq_idx)
+
+
+def cell_interval(s, a, b):
+    """The interval [a, b] of a cell complex, built by ``from_leq`` on every
+    cell between the two."""
+    return EulerianPoset.from_leq([c for c in s.ids if s.leq(a, c) and s.leq(c, b)], s.leq)
 
 
 def abstract_polygon_lattice(n):
@@ -75,7 +88,7 @@ def test_g_recursion_closes():
     g = g_polynomial(poset)
     rhs = ZERO
     for i, el in enumerate(poset.elements):
-        sub = g_polynomial(poset.interval_idx(poset.bottom, i))
+        sub = g_polynomial(interval(poset, poset.bottom, i))
         rhs = rhs + (T - 1) ** (n - poset.ranks[i]) * sub
     assert g.substitute({"t": T**-1}) * T**n == rhs
 
@@ -146,7 +159,7 @@ def test_link_h_on_subdivided_triangle():
     dim_p = s.polytope.dim
     rhs = ZERO
     for other in s.cells_containing(b0):
-        g = g_polynomial(s.interval_poset(b0, other))
+        g = g_polynomial(cell_interval(s, b0, other))
         rhs = rhs + (T - 1) ** (dim_p - s.dim_of(other)) * g
     delta = dim_p - s.dim_of(b0)
     assert h.substitute({"t": T**-1}) * T**delta == rhs
@@ -155,8 +168,8 @@ def test_link_h_on_subdivided_triangle():
 def test_cell_interval_posets_are_eulerian():
     s = quartic_triangle_pair()
     for cid in s.maximal_cells:
-        assert poset_is_eulerian(s.interval_poset((), cid))
-        assert stanley_inversion_check(s.interval_poset((), cid))
+        assert poset_is_eulerian(cell_interval(s, (), cid))
+        assert stanley_inversion_check(cell_interval(s, (), cid))
 
 
 # -- EulerianPoset.g against an independent recursion ----------------------------
@@ -170,7 +183,7 @@ def stanley_g(poset):
     rest = ZERO
     for i in range(len(poset)):
         if i != poset.top:
-            sub = stanley_g(poset.interval_idx(poset.bottom, i))
+            sub = stanley_g(interval(poset, poset.bottom, i))
             rest = rest + (T - 1) ** (n - poset.ranks[i]) * sub
     coeffs = univariate(rest, "t")
     return from_univariate({k: -coeffs.get(k, 0) for k in range((n - 1) // 2 + 1)}, "t")
@@ -200,8 +213,8 @@ def test_g_matches_stanley_recursion_on_every_interval(corpus25):
             for x in range(len(poset)):
                 if not poset.leq_idx(z, x):
                     continue
-                g = stanley_g(poset.interval_idx(z, x))
-                g_dual = stanley_g(dual.interval_idx(x, z))
+                g = stanley_g(interval(poset, z, x))
+                g_dual = stanley_g(interval(dual, x, z))
                 assert poset.g(z, x) == g
                 assert dual.g(x, z) == g_dual
                 assert lattice.g(faces[z], faces[x]) == g
@@ -217,9 +230,9 @@ def test_g_rejects_elements_that_are_not_nested():
     lattice = FaceLattice(unit_simplex(3))
     for dual in (False, True):
         with pytest.raises(ValueError, match="not nested"):
-            lattice.g((0, 1), (1, 2, 3), dual=dual)
+            lattice.g(mask((0, 1)), mask((1, 2, 3)), dual=dual)
         with pytest.raises(ValueError, match="not nested"):
-            lattice.g(lattice.top, (), dual=dual)
+            lattice.g(lattice.top, 0, dual=dual)
 
 
 def test_link_h_matches_cell_scan(corpus25):
@@ -231,9 +244,8 @@ def test_link_h_matches_cell_scan(corpus25):
         for cell in s.ids:
             rest = ZERO
             for other in [c for c in s.ids if s.leq(cell, c)]:
-                members = [c for c in s.ids if s.leq(cell, c) and s.leq(c, other)]
-                interval = EulerianPoset.from_leq(members, s.leq)
-                rest = rest + (T - 1) ** (dim_p - s.dim_of(other)) * stanley_g(interval)
+                g = stanley_g(cell_interval(s, cell, other))
+                rest = rest + (T - 1) ** (dim_p - s.dim_of(other)) * g
             expected = rest.substitute({"t": T**-1}) * T ** (dim_p - s.dim_of(cell))
             assert link_h_polynomial(s, cell) == expected
 
@@ -241,16 +253,33 @@ def test_link_h_matches_cell_scan(corpus25):
 def test_tower_reads_g_without_copying_intervals(monkeypatch):
     memo.clear()
     copies = []
-    original = EulerianPoset.interval_idx
+    original = EulerianPoset.copy
 
-    def counted(self, zi, xi):
-        copies.append((zi, xi))
-        return original(self, zi, xi)
+    def counted(self):
+        copies.append(self)
+        return original(self)
 
-    monkeypatch.setattr(EulerianPoset, "interval_idx", counted)
+    monkeypatch.setattr(EulerianPoset, "copy", counted)
     for s in (quartic_triangle_pair(), trivial_subdivision(cube(4))):
         assert inv.refined_limit_mixed_h_star(s).substitute({"w": 1}) == inv.limit_mixed_h_star(s)
     assert copies == []
+    # verify checks the inversion identities on copies, so the g tables that
+    # the tower shares stay as they were.
+    inversion_check = verify.stanley_inversion_check
+    for s in (quartic_triangle_pair(), trivial_subdivision(cube(3))):
+        cells = [s.cell_polytope(cid) for cid in s.maximal_cells]
+        shared = [p.face_lattice().poset() for p in [s.polytope] + cells]
+
+        def checked(poset, bounds=None):
+            before = [dict(p._g) for p in shared]
+            ok = inversion_check(poset, bounds)
+            assert [dict(p._g) for p in shared] == before
+            return ok
+
+        monkeypatch.setattr(verify, "stanley_inversion_check", checked)
+        copies.clear()
+        assert all(c.ok for c in verify.run_checks(s))
+        assert len(copies) == len(shared)
 
 
 # -- the simplex shortcut ---------------------------------------------------------
@@ -266,11 +295,11 @@ def noisy_dilate_triangulation(k, d):
 
 def test_simplex_g_certifies_its_face_count():
     lattice = FaceLattice(unit_simplex(3))
-    assert lattice.g((), lattice.top) == ONE
-    assert lattice.g((0,), (0, 1, 2), dual=True) == ONE
-    del lattice.faces[(0, 1)]
+    assert lattice.g(0, lattice.top) == ONE
+    assert lattice.g(mask((0,)), mask((0, 1, 2)), dual=True) == ONE
+    del lattice.faces[mask((0, 1))]
     with pytest.raises(ValueError, match="not Boolean"):
-        lattice.g((), lattice.top)
+        lattice.g(0, lattice.top)
 
 
 def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypatch):
@@ -345,22 +374,18 @@ def test_from_leq_accepts_a_graded_poset_exactly_when_it_is_eulerian(p, data):
 @settings(max_examples=25, deadline=None)
 @given(random_polytopes())
 def test_intervals_and_duals_of_face_lattices_are_eulerian(p):
-    # Neither is checked again when it is built, so the reference checks them.
+    # Neither the dual nor a copy is checked again when it is built, so the
+    # reference checks every interval of each.
     poset = p.face_lattice().poset()
-    dual = poset.dual()
+    dual, copy = poset.dual(), poset.copy()
     assert poset_is_eulerian(dual)
-    index = {f: i for i, f in enumerate(poset.elements)}
-    for z in range(len(poset)):
-        for x in range(len(poset)):
-            if not poset.leq_idx(z, x):
-                continue
-            for source, lo, hi in ((poset, z, x), (dual, x, z)):
-                interval = source.interval_idx(lo, hi)
-                assert poset_is_eulerian(interval)
-                # The copy keeps the relation and the ranks above lo.
-                where = [index[f] for f in interval.elements]
-                assert (where[interval.bottom], where[interval.top]) == (lo, hi)
-                for a, i in enumerate(where):
-                    assert interval.ranks[a] == source.ranks[i] - source.ranks[lo]
-                    for b, j in enumerate(where):
-                        assert interval.leq_idx(a, b) == source.leq_idx(i, j)
+    assert poset_is_eulerian(copy)
+    # The copy keeps the relation and the ranks, with a g table of its own;
+    # the dual reverses them.
+    assert copy._g is not poset._g
+    assert (copy.elements, copy.bottom, copy.top) == (poset.elements, poset.bottom, poset.top)
+    for i in range(len(poset)):
+        assert copy.ranks[i] == poset.ranks[i]
+        assert dual.ranks[i] == poset.rank - poset.ranks[i]
+        for j in range(len(poset)):
+            assert copy.leq_idx(i, j) == poset.leq_idx(i, j) == dual.leq_idx(j, i)

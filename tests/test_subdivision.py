@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import linalg, memo
+from polyhodge import cli, linalg, memo
 from polyhodge.generators import instance_corpus, random_height_function, random_lattice_polytope
 from polyhodge.polytope import LatticePolytope
-from polyhodge.poset import EulerianPoset, g_polynomial
+from polyhodge.poset import EulerianPoset, g_polynomial, set_bits
 from polyhodge.subdivision import (
     CellComplex,
     HeightFunction,
@@ -19,7 +19,9 @@ from polyhodge.subdivision import (
     trivial_subdivision,
 )
 
-from conftest import carrier_reference, cross_polytope, cube, quartic_triangle_pair
+from conftest import carrier_reference, cross_polytope, cube, mask, quartic_triangle_pair
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_quartic_triangle_has_four_maximal_cells():
@@ -58,7 +60,7 @@ def test_carrier_matches_brute_force():
             # Smallest face containing the cell, found by exhaustive search.
             best = None
             for fid in lat.all_faces():
-                if fid == ():
+                if not fid:
                     continue
                 if set(cid) <= set(lat.face_polytope(fid).lattice_points()):
                     if best is None or lat.face_dim(fid) < lat.face_dim(best):
@@ -72,7 +74,7 @@ def test_carriers_match_the_dot_product_reference(corpus25):
         for fid in lattice.all_faces()[1:]:
             r = s.restrict(fid)
             for cid in r.nonempty_ids():
-                assert r.carrier(cid) == carrier_reference(r, cid)
+                assert r.carrier(cid) == mask(carrier_reference(r, cid))
 
 
 def test_trivial_subdivision_of_square():
@@ -198,24 +200,28 @@ def test_random_subdivisions_satisfy_euler_relation():
                 assert euler_relation_check(s, fid)
 
 
-def test_interval_poset_matches_cell_scan(corpus25):
-    # interval_poset slices the face lattice of the upper cell; the reference
-    # rebuilds the interval from every cell between the two, which checks it.
+def test_interval_faces_match_cell_scan(corpus25):
+    # interval_faces names [a, b] in the face lattice of the upper cell; the
+    # reference rebuilds the interval from every cell between the two, which
+    # checks it.
     quartic = quartic_triangle_pair()
     for s in [quartic] + [corpus25[i] for i in (4, 5, 11, 12)]:
         pairs = [(a, b) for b in s.ids for a in s.ids if s.leq(a, b)]
         assert ((), ()) in pairs
         for a, b in pairs:
-            got = s.interval_poset(a, b)
+            lattice, lower, upper = s.interval_faces(a, b)
+            got = [
+                f for f in lattice.all_faces() if lattice.leq(lower, f) and lattice.leq(f, upper)
+            ]
             members = [c for c in s.ids if s.leq(a, c) and s.leq(c, b)]
             ref = EulerianPoset.from_leq(members, s.leq)
             assert len(got) == len(ref)
-            assert got.rank == ref.rank
-            assert g_polynomial(got) == g_polynomial(ref)
-            # Local face ids name exactly the cells between a and b.
-            assert sorted(tuple(b[i] for i in f) for f in got.elements) == sorted(members)
+            assert lattice.face_dim(upper) - lattice.face_dim(lower) == ref.rank
+            assert lattice.g(lower, upper) == g_polynomial(ref)
+            # The face ids name exactly the cells between a and b.
+            assert sorted(tuple(b[i] for i in set_bits(f)) for f in got) == sorted(members)
     with pytest.raises(ValueError, match="not nested"):
-        quartic.interval_poset(quartic.maximal_cells[0], ())
+        quartic.interval_faces(quartic.maximal_cells[0], ())
 
 
 def _gate_complexes(corpus25):
@@ -256,12 +262,27 @@ def test_restriction_keeps_the_cells_carried_by_the_face(corpus25):
     for s in _gate_complexes(corpus25):
         lattice = s.polytope.face_lattice()
         for fid in lattice.all_faces():
-            if fid == ():
+            if not fid:
                 continue
             expected = {()} | {
-                cid for cid in s.nonempty_ids() if set(s.carrier(cid)) <= set(fid)
+                cid for cid in s.nonempty_ids() if not s.carrier(cid) & ~fid
             }
             assert set(s.restrict(fid).ids) == expected, (s.key, fid)
+
+
+def test_restriction_matches_the_scan_of_every_cell(corpus25):
+    # restrict reads the cells carried by the face; the scan keeps every cell
+    # of the face's dimension whose carrier lies in the face.
+    square = trivial_subdivision(cli.parse_input(str(DATA / "square_in_space.json")).polytope)
+    for s in list(corpus25) + [square, square.model()]:
+        lattice = s.polytope.face_lattice()
+        for fid in lattice.all_faces()[1:]:
+            scan = [
+                cid
+                for cid in s.ids
+                if s.dim_of(cid) == lattice.face_dim(fid) and lattice.leq(s.carrier(cid), fid)
+            ]
+            assert s.restrict(fid).maximal_cells == tuple(scan), (s.key, fid)
 
 
 def test_model_maps_every_cell(corpus25):
@@ -269,7 +290,7 @@ def test_model_maps_every_cell(corpus25):
     for s in _gate_complexes(corpus25):
         lattice = s.polytope.face_lattice()
         for fid in lattice.all_faces():
-            if fid == ():
+            if not fid:
                 continue
             r = s.restrict(fid)
             model = r.model()
@@ -324,7 +345,7 @@ def _edges(cell):
     lattice = cell.face_lattice()
     return [
         linalg.vec_sub(cell.vertices[j], cell.vertices[i])
-        for i, j in lattice.faces_of_dim(1)
+        for i, j in map(set_bits, lattice.faces_of_dim(1))
     ]
 
 
