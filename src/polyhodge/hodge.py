@@ -12,7 +12,10 @@ specialization without touching the refined h*-tower (so the two paths are
 genuinely independent).
 
 A polytope of any dimension is measured in the lattice of its own affine
-span, so the stratum of a face Q is computed on ``s.restrict(Q)`` as it is.
+span, so the stratum of a face Q is that of the restriction S|Q, whose
+refined h*-polynomial ``invariants.face_tower`` reads off S itself.  Only
+``dk_reconstruct`` and ``partial_compactification_psi``, the independent
+sides of ``verify`` identities, build ``s.restrict(Q)``.
 
 Grothendieck-ring classes are never represented; a class in Z[L] is
 reported in the L-variable exactly when the (u,v)-realization happens to
@@ -148,9 +151,12 @@ def nearby_fiber_class(s: CellComplex) -> LaurentPoly | None:
 def refined_E(s: CellComplex) -> LaurentPoly:
     """Refined limit Hodge-Deligne polynomial in (u, v, w):
     uvw^2 E = (uvw^2 - 1)^dim + (-1)^(dim+1) h*(P,S;u,v,w), exactly."""
-    p = s.polytope
-    d = p.dim
-    numerator = (UVW2 - 1) ** d + (-1) ** (d + 1) * inv.refined_limit_mixed_h_star(s)
+    return _refined_E(s.polytope.dim, inv.refined_limit_mixed_h_star(s))
+
+
+def _refined_E(d: int, refined: LaurentPoly) -> LaurentPoly:
+    """Refined E of dimension d from its refined h*-polynomial."""
+    numerator = (UVW2 - 1) ** d + (-1) ** (d + 1) * refined
     try:
         return numerator.div_exact_poly_monomial({"u": 1, "v": 1, "w": 2})
     except ValueError as exc:
@@ -236,11 +242,13 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
     g([Q,P]*; uvw^2).  Must agree with intersection_E."""
     p = s.polytope
     lattice = p.face_lattice()
+    refined = inv.face_tower(s).refined
     total = ZERO
     for fid in lattice.all_faces():
-        if lattice.face_dim(fid) <= 0:
+        qdim = lattice.face_dim(fid)
+        if qdim <= 0:
             continue  # the empty face and the point strata carry no hypersurface
-        stratum = refined_E(s.restrict(fid))
+        stratum = _refined_E(qdim, refined[fid])
         g = lattice.g(fid, lattice.top, dual=True)
         total = total + stratum * g.substitute({"t": UVW2})
     return total
@@ -269,9 +277,11 @@ def partial_compactification_E(
     identity refinement gives the (possibly singular) compactification.
     """
     mult = _subfan_refinement(s, subfan, refinement).multiplicity_polys(UVW2 - 1)
+    lattice = s.polytope.face_lattice()
+    refined = inv.face_tower(s).refined
     total = ZERO
     for fid, m in mult.items():
-        total = total + refined_E(s.restrict(fid)) * m
+        total = total + _refined_E(lattice.face_dim(fid), refined[fid]) * m
     return total
 
 
@@ -311,12 +321,11 @@ def stringy_E(s: CellComplex) -> LaurentPoly:
     dual, face_map = p.dual_face_map()
     dlattice = dual.face_lattice()
     lattice = p.face_lattice()
+    local = inv.face_tower(s).local
     total = ZERO
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
-        local2 = (
-            ONE if not fid else inv.local_limit_mixed_h_star(s.restrict(fid))
-        )
+        local2 = local[fid] if fid else ONE
         dual_poly = dlattice.face_polytope(face_map[fid])
         local1 = inv.local_h_star(dual_poly).substitute({"u": UVW2})
         total = total + (-W) ** (qdim + 1) * local2 * local1

@@ -17,11 +17,20 @@ Implements, with exact integer arithmetic throughout:
 All sums over faces or cells include the empty face with the conventions
 dim(empty) = -1 and h* = l* = 1 on it.  Every division that the theory
 asserts to be exact is checked and raises on failure.
+
+The three subdivision levels are computed for every nonempty face Q of P
+at once by ``face_tower``, in one memoized pass over S: the interior cells
+of the restriction S|Q are the cells of S carried by Q, and an interval of
+faces of Q is the same interval in P's face lattice, so the pass builds no
+restricted complex and no link polynomial.  The per-complex functions read
+the entry of P itself; ``limit_mixed_h_star_by_links``, the link form of
+h*(P,S), is the independent side that ``verify`` compares it with.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
 from .laurent import (
     LaurentPoly,
@@ -85,9 +94,9 @@ def local_h_star(p: LatticePolytope) -> LaurentPoly:
     return total
 
 
-@memo("LIMIT_MIXED", key=lambda s: s.key)
-def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
-    """Limit mixed h*-polynomial h*(P,S;u,v).
+def limit_mixed_h_star_by_links(s: CellComplex) -> LaurentPoly:
+    """Limit mixed h*-polynomial h*(P,S;u,v) in its link form, independent of
+    ``face_tower``'s interior-cell form.
 
     Sum over all cells F (including the empty cell) of
     v^(dim F + 1) l*(F; u v^-1) h(link_S(F); uv).
@@ -101,16 +110,6 @@ def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     if not total.is_polynomial():
         raise ValueError("limit mixed h* failed to be polynomial; tower bug")
     return total
-
-
-def limit_mixed_h_star_by_cells(s: CellComplex) -> LaurentPoly:
-    """Alternative form: sum over interior cells of (uv-1)^codim h*(F;u,v)."""
-    by_codim = {}
-    for cid in s.interior_ids():
-        cell = s.cell_polytope(cid)
-        k = s.polytope.dim - cell.dim
-        by_codim[k] = by_codim.get(k, ZERO) + mixed_h_star(cell)
-    return power_sum(by_codim, UV - 1)
 
 
 @memo("MIXED", key=lambda p: p.key)
@@ -135,40 +134,80 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     return total
 
 
-@memo("LOCAL_LIMIT_MIXED", key=lambda s: s.key)
+class Tower(NamedTuple):
+    """The h*-tower of every nonempty face Q of P, keyed by face id:
+    h*(Q, S|Q; u, v), l*(Q, S|Q; u, v) and h*(Q, S|Q; u, v, w)."""
+
+    limit: dict
+    local: dict
+    refined: dict
+
+
+@memo("TOWER", key=lambda s: s.key)
+def face_tower(s: CellComplex) -> Tower:
+    """The h*-tower of every nonempty face Q of P, in one pass over S.
+
+    The interior cells of S|Q are the cells of S carried by Q, and an
+    interval of faces of Q is the same interval in P's face lattice, so no
+    restricted complex is built and every g is read off P's lattice.  For
+    each nonempty face Q, in (dim, id) order:
+
+      h*(Q, S|Q) = sum over the cells F carried by Q of
+                   (uv - 1)^(dim Q - dim F) h*(F; u, v),
+      l*(Q, S|Q) = sum over the faces Q' <= Q of
+                   (-1)^(dim Q - dim Q') h*(Q', S|Q') g([Q', Q]*; uv),
+      h*(Q, S|Q; w) = sum over the faces Q' <= Q of
+                   w^(dim Q' + 1) l*(Q', S|Q') g([Q', Q]; uvw^2),
+
+    with h* = l* = 1 on the empty face.
+    """
+    lattice = s.polytope.face_lattice()
+    faces = lattice.all_faces()
+    tower = Tower({}, {}, {})
+    # Per face Q' <= Q, the factors of the two sums that do not depend on Q.
+    signed_limit, w_local = {0: -ONE}, {0: ONE}
+    for q in faces[1:]:
+        qdim = lattice.face_dim(q)
+        by_codim = {}
+        for cid in s.carried(q):
+            k = qdim - s.dim_of(cid)
+            by_codim[k] = by_codim.get(k, ZERO) + mixed_h_star(s.cell_polytope(cid))
+        limit = power_sum(by_codim, UV - 1)
+        if not limit.is_polynomial():
+            raise ValueError("limit mixed h* failed to be polynomial; tower bug")
+        signed_limit[q] = (-1) ** qdim * limit
+        below = [f for f in faces if not f & ~q]
+        local = (-1) ** qdim * sum(
+            (signed_limit[f] * lattice.g(f, q, dual=True).substitute({"t": UV}) for f in below),
+            ZERO,
+        )
+        w_local[q] = W ** (qdim + 1) * local
+        refined = sum(
+            (w_local[f] * lattice.g(f, q).substitute({"t": UVW2}) for f in below), ZERO
+        )
+        if not refined.is_polynomial():
+            raise ValueError("refined limit mixed h* failed to be polynomial; tower bug")
+        tower.limit[q], tower.local[q], tower.refined[q] = limit, local, refined
+    return tower
+
+
+def limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
+    """Limit mixed h*-polynomial h*(P,S;u,v), read off ``face_tower``."""
+    return face_tower(s).limit[s.polytope.face_lattice().top]
+
+
 def local_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
     """Local limit mixed h*-polynomial l*(P,S;u,v): alternating face sum of
-    h*(Q, S|Q; u,v) against dual-interval g-polynomials at uv."""
-    p = s.polytope
-    lattice = p.face_lattice()
-    total = ZERO
-    for fid in lattice.all_faces():
-        qdim = lattice.face_dim(fid)
-        sign = (-1) ** (p.dim - qdim)
-        inner = ONE if not fid else limit_mixed_h_star(s.restrict(fid))
-        g = lattice.g(fid, lattice.top, dual=True)
-        total = total + sign * inner * g.substitute({"t": UV})
-    return total
+    h*(Q, S|Q; u,v) against dual-interval g-polynomials at uv, read off
+    ``face_tower``."""
+    return face_tower(s).local[s.polytope.face_lattice().top]
 
 
-@memo("REFINED", key=lambda s: s.key)
 def refined_limit_mixed_h_star(s: CellComplex) -> LaurentPoly:
-    """Refined limit mixed h*-polynomial h*(P,S;u,v,w).
-
-    Sum over all faces Q of P (including the empty face) of
-    w^(dim Q + 1) l*(Q, S|Q; u, v) g([Q, P]; uvw^2).
-    """
-    p = s.polytope
-    lattice = p.face_lattice()
-    total = ZERO
-    for fid in lattice.all_faces():
-        qdim = lattice.face_dim(fid)
-        local = ONE if not fid else local_limit_mixed_h_star(s.restrict(fid))
-        g = lattice.g(fid, lattice.top)
-        total = total + W ** (qdim + 1) * local * g.substitute({"t": UVW2})
-    if not total.is_polynomial():
-        raise ValueError("refined limit mixed h* failed to be polynomial; tower bug")
-    return total
+    """Refined limit mixed h*-polynomial h*(P,S;u,v,w): the sum over all
+    faces Q of P (including the empty face) of
+    w^(dim Q + 1) l*(Q, S|Q; u, v) g([Q, P]; uvw^2), read off ``face_tower``."""
+    return face_tower(s).refined[s.polytope.face_lattice().top]
 
 
 def lambda_phi(s: CellComplex, refinement: Refinement | None = None):
@@ -188,11 +227,9 @@ def lambda_phi(s: CellComplex, refinement: Refinement | None = None):
     mult = refinement.multiplicity_polys(shifted)
     phi = ZERO
     lattice = p.face_lattice()
+    refined = face_tower(s).refined
     for fid, m in mult.items():
-        qdim = lattice.face_dim(fid)
-        sign = (-1) ** qdim
-        inner = refined_limit_mixed_h_star(s.restrict(fid))
-        phi = phi + sign * inner * m
+        phi = phi + (-1) ** lattice.face_dim(fid) * refined[fid] * m
     lam = refinement.total_poly(shifted) - phi
     return lam, phi
 

@@ -537,14 +537,21 @@ class FaceLattice:
         On a simplex every interval and its dual is Boolean, so g = 1
         (Stanley 1987) and no poset is built; the 2^(d+1) faces of a
         d-simplex are counted first, so a lattice that is not Boolean raises.
+        Otherwise g is 1 up to rank 2, read off the poset's flag counts in
+        closed form (``EulerianPoset.g_by_counts``) at rank 3 to 6, and
+        computed by the poset's recursion above.
         """
         nverts = len(self.polytope.vertices)
-        if nverts == self.polytope.dim + 1:
-            if len(self.faces) != 1 << nverts:
-                raise ValueError("simplex face lattice is not Boolean; face lattice bug")
-            if not self.leq(lower, upper):
-                raise ValueError("not an interval: elements are not nested")
+        simplex = nverts == self.polytope.dim + 1
+        if simplex and len(self.faces) != 1 << nverts:
+            raise ValueError("simplex face lattice is not Boolean; face lattice bug")
+        if not self.leq(lower, upper):
+            raise ValueError("not an interval: elements are not nested")
+        n = self.faces[upper] - self.faces[lower]
+        if simplex or n <= 2:
             return ONE
         poset = self.poset()
         i, j = self._index[lower], self._index[upper]
-        return poset.dual().g(j, i) if dual else poset.g(i, j)
+        if dual:
+            poset, i, j = poset.dual(), j, i
+        return poset.g_by_counts(i, j) if n <= 6 else poset.g(i, j)

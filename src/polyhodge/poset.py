@@ -6,9 +6,9 @@ the interval [z, x] by the defining reciprocal recursion, directly on the
 bitmasks, and keeps the value in a table that the poset shares with its
 dual; a face lattice's g values therefore live and die with its polytope.
 
-Every g that a poset computes for an interval of rank >= 3 is verified
-against the recursion before it is stored, so a poset bug surfaces as an
-error rather than a wrong polynomial.  Intervals of rank <= 2 need no check:
+Every g that the recursion computes for an interval of rank >= 3 is
+verified against the defining identity before it is stored, so a poset bug
+surfaces as an error rather than a wrong polynomial.  Intervals of rank <= 2 need no check:
 g is 1 in rank 0 and 1, and in rank 2 the recursion gives g = a - 1 for an
 interval with a atoms.  An Eulerian rank-2 interval has exactly two atoms
 (1 - a + 1 = 0), and ``from_masks`` (which ``from_leq`` calls) has checked
@@ -16,9 +16,28 @@ the Euler relation on every interval before the poset exists.  The face
 lattice of a simplex builds no poset at all: its intervals are Boolean, so
 ``FaceLattice.g`` returns 1 once the lattice's face count certifies it, and
 ``verify`` checks the recursion on a ``copy`` of each face lattice's poset.
+
+An interval of rank n <= 6 has g of degree at most 2, and the top
+coefficients of the defining identity give g in closed form from flag
+counts (Stanley, "Subdivisions and local h-vectors", JAMS 5, 1992; at n = 5
+this is Bayer's toric g_2 of a 4-polytope, JCTA 44, 1987).  With f_i the
+number of elements of rank i + 1 of the interval and f_02 the number of
+pairs of rank 1 < rank 3,
+
+    g = 1 + (f_0 - n) t + (C(n, 2) - (n - 1) f_0 + f_1 + f_02 - 3 f_2) t^2,
+
+the t^2 term only for n >= 5.  ``g_by_counts`` reads these counts off the
+masks of a poset that ``from_masks`` has already checked, and
+``FaceLattice.g`` uses it for every interval of rank 3 to 6 of a lattice
+that is not a simplex, so those need no recursion.  ``g`` and ``_g_of``
+stay the full recursion: a face lattice runs it only at rank >= 7, reading
+the stored closed-form values below, and a ``copy`` runs it throughout, so
+``verify`` and the tests check the closed form against it.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .laurent import (
     LaurentPoly, ONE, T, T_INV, ZERO, from_univariate, power_sum, univariate,
@@ -171,6 +190,30 @@ class EulerianPoset:
         if g.substitute({"t": T_INV}) * T**n != rest + g:
             raise ValueError("g-polynomial recursion failed to close; poset bug")
         self._g[z, x] = g
+        return g
+
+    def g_by_counts(self, z: int, x: int) -> LaurentPoly:
+        """g of the interval [z, x] of rank 3 to 6, in closed form from its
+        flag counts (see the module docstring), kept in the g table so that a
+        recursion through [z, x] reads it.  The interval must be nested."""
+        g = self._g.get((z, x))
+        if g is not None:
+            return g
+        base = self.ranks[z]
+        n = self.ranks[x] - base
+        if not 3 <= n <= 6:
+            raise ValueError("closed-form g covers intervals of rank 3 to 6")
+        levels = [0, 0, 0, 0]  # levels[k]: the elements of rank k in [z, x]
+        for y in set_bits(self.up[z] & self.down[x]):
+            k = self.ranks[y] - base
+            if k <= 3:
+                levels[k] |= 1 << y
+        f0, f1, f2 = (levels[k].bit_count() for k in (1, 2, 3))
+        coeffs = {0: 1, 1: f0 - n}
+        if n >= 5:
+            f02 = sum((self.up[y] & levels[3]).bit_count() for y in set_bits(levels[1]))
+            coeffs[2] = comb(n, 2) - (n - 1) * f0 + f1 + f02 - 3 * f2
+        g = self._g[z, x] = from_univariate(coeffs, "t")
         return g
 
 

@@ -24,7 +24,6 @@ which vertex sets alone cannot see.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -106,6 +105,11 @@ class CellComplex:
         self._vsets = {cid: frozenset(cid) for cid in self.ids}
         self._dims = {cid: poly.dim for cid, poly in self.cells.items()}
         self.maximal_cells = tuple(sorted(self._faces))
+        # The inverse incidence: each nonempty cell -> the maximal cells holding it.
+        self._holders: dict[CellId, list] = {}
+        for top in self.maximal_cells:
+            for face in self._faces[top]:
+                self._holders.setdefault(face, []).append(top)
         self._carrier, self._carried = self._compute_carriers()
         self._validate()
 
@@ -128,11 +132,12 @@ class CellComplex:
         return self._vsets[a] <= self._vsets[b]
 
     def cells_containing(self, cid: CellId):
-        """Cells above ``cid`` in ``ids`` order, read off the maximal cells."""
+        """Cells above ``cid`` in ``ids`` order, read off the maximal cells
+        that hold it."""
         if cid == ():
             return self.ids
         vs = self._vsets[cid]
-        above = {b for faces in self._faces.values() if cid in faces for b in faces}
+        above = {b for top in self._holders[cid] for b in self._faces[top]}
         above = [b for b in above if vs <= self._vsets[b]]
         return tuple(sorted(above, key=lambda b: (self._dims[b], b)))
 
@@ -152,6 +157,11 @@ class CellComplex:
             carrier[cid] = face
             carried.setdefault(face, []).append(cid)
         return carrier, carried
+
+    def carried(self, face_id) -> tuple:
+        """The nonempty cells whose carrier is the face, in ``ids`` order:
+        the interior cells of the restriction to that face."""
+        return tuple(self._carried.get(face_id, ()))
 
     def carrier(self, cid: CellId):
         """Face id (in P's face lattice) of the smallest face containing the cell."""
@@ -246,12 +256,8 @@ class CellComplex:
                 raise ValueError("cells intersect in a non-face")
         # A facet of a maximal cell lies in one maximal cell on the boundary
         # of P and in two inside it; overlaps and gaps break that count.
-        holders = Counter(
-            f for faces in self._faces.values() for f in faces
-            if self._dims[f] == p.dim - 1
-        )
-        for f, n in holders.items():
-            if n != (1 if self.is_boundary(f) else 2):
+        for f, tops in self._holders.items():
+            if self._dims[f] == p.dim - 1 and len(tops) != (1 if self.is_boundary(f) else 2):
                 raise ValueError("cells overlap or leave a gap at a facet")
 
 

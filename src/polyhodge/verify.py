@@ -125,7 +125,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
     out.append(
         _result(
             "limit_mixed_two_forms",
-            inv.limit_mixed_h_star(s) == inv.limit_mixed_h_star_by_cells(s),
+            inv.limit_mixed_h_star(s) == inv.limit_mixed_h_star_by_links(s),
         )
     )
     negative = [(e, c) for e, c in refined.terms() if c < 0]

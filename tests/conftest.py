@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from polyhodge import linalg
+from polyhodge import invariants as inv, linalg
 from polyhodge.generators import instance_corpus
+from polyhodge.laurent import ONE, UV, UVW2, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import HeightFunction, regular_subdivision
 
@@ -132,6 +133,51 @@ def carrier_reference(s, cid):
         if all(linalg.dot(a, x) == b for x in pts):
             face &= tight
     return tuple(sorted(face))
+
+
+def cells_containing_scan(s, cid):
+    """The cells above a cell, read by scanning every maximal cell's face
+    set for the cell, in ``ids`` order."""
+    if cid == ():
+        return s.ids
+    above = {b for faces in s._faces.values() if cid in faces for b in faces}
+    return tuple(sorted((b for b in above if s.leq(cid, b)), key=lambda b: (s.dim_of(b), b)))
+
+
+# -- h*-tower reference ---------------------------------------------------------
+
+
+def restriction_tower(s):
+    """Face id -> (h*(Q, S|Q), l*(Q, S|Q), h*(Q, S|Q; w)) for every nonempty
+    face Q of P, each computed on the restricted complex ``s.restrict(Q)``:
+    h* in its link form, then l* and the refined polynomial summed over the
+    faces of Q with g read off Q's own face lattice."""
+    found = {}
+
+    def levels(r):
+        if r.key not in found:
+            lattice = r.polytope.face_lattice()
+            top = lattice.top
+            proper = {
+                fid: levels(r.restrict(fid)) for fid in lattice.all_faces() if fid and fid != top
+            }
+            limit = inv.limit_mixed_h_star_by_links(r)
+            local = ZERO
+            for fid in lattice.all_faces():
+                inner = ONE if not fid else limit if fid == top else proper[fid][0]
+                sign = (-1) ** (r.polytope.dim - lattice.face_dim(fid))
+                g = lattice.g(fid, top, dual=True)
+                local = local + sign * inner * g.substitute({"t": UV})
+            refined = ZERO
+            for fid in lattice.all_faces():
+                inner = ONE if not fid else local if fid == top else proper[fid][1]
+                g = lattice.g(fid, top).substitute({"t": UVW2})
+                refined = refined + W ** (lattice.face_dim(fid) + 1) * inner * g
+            found[r.key] = (limit, local, refined)
+        return found[r.key]
+
+    lattice = s.polytope.face_lattice()
+    return {fid: levels(s.restrict(fid)) for fid in lattice.all_faces() if fid}
 
 
 # -- lattice point references ---------------------------------------------------

@@ -4,7 +4,8 @@ from polyhodge import hodge, invariants as inv, memo
 from polyhodge.fans import TruncatedNormalFan, identity_refinement
 from polyhodge.laurent import L, ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
-from polyhodge.subdivision import trivial_subdivision
+from polyhodge.poset import EulerianPoset
+from polyhodge.subdivision import CellComplex, trivial_subdivision
 from polyhodge.verify import run_checks
 
 from conftest import cross_polytope, cube, quartic_triangle_pair, segment, unit_simplex
@@ -368,6 +369,7 @@ def test_dk_does_not_use_refined_tower(monkeypatch):
         raise AssertionError("reconstruction called the refined tower")
 
     monkeypatch.setattr(inv, "refined_limit_mixed_h_star", forbidden)
+    monkeypatch.setattr(inv, "face_tower", forbidden)
     monkeypatch.setattr(hodge, "refined_E", forbidden)
     memo.clear()
     result = hodge.dk_reconstruct(s)
@@ -434,3 +436,32 @@ def test_checks_pass_on_lower_dimensional_restrictions(corpus25):
             assert [c for c in checks if not c.ok] == [], (s.key, fid)
             restrictions += 1
     assert restrictions == 254
+
+
+def test_the_strata_are_read_off_the_tower_without_restricting(monkeypatch, corpus25):
+    # refined_E and every reader of the strata take the per-face values of
+    # one pass over S, and the 4-cross-polytope's g values of rank <= 6 come
+    # in closed form, so its stringy E runs no step of the g recursion.
+    def forbidden(self, face_id):
+        raise AssertionError("a restricted complex was built")
+
+    steps = []
+    g_of = EulerianPoset._g_of
+
+    def counted(self, z, x):
+        steps.append(self.ranks[x] - self.ranks[z])
+        return g_of(self, z, x)
+
+    monkeypatch.setattr(CellComplex, "restrict", forbidden)
+    monkeypatch.setattr(EulerianPoset, "_g_of", counted)
+    memo.clear()
+    cross = trivial_subdivision(cross_polytope(4))
+    hodge.stringy_E(cross)
+    assert steps == []
+    for s in [cross] + [s for s in corpus25 if s.polytope.dim == 3][:4]:
+        hodge.refined_E(s)
+        hodge.intersection_E(s)
+        hodge.sum_over_strata_E_int(s)
+        hodge.partial_compactification_E(s)
+        inv.lambda_phi(s)
+    memo.clear()

@@ -1,14 +1,19 @@
 from math import comb
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import invariants as inv
+from polyhodge import cli, invariants as inv
 from polyhodge.generators import instance_corpus
 from polyhodge.laurent import ONE, T, U, V, W, ZERO, from_univariate
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
-from conftest import cross_polytope, cube, quartic_triangle_pair, segment, unit_simplex
+from conftest import (
+    cross_polytope, cube, quartic_triangle_pair, restriction_tower, segment, unit_simplex,
+)
+
+DATA = Path(__file__).parent / "data"
 
 UVW2 = U * V * W**2
 
@@ -95,10 +100,28 @@ def test_limit_mixed_of_quartic_triangle():
 
 def test_limit_mixed_two_forms_agree():
     s = quartic_triangle_pair()
-    assert inv.limit_mixed_h_star(s) == inv.limit_mixed_h_star_by_cells(s)
+    assert inv.limit_mixed_h_star(s) == inv.limit_mixed_h_star_by_links(s)
     for p in (cube(2), cube(3)):
         st = trivial_subdivision(p)
-        assert inv.limit_mixed_h_star(st) == inv.limit_mixed_h_star_by_cells(st)
+        assert inv.limit_mixed_h_star(st) == inv.limit_mixed_h_star_by_links(st)
+
+
+def test_face_tower_matches_the_restriction_oracle(corpus25):
+    # One pass over S against the tower of each restricted complex S|Q, with
+    # h* in its link form and g read off Q's own face lattice.
+    complexes = list(corpus25) + [
+        cli.build_complex(cli.parse_input(str(DATA / name)))
+        for name in ("ladder_6x3.json", "cube4.json")
+    ]
+    complexes.append(trivial_subdivision(cross_polytope(4)))
+    for s in complexes:
+        tower = inv.face_tower(s)
+        oracle = restriction_tower(s)
+        assert set(tower.limit) == set(tower.local) == set(tower.refined) == set(oracle)
+        for fid, (limit, local, refined) in oracle.items():
+            assert tower.limit[fid] == limit, (s.key, fid)
+            assert tower.local[fid] == local, (s.key, fid)
+            assert tower.refined[fid] == refined, (s.key, fid)
 
 
 def test_limit_mixed_of_trivial_simplex(corpus25):

@@ -63,15 +63,15 @@ def test_only_registered_memo_tables_grow():
 def test_clear_empties_every_table_and_values_recompute():
     s = quartic_triangle_pair()
     inv.refined_limit_mixed_h_star(s)
-    assert memo.TABLES["REFINED"]
+    assert memo.TABLES["TOWER"]
     memo.clear()
     assert set(memo.TABLES) == {
         "HULL_CACHE", "COMPLEX_INTERN", "H_STAR", "LOCAL_H_STAR", "MIXED",
-        "LIMIT_MIXED", "LOCAL_LIMIT_MIXED", "REFINED", "DK_CACHE",
+        "TOWER", "DK_CACHE",
     }
     assert all(len(t) == 0 for t in memo.TABLES.values())
     assert inv.refined_limit_mixed_h_star(quartic_triangle_pair()) == QUARTIC_REFINED
-    assert memo.TABLES["REFINED"]
+    assert memo.TABLES["TOWER"]
 
 
 @pytest.mark.xfail(

@@ -329,9 +329,9 @@ def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypa
         refined = inv.refined_limit_mixed_h_star(s)
         assert refined.substitute({"w": 1}) == inv.limit_mixed_h_star(s)
     assert posets == []
-    # The only counts left are of a point P, by the validation of each
-    # restriction to a vertex of k * Delta_d; h* counts no dilate.
-    assert set(counts) == {(0, 1)}
+    # No restriction is built, so no vertex of k * Delta_d is validated as a
+    # complex of its own, and h* counts no dilate of a unimodular cell.
+    assert counts == []
 
 
 # -- Eulerian by construction ---------------------------------------------------------
@@ -389,3 +389,66 @@ def test_intervals_and_duals_of_face_lattices_are_eulerian(p):
         assert dual.ranks[i] == poset.rank - poset.ranks[i]
         for j in range(len(poset)):
             assert copy.leq_idx(i, j) == poset.leq_idx(i, j) == dual.leq_idx(j, i)
+
+
+# -- g in closed form up to rank 6 -------------------------------------------------------
+
+
+def assert_closed_form_g_matches_the_recursion(p):
+    """``FaceLattice.g`` of every interval of rank 3 to 6, and of its dual,
+    equals the recursion on a copy of the lattice's poset."""
+    lattice = FaceLattice(p)  # a g table of its own, filled by nothing else
+    copy = lattice.poset().copy()
+    dual = copy.dual()
+    faces = lattice.all_faces()
+    assert faces == copy.elements
+    for i, a in enumerate(faces):
+        for j, b in enumerate(faces):
+            if lattice.leq(a, b) and 3 <= lattice.face_dim(b) - lattice.face_dim(a) <= 6:
+                assert lattice.g(a, b) == copy.g(i, j), (p, a, b)
+                assert lattice.g(a, b, dual=True) == dual.g(j, i), (p, a, b)
+
+
+@st.composite
+def random_polytopes_of_dims_3_to_6(draw):
+    """The hull of d + 2 to d + 4 distinct points of {0, 1, 2}^d, d in 3..6."""
+    d = draw(st.integers(3, 6))
+    coords = st.tuples(*[st.integers(0, 2)] * d)
+    return LatticePolytope.convex_hull(
+        draw(st.lists(coords, min_size=d + 2, max_size=d + 4, unique=True))
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_polytopes_of_dims_3_to_6())
+def test_closed_form_g_matches_the_recursion_on_random_polytopes(p):
+    assert_closed_form_g_matches_the_recursion(p)
+
+
+def test_closed_form_g_matches_the_recursion_on_cubes_and_cross_polytopes():
+    for d in range(3, 7):
+        assert_closed_form_g_matches_the_recursion(cube(d))
+        assert_closed_form_g_matches_the_recursion(cross_polytope(d))
+
+
+def test_closed_form_g_is_stored_for_the_recursion_above_rank_6(monkeypatch):
+    # Rank 7 is [(), P] of a 6-polytope: its recursion reads the rank <= 6
+    # values that the closed form stored, and runs no step below rank 7.
+    lattice = FaceLattice(cross_polytope(6))
+    poset = lattice.poset()
+    for fid in lattice.all_faces():
+        if 3 <= lattice.face_dim(fid) + 1 <= 6:
+            lattice.g(0, fid)
+    steps = []
+    g_of = EulerianPoset._g_of
+
+    def counted(self, z, x):
+        if self.ranks[x] - self.ranks[z] > 2 and (z, x) not in self._g:
+            steps.append(self.ranks[x] - self.ranks[z])
+        return g_of(self, z, x)
+
+    monkeypatch.setattr(EulerianPoset, "_g_of", counted)
+    g = lattice.g(0, lattice.top)
+    monkeypatch.undo()
+    assert steps == [7]
+    assert g == poset.copy().g(poset.bottom, poset.top)

@@ -19,7 +19,9 @@ from polyhodge.subdivision import (
     trivial_subdivision,
 )
 
-from conftest import carrier_reference, cross_polytope, cube, mask, quartic_triangle_pair
+from conftest import (
+    carrier_reference, cells_containing_scan, cross_polytope, cube, mask, quartic_triangle_pair,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -256,6 +258,14 @@ def test_cells_containing_matches_cell_scan(corpus25):
     for s in _gate_complexes(corpus25):
         for c in s.ids:
             assert s.cells_containing(c) == tuple(b for b in s.ids if s.leq(c, b))
+
+
+def test_cells_containing_matches_the_scan_of_every_maximal_cell(corpus25):
+    # The index of maximal cells by face gives what scanning every maximal
+    # cell's face set gives, in the same order.
+    for s in corpus25:
+        for c in s.ids:
+            assert s.cells_containing(c) == cells_containing_scan(s, c), (s.key, c)
 
 
 def test_restriction_keeps_the_cells_carried_by_the_face(corpus25):
