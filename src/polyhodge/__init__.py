@@ -5,7 +5,7 @@ all in exact integer arithmetic."""
 
 from .laurent import LaurentPoly, L, T, U, V, W
 from .polytope import LatticePolytope
-from .poset import EulerianPoset, g_polynomial, link_h_polynomial, stanley_inversion_check
+from .poset import EulerianPoset, link_h_polynomial, stanley_inversion_check
 from .subdivision import (
     CellComplex,
     HeightFunction,
@@ -28,8 +28,6 @@ from .invariants import (
 )
 from .hodge import (
     HodgeNumberTable,
-    TropicalCell,
-    TropicalCellData,
     as_class_polynomial,
     chi_y,
     dk_reconstruct,
@@ -37,7 +35,6 @@ from .hodge import (
     hodge_deligne,
     intersection_E,
     nearby_fiber_E,
-    nearby_fiber_from_cells,
     partial_compactification_E,
     partial_compactification_psi,
     refined_E,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import hodge, invariants as inv
 from .fans import Refinement, TruncatedNormalFan, identity_refinement
 from .generators import instance_corpus
-from .laurent import LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly
 from .linalg import primitive
 from .polytope import LatticePolytope
 from .subdivision import CellComplex, HeightFunction, regular_subdivision, trivial_subdivision
@@ -149,6 +149,8 @@ def _parse_rays(rays, dim: int, where: str) -> list[tuple[int, ...]]:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in r)
         ):
             raise InputError(f"{where}[{j}] must be a list of {dim} integers")
+        if not any(r):
+            raise InputError(f"{where}[{j}] is the zero vector, which spans no ray")
         out.append(primitive(tuple(r)))
     return out
 
@@ -183,7 +185,15 @@ def _resolve_subfan(fan: TruncatedNormalFan, cone_list, path: str):
 
 
 def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: str):
-    """Build a refinement from user cones carrying sigma indices."""
+    """Build a refinement from user cones carrying sigma indices.
+
+    The cones carried by a subfan cone sigma must subdivide it, so their
+    relative interiors partition its interior, and by the Euler relation
+    the sum of (-1)^(dim sigma - dim tau) over those cones tau is 1.  A cone
+    left out, or a ray repeated within a cone, breaks that sum, and the input
+    is rejected.  The relation is necessary, not sufficient: cones that
+    overlap or leave a gap can still sum to 1.
+    """
     if not isinstance(cone_list, list):
         raise InputError(f"{path}: refinement must be a list of cones")
     cones = {(): fan.lattice.top}
@@ -213,7 +223,16 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: st
                 f"{path}: refinement[{i}].sigma is not the smallest containing cone"
             )
         cones[rays] = fid
-    return Refinement(fan, cones)
+    refinement = Refinement(fan, cones)
+    signed = refinement.multiplicity_polys(-ONE)
+    for k, fid in enumerate(subfan_ids):
+        total = signed.get(fid, ZERO)
+        if total != 1:
+            raise InputError(
+                f"{path}: refinement does not subdivide subfan[{k}]: the sum of "
+                f"(-1)^(dim sigma - dim tau) over its refinement cones tau is {total}, not 1"
+            )
+    return refinement
 
 
 # -- report assembly ----------------------------------------------------------
@@ -413,7 +432,11 @@ def cmd_verify(parsed: ParsedInput, args) -> dict:
     ]
     if args.random:
         for i, instance in enumerate(instance_corpus(args.seed, args.random)):
-            for c in run_checks(instance):
+            try:
+                found = run_checks(instance)
+            except Exception as exc:
+                raise ValueError(f"random[{i}] (seed {args.seed}): {_describe(exc)}") from exc
+            for c in found:
                 checks.append(
                     {
                         "name": f"random[{i}].{c.name}",
@@ -469,6 +492,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _describe(exc: Exception) -> str:
+    """What ``computation error:`` reports: a ValueError's message, or any
+    other exception's type name and message."""
+    return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+
+
 def _check_counts(args) -> None:
     """Reject a count flag out of its range rather than clamp or ignore it."""
     dilation = getattr(args, "max_dilation", 0)
@@ -487,11 +516,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # a bug or a resource limit, never a traceback
-        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"computation error: {_describe(exc)}", file=sys.stderr)
         return 2
     failed = any(c["status"] == "fail" for c in report.get("checks", []))
     try:

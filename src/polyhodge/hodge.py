@@ -24,7 +24,7 @@ be a polynomial in the product uv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .laurent import LaurentPoly, ONE, U, UV, UVW2, V, W, ZERO, power_sum
 from .polytope import LatticePolytope
@@ -52,38 +52,6 @@ def as_class_polynomial(p: LaurentPoly) -> LaurentPoly | None:
             return None
         terms[(0, 0, 0, 0, el + eu)] = terms.get((0, 0, 0, 0, el + eu), 0) + c
     return LaurentPoly(terms)
-
-
-# -- generic cell-sum evaluator ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TropicalCell:
-    """One cell of a tropical polyhedral structure with its class realization."""
-
-    dim: int
-    bounded: bool
-    class_poly: LaurentPoly
-
-
-@dataclass
-class TropicalCellData:
-    """User-supplied cell data for the generic nearby-fiber sum."""
-
-    cells: list[TropicalCell] = field(default_factory=list)
-
-
-def nearby_fiber_from_cells(data: TropicalCellData) -> LaurentPoly:
-    """Alternating sum of cell classes over the bounded cells.
-
-    Evaluates sum (-1)^dim [class] in whatever realization the classes were
-    supplied in; unbounded cells do not contribute.
-    """
-    total = ZERO
-    for cell in data.cells:
-        if cell.bounded:
-            total = total + (-1) ** cell.dim * cell.class_poly
-    return total
 
 
 # -- hypersurface invariants of a single polytope -------------------------------
@@ -138,11 +106,6 @@ def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
         k = p.dim - cell.dim
         by_codim[k] = by_codim.get(k, ZERO) + hodge_deligne_uv(cell)
     return power_sum(by_codim, 1 - UV)
-
-
-def nearby_fiber_class(s: CellComplex) -> LaurentPoly | None:
-    """L-realization of the nearby fiber, when it exists."""
-    return as_class_polynomial(nearby_fiber_E(s))
 
 
 # -- refined invariants ----------------------------------------------------------
@@ -257,26 +220,27 @@ def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
 # -- partial compactifications ------------------------------------------------------
 
 
-def _subfan_refinement(s: CellComplex, subfan, refinement) -> Refinement:
+def _checked_refinement(s: CellComplex, refinement) -> Refinement:
     """The refinement, which must refine the normal fan of s.polytope, or
-    the identity refinement of the subfan when none is given."""
+    the identity refinement of the whole fan when none is given."""
     if refinement is None:
-        return identity_refinement(TruncatedNormalFan(s.polytope), subfan)
+        return identity_refinement(TruncatedNormalFan(s.polytope))
     if refinement.fan.polytope.key != s.polytope.key:
         raise ValueError("refinement belongs to a different normal fan")
     return refinement
 
 
 def partial_compactification_E(
-    s: CellComplex, subfan=None, refinement: Refinement | None = None
+    s: CellComplex, refinement: Refinement | None = None
 ) -> LaurentPoly:
     """Refined E of the closure of the open hypersurface along a subfan of
-    the truncated normal fan, with an optional refinement of the subfan.
+    the truncated normal fan, given by a refinement of the subfan.
 
-    The zero subfan returns the open refined E; the full fan with the
-    identity refinement gives the (possibly singular) compactification.
+    The identity refinement of the zero subfan returns the open refined E;
+    the default, the identity refinement of the full fan, gives the
+    (possibly singular) compactification.
     """
-    mult = _subfan_refinement(s, subfan, refinement).multiplicity_polys(UVW2 - 1)
+    mult = _checked_refinement(s, refinement).multiplicity_polys(UVW2 - 1)
     lattice = s.polytope.face_lattice()
     refined = inv.face_tower(s).refined
     total = ZERO
@@ -286,10 +250,10 @@ def partial_compactification_E(
 
 
 def partial_compactification_psi(
-    s: CellComplex, subfan=None, refinement: Refinement | None = None
+    s: CellComplex, refinement: Refinement | None = None
 ) -> LaurentPoly:
     """Nearby-fiber realization of the partial compactification, in (u, v)."""
-    mult = _subfan_refinement(s, subfan, refinement).multiplicity_polys(UV - 1)
+    mult = _checked_refinement(s, refinement).multiplicity_polys(UV - 1)
     total = ZERO
     for fid, m in mult.items():
         total = total + nearby_fiber_E(s.restrict(fid)) * m

@@ -67,10 +67,6 @@ class LaurentPoly:
         return p
 
     @staticmethod
-    def const(n: int) -> "LaurentPoly":
-        return LaurentPoly({_ZERO_EXP: n})
-
-    @staticmethod
     def var(name: str, power: int = 1) -> "LaurentPoly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARS}")

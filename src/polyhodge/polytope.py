@@ -141,7 +141,13 @@ class LatticePolytope:
     @staticmethod
     def convex_hull(points) -> "LatticePolytope":
         """Convex hull of lattice points (vertices, facets, intrinsic dim)."""
-        pts = sorted({tuple(int(c) for c in p) for p in points})
+        pts = set()
+        for p in points:
+            p = tuple(p)
+            if not all(type(c) is int for c in p):  # a bool is no coordinate
+                raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
+            pts.add(p)
+        pts = sorted(pts)
         if not pts:
             raise ValueError("convex hull of an empty point set")
         n = len(pts[0])
@@ -479,22 +485,19 @@ class FaceLattice:
     def __init__(self, polytope: LatticePolytope):
         self.polytope = polytope
         self.top = (1 << len(polytope.vertices)) - 1
-        self._by_dim: dict[int, list] = {}
+        by_dim: dict[int, list] = {}
         level = {self.top}
         for dim in range(polytope.dim, -2, -1):
             level = level or {0}  # a point has no facet to cut its empty face
-            self._by_dim[dim] = sorted(level)
+            by_dim[dim] = sorted(level)
             level = {f for mask in level for f in _facets_of(mask, polytope._facet_masks)}
-        self.faces = {fid: k for k in sorted(self._by_dim) for fid in self._by_dim[k]}
+        self.faces = {fid: k for k in sorted(by_dim) for fid in by_dim[k]}
         self._poset = None
         self._index: dict[int, int] = {}  # face id -> element of the poset
         self._polytopes: dict[int, LatticePolytope] = {}
 
     def face_dim(self, fid) -> int:
         return self.faces[fid]
-
-    def faces_of_dim(self, k: int):
-        return tuple(self._by_dim.get(k, ()))
 
     def all_faces(self):
         """Face ids sorted by (dim, id)."""
@@ -517,7 +520,8 @@ class FaceLattice:
         return not f & ~g
 
     def f_vector(self):
-        return tuple(len(self._by_dim.get(k, ())) for k in range(-1, self.polytope.dim + 1))
+        dims = list(self.faces.values())
+        return tuple(dims.count(k) for k in range(-1, self.polytope.dim + 1))
 
     def poset(self) -> EulerianPoset:
         if self._poset is None:

@@ -8,14 +8,15 @@ dual; a face lattice's g values therefore live and die with its polytope.
 
 Every g that the recursion computes for an interval of rank >= 3 is
 verified against the defining identity before it is stored, so a poset bug
-surfaces as an error rather than a wrong polynomial.  Intervals of rank <= 2 need no check:
-g is 1 in rank 0 and 1, and in rank 2 the recursion gives g = a - 1 for an
-interval with a atoms.  An Eulerian rank-2 interval has exactly two atoms
-(1 - a + 1 = 0), and ``from_masks`` (which ``from_leq`` calls) has checked
-the Euler relation on every interval before the poset exists.  The face
-lattice of a simplex builds no poset at all: its intervals are Boolean, so
-``FaceLattice.g`` returns 1 once the lattice's face count certifies it, and
-``verify`` checks the recursion on a ``copy`` of each face lattice's poset.
+surfaces as an error rather than a wrong polynomial.  Intervals of rank
+<= 2 need no check: g is 1 in rank 0 and 1, and in rank 2 the recursion
+gives g = a - 1 for an interval with a atoms.  An Eulerian rank-2 interval
+has exactly two atoms (1 - a + 1 = 0), and ``from_masks``, the one way a
+poset is built, has checked the Euler relation on every interval before
+the poset exists.  The face lattice of a simplex builds no poset at all:
+its intervals are Boolean, so ``FaceLattice.g`` returns 1 once the
+lattice's face count certifies it, and ``verify`` checks the recursion on a
+``copy`` of each face lattice's poset.
 
 An interval of rank n <= 6 has g of degree at most 2, and the top
 coefficients of the defining identity give g in closed form from flag
@@ -55,9 +56,9 @@ def set_bits(mask: int):
 class EulerianPoset:
     """A finite graded Eulerian poset with 0-hat and 1-hat, tracked as bitmasks.
 
-    Eulerian by construction: only ``from_masks`` (which ``from_leq`` calls
-    and ``FaceLattice.poset`` calls with the face lattice's masks), ``dual``
-    and ``copy`` call the constructor.  ``from_masks`` checks gradedness and
+    Eulerian by construction: only ``from_masks`` (which
+    ``FaceLattice.poset`` calls with the face lattice's masks), ``dual`` and
+    ``copy`` call the constructor.  ``from_masks`` checks gradedness and
     the Euler relation, and the dual and a copy of an Eulerian poset are
     Eulerian.
     """
@@ -75,14 +76,6 @@ class EulerianPoset:
         self._g = {}  # g of each interval of rank >= 3, keyed by (z, x)
 
     # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def from_leq(elements, leq) -> "EulerianPoset":
-        """Build from a reflexive partial order callable leq(a, b), checked
-        as ``from_masks`` checks it."""
-        elements = tuple(elements)
-        up = [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
-        return EulerianPoset.from_masks(elements, up)
 
     @staticmethod
     def from_masks(elements, up) -> "EulerianPoset":
@@ -134,9 +127,6 @@ class EulerianPoset:
     def rank(self) -> int:
         """Rank of the poset, i.e. the rank of its top element."""
         return self.ranks[self.top]
-
-    def leq_idx(self, i, j) -> bool:
-        return bool(self.up[i] & (1 << j))
 
     # -- derived posets ---------------------------------------------------------
 
@@ -215,11 +205,6 @@ class EulerianPoset:
             coeffs[2] = comb(n, 2) - (n - 1) * f0 + f1 + f02 - 3 * f2
         g = self._g[z, x] = from_univariate(coeffs, "t")
         return g
-
-
-def g_polynomial(poset: EulerianPoset) -> LaurentPoly:
-    """Stanley's g-polynomial of an Eulerian poset, as a polynomial in t."""
-    return poset.g(poset.bottom, poset.top)
 
 
 def stanley_inversion_check(poset: EulerianPoset, interval=None) -> bool:

@@ -8,6 +8,7 @@ from polyhodge import invariants as inv, linalg
 from polyhodge.generators import instance_corpus
 from polyhodge.laurent import ONE, UV, UVW2, W, ZERO
 from polyhodge.polytope import LatticePolytope
+from polyhodge.poset import EulerianPoset
 from polyhodge.subdivision import HeightFunction, regular_subdivision
 
 
@@ -83,11 +84,26 @@ def eulerian_by_signed_sums(elements, leq, rank):
 
 
 def poset_is_eulerian(poset):
-    """The signed-sum reference on a built poset, read through ``leq_idx``."""
-    return eulerian_by_signed_sums(range(len(poset)), poset.leq_idx, poset.ranks.__getitem__)
+    """The signed-sum reference on a built poset, read off its ``up`` masks."""
+    return eulerian_by_signed_sums(
+        range(len(poset)), lambda z, x: poset.up[z] >> x & 1, poset.ranks.__getitem__
+    )
+
+
+def poset_from_leq(elements, leq):
+    """``EulerianPoset.from_masks`` of the order that a reflexive partial
+    order callable leq(a, b) gives on the elements."""
+    elements = tuple(elements)
+    up = [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+    return EulerianPoset.from_masks(elements, up)
 
 
 # -- face references ------------------------------------------------------------
+
+
+def faces_of_dim(lattice, k):
+    """The ids of a face lattice's faces of dimension k, in increasing order."""
+    return tuple(fid for fid, dim in lattice.faces.items() if dim == k)
 
 
 def mask(indices):

@@ -31,7 +31,7 @@ def test_criterion_01_worked_example_end_to_end():
     start = time.perf_counter()
     s = quartic_triangle_pair()
     assert len(s.maximal_cells) == 4
-    assert hodge.nearby_fiber_class(s) == -14 - 2 * L
+    assert hodge.as_class_polynomial(hodge.nearby_fiber_E(s)) == -14 - 2 * L
     assert hodge.refined_E(s) == -11 - 3 * (1 + U * V) * W + UVW2
     assert hodge.intersection_E(s) == 1 - 3 * (1 + U * V) * W + UVW2
     assert hodge.euler_characteristic(s.polytope) == -16

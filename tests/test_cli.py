@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -12,8 +13,11 @@ import pytest
 
 import polyhodge
 from polyhodge import cli, hodge, memo
-from polyhodge.fans import TruncatedNormalFan
+from polyhodge.fans import TruncatedNormalFan, identity_refinement, simplicial_refinement
 from polyhodge.laurent import LaurentPoly
+from polyhodge.polytope import LatticePolytope
+
+from conftest import cross_polytope, cube
 
 DATA = Path(__file__).parent / "data"
 CONCRETE = str(DATA / "concrete_curve.json")
@@ -140,6 +144,28 @@ def test_verify_with_random_instances(tmp_path):
     assert code == 0
     report = json.loads(out)
     assert any(c["name"].startswith("random[") for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(ValueError("boom"), "boom"), (KeyError(7), "KeyError: 7")],
+    ids=["ValueError", "KeyError"],
+)
+def test_an_error_in_a_random_instance_names_the_instance_and_the_seed(
+    monkeypatch, capsys, error, message
+):
+    # The input's own checks are call 1, so random[1] is call 3.
+    calls = []
+
+    def run_checks(s):
+        calls.append(s)
+        if len(calls) == 3:
+            raise error
+        return []
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    assert run_cli(["verify", CONCRETE, "--random", "3", "--seed", "7"]) == (2, "")
+    assert capsys.readouterr().err == f"computation error: random[1] (seed 7): {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -470,6 +496,65 @@ def test_refinement_errors_on_a_non_simplicial_cone(tmp_path, capsys, cone, mess
     path = write_input(tmp_path, data)
     assert run_cli(["hodge", path]) == (1, "")
     assert capsys.readouterr().err == f"input error: {path}: refinement[11]{message}\n"
+
+
+# The cone of the edge's triangulation that lies inside the edge's cone.
+DIAGONAL = [[-1, -1, -1, -1], [-1, -1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # (-2, -2, -2, -2) is (-1, -1, -1, -1) once made primitive, so the
+        # ray's cone is there twice.
+        (
+            lambda cones: cones + [{"rays": [[-1, -1, -1, -1], [-2, -2, -2, -2]], "sigma": 9}],
+            "refinement does not subdivide subfan[9]: the sum of (-1)^(dim sigma - dim tau) "
+            "over its refinement cones tau is 2, not 1",
+        ),
+        (
+            lambda cones: cones + [{"rays": [[0, 0, 0, 0]], "sigma": 0}],
+            "refinement[11].rays[0] is the zero vector, which spans no ray",
+        ),
+        (
+            lambda cones: [c for c in cones if c["rays"] != DIAGONAL],
+            "refinement does not subdivide subfan[1]: the sum of (-1)^(dim sigma - dim tau) "
+            "over its refinement cones tau is 2, not 1",
+        ),
+        (
+            lambda cones: [],
+            "refinement does not subdivide subfan[1]: the sum of (-1)^(dim sigma - dim tau) "
+            "over its refinement cones tau is 0, not 1",
+        ),
+    ],
+    ids=["repeated-ray", "zero-ray", "cone-left-out", "nothing-covered"],
+)
+def test_refinement_that_does_not_subdivide_the_subfan_is_rejected(
+    tmp_path, capsys, edit, message
+):
+    data = json.loads(CROSS4.read_text())
+    data["refinement"] = edit(data["refinement"])
+    path = write_input(tmp_path, data)
+    assert run_cli(["hodge", path]) == (1, "")
+    assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "polytope",
+    [cross_polytope(4), LatticePolytope.convex_hull(list(itertools.product((-1, 1), repeat=4))),
+     cube(3)],
+    ids=["4-cross", "[-1,1]^4", "[0,1]^3"],
+)
+def test_refinements_of_the_whole_fan_pass_the_euler_check(polytope):
+    fan = TruncatedNormalFan(polytope)
+    ids = sorted(fan.full_subfan())
+    for refinement in (simplicial_refinement(fan), identity_refinement(fan)):
+        cones = [
+            {"rays": [list(r) for r in rays], "sigma": ids.index(fid)}
+            for rays, fid in refinement.cones.items()
+            if rays
+        ]
+        assert cli._resolve_refinement(fan, ids, cones, "input").cones == refinement.cones
 
 
 def test_text_format():

@@ -9,7 +9,7 @@ from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import set_bits
 from polyhodge.subdivision import trivial_subdivision
 
-from conftest import cone_contains_reference, cross_polytope, cube, mask
+from conftest import cone_contains_reference, cross_polytope, cube, faces_of_dim, mask
 
 
 def test_normal_fan_of_quartic_triangle():
@@ -42,7 +42,7 @@ def test_normal_fan_lives_in_the_polytopes_own_lattice():
     # fan has the polytope's own dimension, and face by face it has the cone
     # rays of the fan of the polytope's full-dimensional model.
     lattice = cube(3).face_lattice()
-    faces = [lattice.face_polytope(fid) for fid in lattice.faces_of_dim(2)]
+    faces = [lattice.face_polytope(fid) for fid in faces_of_dim(lattice, 2)]
     faces.append(LatticePolytope.convex_hull([(1, 2, 3), (3, 6, 9)]))
     for q in faces:
         assert q.dim < q.ambient_dim
@@ -199,7 +199,7 @@ def _fan_cases():
         cube3.polytope,
         cross_polytope(3),
         cross_polytope(4),
-        cube3.face_polytope(cube3.faces_of_dim(2)[0]),  # lower-dimensional
+        cube3.face_polytope(faces_of_dim(cube3, 2)[0]),  # lower-dimensional
         LatticePolytope.convex_hull([(1, 2, 3), (3, 6, 9)]),
     ]
 

@@ -15,40 +15,11 @@ QUARTIC_E = -11 - 3 * (1 + U * V) * W + UVW2
 QUARTIC_E_INT = 1 - 3 * (1 + U * V) * W + UVW2
 
 
-def LaurentConst(n):
-    from polyhodge.laurent import LaurentPoly
-
-    return LaurentPoly.const(n)
-
-
-def test_nearby_fiber_from_cells_worked_example():
-    cells = (
-        [hodge.TropicalCell(0, True, L - 6)] * 3
-        + [hodge.TropicalCell(0, True, L - 2)]
-        + [hodge.TropicalCell(1, True, L - 1)] * 6
-        + [hodge.TropicalCell(1, False, L - 1)] * 3
-    )
-    psi = hodge.nearby_fiber_from_cells(hodge.TropicalCellData(cells))
-    assert psi == -14 - 2 * L
-
-
-def test_nearby_fiber_from_cells_trivia():
-    c = 3 * L**2 - 7
-    assert hodge.nearby_fiber_from_cells(
-        hodge.TropicalCellData([hodge.TropicalCell(0, True, c)])
-    ) == c
-    assert (
-        hodge.nearby_fiber_from_cells(
-            hodge.TropicalCellData([hodge.TropicalCell(1, False, c)] * 4)
-        )
-        == ZERO
-    )
-
-
 def test_nearby_fiber_E_of_quartic_triangle():
     s = quartic_triangle_pair()
-    assert hodge.nearby_fiber_E(s) == -14 - 2 * U * V
-    assert hodge.nearby_fiber_class(s) == -14 - 2 * L
+    psi = hodge.nearby_fiber_E(s)
+    assert psi == -14 - 2 * U * V
+    assert hodge.as_class_polynomial(psi) == -14 - 2 * L
 
 
 def test_chi_y_recursion_on_simplices():
@@ -76,7 +47,7 @@ def test_hodge_deligne_examples():
     for l in range(1, 5):
         p = unit_simplex(l)
         assert hodge.hodge_deligne(p).substitute({"w": 1}) == hodge.chi_y(p)
-    assert hodge.hodge_deligne(segment(5)) == LaurentConst(5)
+    assert hodge.hodge_deligne(segment(5)) == 5 * ONE
     # consistency at v = 1 through the nearby fiber
     s = quartic_triangle_pair()
     assert hodge.nearby_fiber_E(s).substitute({"v": 1}) == hodge.chi_y(s.polytope)
@@ -98,7 +69,7 @@ def test_refined_E_of_quartic_triangle():
 def test_refined_E_of_segments():
     for length in (1, 2, 5):
         s = trivial_subdivision(segment(length))
-        assert hodge.refined_E(s) == LaurentConst(length)
+        assert hodge.refined_E(s) == length * ONE
 
 
 def test_refined_E_dim2_closed_form(corpus25):
@@ -212,7 +183,8 @@ def test_sum_over_strata_equals_intersection(corpus25):
 def test_partial_compactification_zero_subfan():
     s = quartic_triangle_pair()
     top = s.polytope.face_lattice().top
-    assert hodge.partial_compactification_E(s, subfan=[top]) == hodge.refined_E(s)
+    zero_subfan = identity_refinement(TruncatedNormalFan(s.polytope), [top])
+    assert hodge.partial_compactification_E(s, refinement=zero_subfan) == hodge.refined_E(s)
 
 
 def test_partial_compactification_full_fan_dim2():
@@ -317,40 +289,12 @@ def test_stringy_with_nontrivial_subdivision_is_hodge_tate():
     assert hodge.stringy_E_generic(s) == (1 - U) * (1 - W)
 
 
-def tropical_cells_from_complex(s):
-    """Cell data of the dual tropical structure: bounded cells correspond to
-    the interior cells of S of positive dimension, with complementary
-    dimension and a torus-factor twist on the class."""
-    n = s.polytope.dim
-    cells = []
-    for cid in s.interior_ids():
-        cell = s.cell_polytope(cid)
-        if cell.dim < 1:
-            continue
-        cells.append(
-            hodge.TropicalCell(
-                dim=n - cell.dim,
-                bounded=True,
-                class_poly=hodge.hodge_deligne_uv(cell) * (U * V - 1) ** (n - cell.dim),
-            )
-        )
-    return hodge.TropicalCellData(cells)
-
-
-def test_generic_cell_sum_matches_face_sum(corpus25):
-    # The alternating bounded-cell sum over the dual tropical structure must
-    # reproduce the interior-cell face sum.
-    for s in [quartic_triangle_pair()] + list(corpus25[:8]):
-        data = tropical_cells_from_complex(s)
-        assert hodge.nearby_fiber_from_cells(data) == hodge.nearby_fiber_E(s)
-
-
 def test_dk_reconstruction_quartic_and_segments():
     s = quartic_triangle_pair()
     assert hodge.dk_reconstruct(s) == QUARTIC_E
     for length in (1, 3):
         st = trivial_subdivision(segment(length))
-        assert hodge.dk_reconstruct(st) == LaurentConst(length)
+        assert hodge.dk_reconstruct(st) == length * ONE
 
 
 def test_dk_reconstruction_random(corpus25):

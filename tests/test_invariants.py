@@ -10,7 +10,8 @@ from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
 from conftest import (
-    cross_polytope, cube, quartic_triangle_pair, restriction_tower, segment, unit_simplex,
+    cross_polytope, cube, faces_of_dim, quartic_triangle_pair, restriction_tower, segment,
+    unit_simplex,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -208,7 +209,7 @@ def test_lambda_phi_direct_evaluation():
     x = UVW2 - 1
     lam, phi = inv.lambda_phi(s)
     edge_sum = ZERO
-    for fid in lat.faces_of_dim(1):
+    for fid in faces_of_dim(lat, 1):
         edge_sum = edge_sum + inv.refined_limit_mixed_h_star(s.restrict(fid))
     expected_phi = inv.refined_limit_mixed_h_star(s) - edge_sum
     assert phi == expected_phi
