@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import hodge, invariants as inv
@@ -22,7 +23,7 @@ from .laurent import ONE, ZERO, LaurentPoly
 from .linalg import primitive
 from .polytope import LatticePolytope
 from .subdivision import CellComplex, HeightFunction, regular_subdivision, trivial_subdivision
-from .verify import run_checks
+from .verify import _result, run_checks
 
 SCHEMA_VERSION = 1
 MAX_DILATION = 12  # largest dilate that `hstar --max-dilation` may ask for
@@ -191,8 +192,11 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: st
     relative interiors partition its interior, and by the Euler relation
     the sum of (-1)^(dim sigma - dim tau) over those cones tau is 1.  A cone
     left out, or a ray repeated within a cone, breaks that sum, and the input
-    is rejected.  The relation is necessary, not sufficient: cones that
-    overlap or leave a gap can still sum to 1.
+    is rejected.  Then, as ``CellComplex._validate`` counts the cells at a
+    facet, each cone tau of dimension dim sigma - 1 inside sigma must lie in
+    exactly two of sigma's full-dimensional refinement cones when sigma
+    carries it, and in exactly one when a facet of sigma does, which rejects
+    cones that overlap across tau.  Both checks are necessary, not sufficient.
     """
     if not isinstance(cone_list, list):
         raise InputError(f"{path}: refinement must be a list of cones")
@@ -232,6 +236,20 @@ def _resolve_refinement(fan: TruncatedNormalFan, subfan_ids, cone_list, path: st
                 f"{path}: refinement does not subdivide subfan[{k}]: the sum of "
                 f"(-1)^(dim sigma - dim tau) over its refinement cones tau is {total}, not 1"
             )
+    dims = dict(zip(refinement.cones, refinement.dims))  # rays -> (dim, carrier)
+    for k, sigma in enumerate(subfan_ids):
+        d = fan.cone_dim(sigma)
+        full = [set(rays) for rays, (dim, fid) in dims.items() if fid == sigma and dim == d]
+        for tau, (dim, fid) in dims.items():
+            if dim == d - 1 and fan.lattice.leq(sigma, fid):
+                count = sum(set(tau) <= rays for rays in full)
+                expected = 2 if fid == sigma else 1
+                if count != expected:
+                    raise InputError(
+                        f"{path}: refinement does not subdivide subfan[{k}]: the cone "
+                        f"{[list(r) for r in tau]} lies in {count} of its {d}-dimensional "
+                        f"refinement cones, not {expected}"
+                    )
     return refinement
 
 
@@ -246,14 +264,15 @@ def _table(table: dict):
     return {",".join(map(str, k)): str(v) for k, v in sorted(table.items())}
 
 
-def _report(command: str, parsed: ParsedInput, results, tables=None, checks=None):
+def _report(command: str, parsed: ParsedInput, results, tables=None, checks=()):
+    """The report of a command; each ``CheckResult`` becomes a dict."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input_hash": hashlib.sha256(parsed.raw_bytes).hexdigest(),
         "results": results,
         "tables": tables or {},
-        "checks": checks or [],
+        "checks": [asdict(c) for c in checks],
     }
 
 
@@ -367,13 +386,7 @@ def cmd_intersection(parsed: ParsedInput, args) -> dict:
         "intersection_lefschetz": _poly(inv.e_int_lef(s.polytope)),
         "strata_sum": _poly(strata),
     }
-    checks = [
-        {
-            "name": "strata_sum_is_intersection_E",
-            "status": "pass" if strata == e_int else "fail",
-            "detail": "",
-        }
-    ]
+    checks = [_result("strata_sum_is_intersection_E", strata == e_int)]
     return _report("intersection", parsed, results, checks=checks)
 
 
@@ -414,36 +427,20 @@ def cmd_dk_check(parsed: ParsedInput, args) -> dict:
         "refined_E": _poly(direct),
         "reconstructed_E": _poly(reconstructed),
     }
-    checks = [
-        {
-            "name": "reconstruction_matches",
-            "status": "pass" if ok else "fail",
-            "detail": "" if ok else "independent reconstruction disagrees",
-        }
-    ]
+    checks = [_result("reconstruction_matches", ok, "independent reconstruction disagrees")]
     return _report("dk-check", parsed, results, checks=checks)
 
 
 def cmd_verify(parsed: ParsedInput, args) -> dict:
     s = build_complex(parsed)
-    checks = [
-        {"name": c.name, "status": c.status, "detail": c.detail}
-        for c in run_checks(s)
-    ]
+    checks = run_checks(s)
     if args.random:
         for i, instance in enumerate(instance_corpus(args.seed, args.random)):
             try:
                 found = run_checks(instance)
             except Exception as exc:
                 raise ValueError(f"random[{i}] (seed {args.seed}): {_describe(exc)}") from exc
-            for c in found:
-                checks.append(
-                    {
-                        "name": f"random[{i}].{c.name}",
-                        "status": c.status,
-                        "detail": c.detail,
-                    }
-                )
+            checks += [replace(c, name=f"random[{i}].{c.name}") for c in found]
     return _report("verify", parsed, {}, checks=checks)
 
 

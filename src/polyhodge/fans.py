@@ -21,7 +21,7 @@ coarse fan.
 from __future__ import annotations
 
 from . import linalg
-from .laurent import ZERO, power_sum
+from .laurent import power_sum
 from .polytope import LatticePolytope
 
 
@@ -101,33 +101,28 @@ class Refinement:
 
     cones maps each refinement cone, canonically a sorted tuple of primitive
     rays, to the face id of the smallest coarse cone containing it.  Each
-    cone's dimension is taken once, when the refinement is built.
+    cone's dimension is taken once, when the refinement is built: ``dims``
+    lists (dimension, coarse face id) in ``cones`` order.
     """
 
     def __init__(self, fan: TruncatedNormalFan, cones: dict):
         self.fan = fan
         self.cones = dict(sorted(cones.items()))
-        self._dims = [
+        self.dims = [
             (linalg.rank(list(rays)) if rays else 0, fid) for rays, fid in self.cones.items()
         ]
 
     def multiplicity_polys(self, shifted):
         """For each coarse face id Q: sum over refinement cones carried by Q
         of shifted^(dim coarse cone - dim cone)."""
-        counts = {}  # coarse face id -> {codimension: number of cones}
-        for d, fid in self._dims:
-            by_codim = counts.setdefault(fid, {})
-            k = self.fan.cone_dim(fid) - d
-            by_codim[k] = by_codim.get(k, ZERO) + 1
-        return {fid: power_sum(by_codim, shifted) for fid, by_codim in counts.items()}
+        codims = {}  # coarse face id -> the codimension of each cone it carries
+        for d, fid in self.dims:
+            codims.setdefault(fid, []).append((self.fan.cone_dim(fid) - d, 1))
+        return {fid: power_sum(terms, shifted) for fid, terms in codims.items()}
 
     def total_poly(self, shifted):
         """Sum over all refinement cones of shifted^(dim P - dim cone)."""
-        by_codim = {}
-        for d, _fid in self._dims:
-            k = self.fan.dim - d
-            by_codim[k] = by_codim.get(k, ZERO) + 1
-        return power_sum(by_codim, shifted)
+        return power_sum(((self.fan.dim - d, 1) for d, _fid in self.dims), shifted)
 
 
 def identity_refinement(fan: TruncatedNormalFan, subfan=None) -> Refinement:

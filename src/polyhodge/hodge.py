@@ -17,6 +17,11 @@ refined h*-polynomial ``invariants.face_tower`` reads off S itself.  Only
 ``dk_reconstruct`` and ``partial_compactification_psi``, the independent
 sides of ``verify`` identities, build ``s.restrict(Q)``.
 
+Each E is taken from its h*-polynomial by the one Danilov-Khovanskii
+transform ``_e_from_h``, x E = (x - 1)^dim + (-1)^(dim+1) h* at x = u, uw,
+uv or uvw^2, and each cell sum weighted by (1 - uv)^codim is a
+``laurent.power_sum``.
+
 Grothendieck-ring classes are never represented; a class in Z[L] is
 reported in the L-variable exactly when the (u,v)-realization happens to
 be a polynomial in the product uv.
@@ -57,14 +62,21 @@ def as_class_polynomial(p: LaurentPoly) -> LaurentPoly | None:
 # -- hypersurface invariants of a single polytope -------------------------------
 
 
+def _e_from_h(d: int, h: LaurentPoly, x: LaurentPoly) -> LaurentPoly:
+    """The E of dimension d >= 0 with x E = (x - 1)^d + (-1)^(d+1) h, for an
+    h*-polynomial h realized at the monomial x: u, uw, uv or uvw^2."""
+    if d < 0:
+        raise ValueError("requires a nonempty polytope")
+    e = ((x - 1) ** d + (-1) ** (d + 1) * h) * x**-1
+    if not e.is_polynomial():
+        raise ValueError("E is not polynomial; invariant-tower bug")
+    return e
+
+
 def chi_y(p: LatticePolytope) -> LaurentPoly:
     """Lefschetz characteristic in u: the E with
     u E = (u-1)^dim + (-1)^(dim+1) h*(P;u)."""
-    if p.is_empty:
-        raise ValueError("requires a nonempty polytope")
-    d = p.dim
-    numerator = (U - 1) ** d + (-1) ** (d + 1) * inv.h_star(p)
-    return numerator.div_exact_poly_monomial({"u": 1})
+    return _e_from_h(p.dim, inv.h_star(p), U)
 
 
 def euler_characteristic(p: LatticePolytope) -> int:
@@ -80,17 +92,12 @@ def euler_characteristic(p: LatticePolytope) -> int:
 def hodge_deligne(p: LatticePolytope) -> LaurentPoly:
     """Hodge-Deligne polynomial in (u, w) of the generic hypersurface:
     uw E = (uw-1)^dim + (-1)^(dim+1) h*(P;u,w)."""
-    if p.is_empty:
-        raise ValueError("requires a nonempty polytope")
-    d = p.dim
-    mixed = inv.mixed_h_star(p).substitute({"v": W})
-    numerator = (U * W - 1) ** d + (-1) ** (d + 1) * mixed
-    return numerator.div_exact_poly_monomial({"u": 1, "w": 1})
+    return _e_from_h(p.dim, inv.mixed_h_star(p).substitute({"v": W}), U * W)
 
 
 def hodge_deligne_uv(p: LatticePolytope) -> LaurentPoly:
     """Hodge-Deligne polynomial with the weight variable renamed to v."""
-    return hodge_deligne(p).substitute({"w": V})
+    return _e_from_h(p.dim, inv.mixed_h_star(p), UV)
 
 
 def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
@@ -99,13 +106,11 @@ def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
     Sum over interior cells F of E(V_F; u, v) (1 - uv)^(dim P - dim F);
     agrees with the refined polynomial at w = 1.
     """
-    p = s.polytope
-    by_codim = {}
-    for cid in s.interior_ids():
-        cell = s.cell_polytope(cid)
-        k = p.dim - cell.dim
-        by_codim[k] = by_codim.get(k, ZERO) + hodge_deligne_uv(cell)
-    return power_sum(by_codim, 1 - UV)
+    d = s.polytope.dim
+    terms = (
+        (d - s.dim_of(cid), hodge_deligne_uv(s.cell_polytope(cid))) for cid in s.interior_ids()
+    )
+    return power_sum(terms, 1 - UV)
 
 
 # -- refined invariants ----------------------------------------------------------
@@ -114,16 +119,7 @@ def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
 def refined_E(s: CellComplex) -> LaurentPoly:
     """Refined limit Hodge-Deligne polynomial in (u, v, w):
     uvw^2 E = (uvw^2 - 1)^dim + (-1)^(dim+1) h*(P,S;u,v,w), exactly."""
-    return _refined_E(s.polytope.dim, inv.refined_limit_mixed_h_star(s))
-
-
-def _refined_E(d: int, refined: LaurentPoly) -> LaurentPoly:
-    """Refined E of dimension d from its refined h*-polynomial."""
-    numerator = (UVW2 - 1) ** d + (-1) ** (d + 1) * refined
-    try:
-        return numerator.div_exact_poly_monomial({"u": 1, "v": 1, "w": 2})
-    except ValueError as exc:
-        raise ValueError("refined E is not polynomial; invariant-tower bug") from exc
+    return _e_from_h(s.polytope.dim, inv.refined_limit_mixed_h_star(s), UVW2)
 
 
 @dataclass
@@ -156,29 +152,26 @@ def refined_hodge_numbers(s: CellComplex) -> HodgeNumberTable:
     refined = inv.refined_limit_mixed_h_star(s)
     if refined.coeff({}) != 1:
         raise ValueError("refined h* must have constant term 1")
-    table = {}
-    body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
-    for exps, c in body.terms():
-        eu, ev, ew, _, _ = exps
-        if min(exps) < 0 or c < 0:
-            raise ValueError("refined Hodge numbers must be nonnegative")
-        table[(eu, ev, ew)] = c
-    limit = {}
-    body2 = (inv.limit_mixed_h_star(s) - 1).div_exact_monomial({"u": 1, "v": 1})
-    for exps, c in body2.terms():
-        if min(exps) < 0 or c < 0:
-            raise ValueError("limit Hodge numbers must be nonnegative")
-        limit[(exps[0], exps[1])] = c
-    local = {}
-    body3 = inv.local_limit_mixed_h_star(s).div_exact_monomial({"u": 1, "v": 1})
-    for exps, c in body3.terms():
-        if min(exps) < 0 or c < 0:
-            raise ValueError("local Hodge numbers must be nonnegative")
-        local[(exps[0], exps[1])] = c
-    out = HodgeNumberTable(s.polytope.dim, table, limit, local)
+    out = HodgeNumberTable(
+        s.polytope.dim,
+        _hodge_table("refined", (refined - 1) * UVW2**-1, 3),
+        _hodge_table("limit", (inv.limit_mixed_h_star(s) - 1) * UV**-1, 2),
+        _hodge_table("local", inv.local_limit_mixed_h_star(s) * UV**-1, 2),
+    )
     if not out.symmetric():
         raise ValueError("refined Hodge numbers violate their symmetries")
     return out
+
+
+def _hodge_table(name: str, body: LaurentPoly, width: int) -> dict:
+    """The coefficients of body, keyed by their first ``width`` exponents;
+    raises unless body is a polynomial with no negative coefficient."""
+    table = {}
+    for exps, c in body.terms():
+        if min(exps) < 0 or c < 0:
+            raise ValueError(f"{name} Hodge numbers must be nonnegative")
+        table[exps[:width]] = c
+    return table
 
 
 # -- intersection cohomology ------------------------------------------------------
@@ -187,34 +180,27 @@ def refined_hodge_numbers(s: CellComplex) -> HodgeNumberTable:
 def intersection_E(s: CellComplex) -> LaurentPoly:
     """Intersection-cohomology refined E of the compactified family:
     uvw^2 E = uvw^2 E_Lef(P; uvw^2) + (-1)^(dim+1) l*(P,S;u,v) w^(dim+1)."""
-    p = s.polytope
-    d = p.dim
-    lef = inv.e_int_lef(p).substitute({"t": UVW2})
-    numerator = UVW2 * lef + (-1) ** (d + 1) * inv.local_limit_mixed_h_star(s) * W ** (
-        d + 1
-    )
-    try:
-        return numerator.div_exact_poly_monomial({"u": 1, "v": 1, "w": 2})
-    except ValueError as exc:
-        raise ValueError("intersection E is not polynomial; tower bug") from exc
+    d = s.polytope.dim
+    local = inv.local_limit_mixed_h_star(s) * W ** (d + 1) * UVW2**-1
+    e = inv.e_int_lef(s.polytope).substitute({"t": UVW2}) + (-1) ** (d + 1) * local
+    if not e.is_polynomial():
+        raise ValueError("intersection E is not polynomial; tower bug")
+    return e
 
 
 def sum_over_strata_E_int(s: CellComplex) -> LaurentPoly:
     """Stratum-sum form of the intersection-cohomology polynomial:
     sum over nonempty faces Q of refined E of the stratum times
     g([Q,P]*; uvw^2).  Must agree with intersection_E."""
-    p = s.polytope
-    lattice = p.face_lattice()
+    lattice = s.polytope.face_lattice()
     refined = inv.face_tower(s).refined
-    total = ZERO
-    for fid in lattice.all_faces():
-        qdim = lattice.face_dim(fid)
-        if qdim <= 0:
-            continue  # the empty face and the point strata carry no hypersurface
-        stratum = _refined_E(qdim, refined[fid])
-        g = lattice.g(fid, lattice.top, dual=True)
-        total = total + stratum * g.substitute({"t": UVW2})
-    return total
+
+    def stratum(f):
+        qdim = lattice.face_dim(f)
+        # The empty face and the point strata carry no hypersurface.
+        return _e_from_h(qdim, refined[f], UVW2) if qdim > 0 else 0
+
+    return lattice.g_sum(lattice.top, stratum, UVW2, dual=True)
 
 
 # -- partial compactifications ------------------------------------------------------
@@ -245,7 +231,7 @@ def partial_compactification_E(
     refined = inv.face_tower(s).refined
     total = ZERO
     for fid, m in mult.items():
-        total = total + _refined_E(lattice.face_dim(fid), refined[fid]) * m
+        total = total + _e_from_h(lattice.face_dim(fid), refined[fid], UVW2) * m
     return total
 
 
@@ -263,13 +249,12 @@ def partial_compactification_psi(
 def compactified_psi_face_sum(s: CellComplex) -> LaurentPoly:
     """Cell-sum form of the full compactification's nearby fiber:
     sum over nonempty cells F of E(V_F;u,v) (1-uv)^(dim carrier - dim F)."""
-    by_codim = {}
-    lattice = s.polytope.face_lattice()
-    for cid in s.nonempty_ids():
-        cell = s.cell_polytope(cid)
-        k = lattice.face_dim(s.carrier(cid)) - cell.dim
-        by_codim[k] = by_codim.get(k, ZERO) + hodge_deligne_uv(cell)
-    return power_sum(by_codim, 1 - UV)
+    face_dim = s.polytope.face_lattice().face_dim
+    terms = (
+        (face_dim(s.carrier(cid)) - s.dim_of(cid), hodge_deligne_uv(s.cell_polytope(cid)))
+        for cid in s.nonempty_ids()
+    )
+    return power_sum(terms, 1 - UV)
 
 
 # -- stringy invariants ---------------------------------------------------------------
@@ -293,10 +278,10 @@ def stringy_E(s: CellComplex) -> LaurentPoly:
         dual_poly = dlattice.face_polytope(face_map[fid])
         local1 = inv.local_h_star(dual_poly).substitute({"u": UVW2})
         total = total + (-W) ** (qdim + 1) * local2 * local1
-    try:
-        return total.div_exact_poly_monomial({"u": 1, "v": 1, "w": 2})
-    except ValueError as exc:
-        raise ValueError("stringy E is not polynomial; tower bug") from exc
+    e = total * UVW2**-1
+    if not e.is_polynomial():
+        raise ValueError("stringy E is not polynomial; tower bug")
+    return e
 
 
 def stringy_E_generic(s: CellComplex, e_st: LaurentPoly | None = None) -> LaurentPoly:
@@ -331,7 +316,7 @@ def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     for k in range(d + 2, 2 * d + 1):
         c = torus.coeff_in("w", k)
         if c:
-            high[k - 2] = c.div_exact_monomial({"u": 1, "v": 1})
+            high[k - 2] = c * UV**-1
     # Step 2: high degrees of the simplicial partial compactification.
     fan = TruncatedNormalFan(p)
     refinement = simplicial_refinement(fan)

@@ -16,7 +16,9 @@ Implements, with exact integer arithmetic throughout:
 
 All sums over faces or cells include the empty face with the conventions
 dim(empty) = -1 and h* = l* = 1 on it.  Every division that the theory
-asserts to be exact is checked and raises on failure.
+asserts to be exact is checked and raises on failure.  Each alternating
+convolution with g over face intervals is one ``FaceLattice.g_sum``, and
+each cell sum weighted by (uv - 1)^codim one ``laurent.power_sum``.
 
 The three subdivision levels are computed for every nonempty face Q of P
 at once by ``face_tower``, in one memoized pass over S: the interior cells
@@ -85,13 +87,11 @@ def local_h_star(p: LatticePolytope) -> LaurentPoly:
     if p.is_empty:
         return ONE
     lattice = p.face_lattice()
-    total = ZERO
-    for fid in lattice.all_faces():
-        q = lattice.face_polytope(fid)
-        sign = (-1) ** (p.dim - q.dim)
-        g = lattice.g(fid, lattice.top, dual=True)
-        total = total + sign * h_star(q) * g.substitute({"t": U})
-    return total
+
+    def signed_h_star(f):
+        return (-1) ** (p.dim - lattice.face_dim(f)) * h_star(lattice.face_polytope(f))
+
+    return lattice.g_sum(lattice.top, signed_h_star, U, dual=True)
 
 
 def limit_mixed_h_star_by_links(s: CellComplex) -> LaurentPoly:
@@ -123,12 +123,12 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     if p.is_empty:
         return ONE
     lattice = p.face_lattice()
-    total = ZERO
-    for fid in lattice.all_faces():
-        q = lattice.face_polytope(fid)
-        local = local_h_star(q).substitute({"u": U_OVER_V})
-        g = lattice.g(fid, lattice.top)
-        total = total + V ** (q.dim + 1) * local * g.substitute({"t": UV})
+
+    def shifted_local(f):
+        q = lattice.face_polytope(f)
+        return V ** (q.dim + 1) * local_h_star(q).substitute({"u": U_OVER_V})
+
+    total = lattice.g_sum(lattice.top, shifted_local, UV)
     if not total.is_polynomial():
         raise ValueError("mixed h* failed to be polynomial; tower bug")
     return total
@@ -162,29 +162,21 @@ def face_tower(s: CellComplex) -> Tower:
     with h* = l* = 1 on the empty face.
     """
     lattice = s.polytope.face_lattice()
-    faces = lattice.all_faces()
     tower = Tower({}, {}, {})
     # Per face Q' <= Q, the factors of the two sums that do not depend on Q.
     signed_limit, w_local = {0: -ONE}, {0: ONE}
-    for q in faces[1:]:
+    for q in lattice.all_faces()[1:]:
         qdim = lattice.face_dim(q)
-        by_codim = {}
-        for cid in s.carried(q):
-            k = qdim - s.dim_of(cid)
-            by_codim[k] = by_codim.get(k, ZERO) + mixed_h_star(s.cell_polytope(cid))
-        limit = power_sum(by_codim, UV - 1)
+        limit = power_sum(
+            ((qdim - s.dim_of(cid), mixed_h_star(s.cell_polytope(cid))) for cid in s.carried(q)),
+            UV - 1,
+        )
         if not limit.is_polynomial():
             raise ValueError("limit mixed h* failed to be polynomial; tower bug")
         signed_limit[q] = (-1) ** qdim * limit
-        below = [f for f in faces if not f & ~q]
-        local = (-1) ** qdim * sum(
-            (signed_limit[f] * lattice.g(f, q, dual=True).substitute({"t": UV}) for f in below),
-            ZERO,
-        )
+        local = (-1) ** qdim * lattice.g_sum(q, signed_limit.__getitem__, UV, dual=True)
         w_local[q] = W ** (qdim + 1) * local
-        refined = sum(
-            (w_local[f] * lattice.g(f, q).substitute({"t": UVW2}) for f in below), ZERO
-        )
+        refined = lattice.g_sum(q, w_local.__getitem__, UVW2)
         if not refined.is_polynomial():
             raise ValueError("refined limit mixed h* failed to be polynomial; tower bug")
         tower.limit[q], tower.local[q], tower.refined[q] = limit, local, refined

@@ -21,7 +21,11 @@ arithmetic takes these fast paths:
   exponent 5-tuples component by component.
 * A sum with a zero operand returns the other operand.
 * A +-1 monomial raised to any integer power is computed directly; a
-  negative power of anything else raises ValueError.
+  negative power of anything else raises ValueError.  Dividing by a
+  monomial x is multiplying by ``x**-1``.
+
+``power_sum`` is the one sum weighted by the powers of a multi-term base,
+such as (uv - 1)^codim over the cells of a subdivision.
 
 Values are immutable after construction and all operations are pure, so they
 are safe to share between threads.
@@ -29,7 +33,6 @@ are safe to share between threads.
 
 from __future__ import annotations
 
-from operator import sub
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "w", "t", "L")
@@ -319,22 +322,6 @@ class LaurentPoly:
             total += term
         return total
 
-    # -- exact division ----------------------------------------------------
-
-    def div_exact_monomial(self, exps: Mapping[str, int]) -> "LaurentPoly":
-        """Laurent-shift by a monomial (always exact in the Laurent ring)."""
-        shift = [0] * NVARS
-        for name, k in exps.items():
-            shift[_VAR_INDEX[name]] = k
-        return _trusted({tuple(map(sub, e, shift)): c for e, c in self._terms.items()})
-
-    def div_exact_poly_monomial(self, exps: Mapping[str, int]) -> "LaurentPoly":
-        """Divide by a monomial, requiring a polynomial quotient."""
-        q = self.div_exact_monomial(exps)
-        if not q.is_polynomial():
-            raise ValueError("inexact division: quotient has negative exponents")
-        return q
-
     # -- rendering ---------------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
@@ -420,13 +407,17 @@ def from_univariate(coeffs: Mapping[int, int], name: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def power_sum(parts: Mapping[int, LaurentPoly], base: LaurentPoly) -> LaurentPoly:
-    """Sum of base^k * parts[k] over the keys k >= 0 of ``parts``.
+def power_sum(terms: Iterable[tuple[int, LaurentPoly | int]], base: LaurentPoly) -> LaurentPoly:
+    """Sum of base^k * part over the pairs (k, part) of ``terms``, k >= 0.
 
-    Callers add up the terms that share an exponent first, so each power of
-    a multi-term base such as t - 1 or 1 - uv is built once, step by step.
+    A part may be an int.  The parts that share an exponent are added up
+    first, so each power of a multi-term base such as t - 1 or 1 - uv is
+    built once, step by step.
     """
-    total = parts.get(0, ZERO)
+    parts: dict[int, LaurentPoly | int] = {}
+    for k, part in terms:
+        parts[k] = parts.get(k, 0) + part
+    total = ZERO + parts.get(0, 0)  # a polynomial even when every part is an int
     power = base
     for k in range(1, max(parts, default=0) + 1):
         if k > 1:

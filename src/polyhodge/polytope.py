@@ -35,7 +35,7 @@ from functools import reduce
 from operator import and_, mul
 
 from . import linalg
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly
 from .memo import table
 from .poset import EulerianPoset, set_bits
 
@@ -559,3 +559,17 @@ class FaceLattice:
         if dual:
             poset, i, j = poset.dual(), j, i
         return poset.g_by_counts(i, j) if n <= 6 else poset.g(i, j)
+
+    def g_sum(self, upper, coeff, x: LaurentPoly, dual: bool = False) -> LaurentPoly:
+        """Sum over the faces f <= upper of coeff(f) g([f, upper]; t = x), or
+        of g of the dual interval with ``dual``: the alternating convolution
+        with g that builds each level of the h*-tower.  ``coeff`` is called
+        once per face, in (dim, id) order; a face whose coefficient is 0
+        reads no g."""
+        total = ZERO
+        for f in self.faces:
+            if not f & ~upper:
+                c = coeff(f)
+                if c:
+                    total = total + c * self.g(f, upper, dual).substitute({"t": x})
+        return total

@@ -34,6 +34,9 @@ that is not a simplex, so those need no recursion.  ``g`` and ``_g_of``
 stay the full recursion: a face lattice runs it only at rank >= 7, reading
 the stored closed-form values below, and a ``copy`` runs it throughout, so
 ``verify`` and the tests check the closed form against it.
+
+The recursion's sum over [z, x) and the link h-polynomial's sum over the
+cells above a cell are ``laurent.power_sum``s in t - 1.
 """
 
 from __future__ import annotations
@@ -167,13 +170,9 @@ class EulerianPoset:
         g = self._g.get((z, x))
         if g is not None:
             return g
-        # Sum g([z, y]) over each corank first, so each (t-1)^k is built once.
-        by_corank = {}
         top = self.ranks[x]
-        for y in set_bits(self.up[z] & self.down[x] & ~(1 << x)):
-            k = top - self.ranks[y]
-            by_corank[k] = by_corank.get(k, ZERO) + self._g_of(z, y)
-        rest = power_sum(by_corank, T - 1)
+        below = set_bits(self.up[z] & self.down[x] & ~(1 << x))
+        rest = power_sum(((top - self.ranks[y], self._g_of(z, y)) for y in below), T - 1)
         coeffs = univariate(rest, "t")
         g = from_univariate({i: -coeffs.get(i, 0) for i in range((n - 1) // 2 + 1)}, "t")
         # Exact verification of the defining identity.
@@ -243,13 +242,12 @@ def link_h_polynomial(complex_, cell) -> LaurentPoly:
         raise ValueError(f"{cell!r} is not a cell of the subdivision")
     dim_f = complex_.dim_of(cell)
     delta = dim_p - dim_f
-    # Sum g([F, F']) over each codimension first, so each (t-1)^k is built once.
-    by_codim = {}
-    for other in complex_.cells_containing(cell):
-        lattice, lower, upper = complex_.interval_faces(cell, other)
-        k = dim_p - complex_.dim_of(other)
-        by_codim[k] = by_codim.get(k, ZERO) + lattice.g(lower, upper)
-    rest = power_sum(by_codim, T - 1)
+    terms = (
+        (dim_p - complex_.dim_of(other), lattice.g(lower, upper))
+        for other in complex_.cells_containing(cell)
+        for lattice, lower, upper in [complex_.interval_faces(cell, other)]
+    )
+    rest = power_sum(terms, T - 1)
     h = rest.substitute({"t": T_INV}) * T**delta
     if not h.is_polynomial():
         raise ValueError("link h-polynomial is not polynomial; subdivision bug")

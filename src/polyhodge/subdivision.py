@@ -5,10 +5,10 @@ of a subdivision of a polytope P.  Its cells are every face of a maximal
 cell plus the empty cell, so the cell set is closed under faces by
 construction.  It stores the inclusion order among cells and per-cell
 metadata: the carrier (smallest face of P containing the cell, named by its
-vertex bitmask in P's face lattice) and a boundary flag, and it groups the
-cells by carrier.  Regular subdivisions are produced by projecting the lower
-facets of the lifted point set; constant or affine heights give the trivial
-subdivision, whose one maximal cell is P.
+vertex bitmask in P's face lattice), and it groups the cells by carrier; the
+interior cells are those carried by P.  Regular subdivisions are produced by
+projecting the lower facets of the lifted point set; constant or affine
+heights give the trivial subdivision, whose one maximal cell is P.
 
 Construction validates the subdivision axioms: the given cells are
 full-dimensional, their normalized volumes add up to the volume of P,
@@ -167,15 +167,10 @@ class CellComplex:
         """Face id (in P's face lattice) of the smallest face containing the cell."""
         return self._carrier[cid]
 
-    def is_boundary(self, cid: CellId) -> bool:
-        """True iff the cell lies in the boundary of P (the empty cell does)."""
-        return self._carrier[cid] != self.polytope.face_lattice().top
-
     def interior_ids(self):
-        """Nonempty cells whose relative interior lies in the interior of P."""
-        return tuple(
-            cid for cid in self.ids if cid != () and not self.is_boundary(cid)
-        )
+        """Nonempty cells whose relative interior lies in the interior of P:
+        the cells carried by P, in ``ids`` order."""
+        return self.carried(self.polytope.face_lattice().top)
 
     # -- posets ---------------------------------------------------------------
 
@@ -256,8 +251,9 @@ class CellComplex:
                 raise ValueError("cells intersect in a non-face")
         # A facet of a maximal cell lies in one maximal cell on the boundary
         # of P and in two inside it; overlaps and gaps break that count.
+        top = p.face_lattice().top
         for f, tops in self._holders.items():
-            if self._dims[f] == p.dim - 1 and len(tops) != (1 if self.is_boundary(f) else 2):
+            if self._dims[f] == p.dim - 1 and len(tops) != (1 if self._carrier[f] != top else 2):
                 raise ValueError("cells overlap or leave a gap at a facet")
 
 

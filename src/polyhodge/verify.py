@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hodge, invariants as inv
-from .laurent import NEG_INF, U, UVW2, V, W, ZERO, power_sum
+from .laurent import NEG_INF, U, UVW2, V, W, power_sum
 from .poset import stanley_inversion_check
 from .subdivision import CellComplex, euler_relation_check, regular_subdivision
 
@@ -39,20 +39,22 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
 
     # Eulerian face lattice and inversion identities.
     try:
-        lattice.poset()  # raises unless graded and Eulerian
-        out.append(_result("face_lattice_eulerian", True))
+        poset = lattice.poset()  # raises unless graded and Eulerian
     except ValueError as exc:
         out.append(CheckResult("face_lattice_eulerian", "fail", str(exc)))
-    # Every [F, P] is checked on a copy of the lattice's poset, whose g table
-    # is its own, so the recursion is checked apart from the g values (and
-    # the simplex shortcut) that the tower reads off the lattice itself.
-    copy = lattice.poset().copy()
-    bad = None
-    for i, fid in enumerate(copy.elements):
-        if i != copy.top and not stanley_inversion_check(copy, (i, copy.top)):
-            bad = fid
-            break
-    out.append(_result("stanley_inversion_faces", bad is None, f"interval [{bad}, P]"))
+        out.append(CheckResult("stanley_inversion_faces", "fail", str(exc)))
+    else:
+        out.append(_result("face_lattice_eulerian", True))
+        # Every [F, P] is checked on a copy of the lattice's poset, whose g
+        # table is its own, so the recursion is checked apart from the g values
+        # (and the simplex shortcut) that the tower reads off the lattice.
+        copy = poset.copy()
+        bad = None
+        for i, fid in enumerate(copy.elements):
+            if i != copy.top and not stanley_inversion_check(copy, (i, copy.top)):
+                bad = fid
+                break
+        out.append(_result("stanley_inversion_faces", bad is None, f"interval [{bad}, P]"))
     bad = None
     for cid in s.maximal_cells:
         interval = s.cell_polytope(cid).face_lattice().poset().copy()
@@ -195,7 +197,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
         out.append(CheckResult("hodge_number_tables", "fail", str(exc)))
     if d <= 3:
         oracle = inv.small_coeff_oracle(s)
-        body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
+        body = (refined - 1) * UVW2**-1
         bad = None
         for (a, b, c), value in oracle.items():
             if body.coeff({"u": a, "v": b, "w": c}) != value:
@@ -233,12 +235,8 @@ def _weak_lefschetz_two_var(e_hd, d: int) -> bool:
 
 def _chi_y_inclusion_exclusion(s: CellComplex) -> bool:
     p = s.polytope
-    by_codim = {}
-    for cid in s.interior_ids():
-        cell = s.cell_polytope(cid)
-        k = p.dim - cell.dim
-        by_codim[k] = by_codim.get(k, ZERO) + hodge.chi_y(cell)
-    return power_sum(by_codim, 1 - U) == hodge.chi_y(p)
+    terms = ((p.dim - s.dim_of(cid), hodge.chi_y(s.cell_polytope(cid))) for cid in s.interior_ids())
+    return power_sum(terms, 1 - U) == hodge.chi_y(p)
 
 
 def _unimodality_warning(s: CellComplex, refined) -> str:
@@ -247,7 +245,7 @@ def _unimodality_warning(s: CellComplex, refined) -> str:
     the first violation (empty string if none)."""
     if refined.coeff({}) != 1:
         return "constant term differs from 1"
-    body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
+    body = (refined - 1) * UVW2**-1
     if not body.is_polynomial():
         return "refined polynomial not of the expected shape"
     rmax = int(body.degree_in("w")) if body else -1

@@ -15,7 +15,7 @@ import polyhodge
 from polyhodge import cli, hodge, memo
 from polyhodge.fans import TruncatedNormalFan, identity_refinement, simplicial_refinement
 from polyhodge.laurent import LaurentPoly
-from polyhodge.polytope import LatticePolytope
+from polyhodge.polytope import FaceLattice, LatticePolytope
 
 from conftest import cross_polytope, cube
 
@@ -526,8 +526,20 @@ DIAGONAL = [[-1, -1, -1, -1], [-1, -1, 1, 1]]
             "refinement does not subdivide subfan[1]: the sum of (-1)^(dim sigma - dim tau) "
             "over its refinement cones tau is 0, not 1",
         ),
+        # The other triangulation's cone over the shipped one: the Euler sum
+        # stays 1, but the edge cone on (-1,-1,-1,-1) and (-1,-1,-1,1), in a
+        # facet of sigma, now lies in two of sigma's 3-dimensional cones.
+        (
+            lambda cones: cones + [
+                {"rays": [[-1, -1, -1, -1], [-1, -1, -1, 1], [-1, -1, 1, -1]], "sigma": 1},
+                {"rays": [[-1, -1, -1, 1], [-1, -1, 1, -1]], "sigma": 1},
+            ],
+            "refinement does not subdivide subfan[1]: the cone "
+            "[[-1, -1, -1, -1], [-1, -1, -1, 1]] lies in 2 of its 3-dimensional "
+            "refinement cones, not 1",
+        ),
     ],
-    ids=["repeated-ray", "zero-ray", "cone-left-out", "nothing-covered"],
+    ids=["repeated-ray", "zero-ray", "cone-left-out", "nothing-covered", "overlapping-cones"],
 )
 def test_refinement_that_does_not_subdivide_the_subfan_is_rejected(
     tmp_path, capsys, edit, message
@@ -555,6 +567,25 @@ def test_refinements_of_the_whole_fan_pass_the_euler_check(polytope):
             if rays
         ]
         assert cli._resolve_refinement(fan, ids, cones, "input").cones == refinement.cones
+
+
+def test_a_face_lattice_that_is_not_eulerian_fails_its_checks(monkeypatch):
+    quartic = LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)]).key
+    original = FaceLattice.poset
+
+    def poset(self):
+        if self.polytope.key == quartic:
+            raise ValueError("poset is not Eulerian")
+        return original(self)
+
+    monkeypatch.setattr(FaceLattice, "poset", poset)
+    code, out = run_cli(["verify", CONCRETE, "--format", "text"])
+    assert code == 3
+    assert "check face_lattice_eulerian: fail  (poset is not Eulerian)\n" in out
+    assert "check stanley_inversion_faces: fail  (poset is not Eulerian)\n" in out
+    # Every other check still runs, and passes.
+    failed = [line for line in out.splitlines() if ": fail" in line]
+    assert len(failed) == 2 and "check dk_reconstruction: pass\n" in out
 
 
 def test_text_format():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyhodge import cli, invariants as inv
 from polyhodge.generators import instance_corpus
-from polyhodge.laurent import ONE, T, U, V, W, ZERO, from_univariate
+from polyhodge.laurent import ONE, T, U, UVW2, V, W, ZERO, from_univariate
 from polyhodge.polytope import LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
@@ -253,7 +253,7 @@ def test_small_coeff_oracle_quartic():
     assert table[(0, 0, 1)] == 3
     assert table[(0, 1, 1)] == 0
     assert table[(0, 0, 0)] == 9
-    body = (QUARTIC_REFINED - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
+    body = (QUARTIC_REFINED - 1) * UVW2**-1
     for (a, b, c), value in table.items():
         assert body.coeff({"u": a, "v": b, "w": c}) == value
 
@@ -276,7 +276,7 @@ def test_small_coeff_matches_refined(corpus25):
         if s.polytope.dim > 3:
             continue
         refined = inv.refined_limit_mixed_h_star(s)
-        body = (refined - 1).div_exact_monomial({"u": 1, "v": 1, "w": 2})
+        body = (refined - 1) * UVW2**-1
         for (a, b, c), value in inv.small_coeff_oracle(s).items():
             assert body.coeff({"u": a, "v": b, "w": c}) == value
 

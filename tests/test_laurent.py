@@ -15,6 +15,7 @@ from polyhodge.laurent import (
     W,
     ZERO,
     div_exact_t_minus_one,
+    power_sum,
     univariate,
 )
 
@@ -151,6 +152,21 @@ def test_div_exact_t_minus_one():
     assert div_exact_t_minus_one(T**4 - 1) == T**3 + T**2 + T + 1
     with pytest.raises(ValueError):
         div_exact_t_minus_one(T + 1)
+
+
+def test_power_sum_matches_the_term_by_term_sum():
+    base = 1 - U * V
+    cases = [
+        [(2, U), (0, 3), (2, V), (1, -2), (2, 4), (0, W)],  # repeated exponents, int parts
+        [(3, 1), (1, T), (3, -1)],  # parts that cancel
+        [(0, 5)],  # a lone int part still gives a polynomial
+        [],
+    ]
+    for terms in cases:
+        expected = sum((base**k * part for k, part in terms), ZERO)
+        got = power_sum(iter(terms), base)
+        assert isinstance(got, LaurentPoly)
+        assert got == expected
 
 
 def test_eval_int():

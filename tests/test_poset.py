@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhodge import invariants as inv, memo, verify
-from polyhodge.laurent import ONE, T, ZERO, from_univariate, univariate
+from polyhodge.laurent import ONE, T, U, V, ZERO, from_univariate, univariate
 from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.poset import EulerianPoset, link_h_polynomial, stanley_inversion_check
 from polyhodge.subdivision import HeightFunction, regular_subdivision, trivial_subdivision
@@ -223,6 +223,46 @@ def test_g_matches_stanley_recursion_on_every_interval(corpus25):
                 assert lattice.g(faces[z], faces[x]) == g
                 assert lattice.g(faces[z], faces[x], dual=True) == g_dual
     assert len(checked) > 20
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize(
+    "polytope",
+    [LatticePolytope.convex_hull(list(itertools.product((-1, 1), repeat=4))), cross_polytope(4)],
+    ids=["[-1,1]^4", "4-cross"],
+)
+def test_g_sum_is_the_explicit_face_interval_sum(polytope, dual):
+    lattice = polytope.face_lattice()
+
+    def coeff(f):  # zero on some faces, of varying degree on the others
+        return (f % 7 - 3) * U ** lattice.face_dim(f)
+
+    for upper in lattice.all_faces():
+        expected = ZERO
+        for f in lattice.all_faces():
+            if lattice.leq(f, upper):
+                g = lattice.g(f, upper, dual=dual).substitute({"t": U * V})
+                expected = expected + coeff(f) * g
+        assert lattice.g_sum(upper, coeff, U * V, dual=dual) == expected
+
+
+def test_g_sum_reads_no_g_for_a_zero_coefficient(monkeypatch):
+    lattice = cross_polytope(4).face_lattice()
+    edges = [f for f in lattice.all_faces() if lattice.face_dim(f) == 1]
+    original = FaceLattice.g
+    calls = []
+
+    def counting_g(self, lower, upper, dual=False):
+        calls.append(lower)
+        return original(self, lower, upper, dual)
+
+    monkeypatch.setattr(FaceLattice, "g", counting_g)
+    # Zero coefficients as the int 0 and as the zero polynomial.
+    total = lattice.g_sum(
+        lattice.top, lambda f: ONE if f in edges else (ZERO if f & 1 else 0), T, dual=True
+    )
+    assert calls == edges
+    assert total == sum((original(lattice, f, lattice.top, True) for f in edges), ZERO)
 
 
 def test_g_rejects_elements_that_are_not_nested():

@@ -47,12 +47,12 @@ def test_carriers_and_boundary_flags():
     lat = s.polytope.face_lattice()
     tri_cell = tuple(sorted([(1, 1), (2, 1), (1, 2)]))
     assert s.carrier(tri_cell) == lat.top
-    assert not s.is_boundary(tri_cell)
+    assert tri_cell in s.interior_ids()
     bottom_edge = tuple(sorted([(0, 0), (4, 0)]))
     carrier = s.carrier(bottom_edge)
     assert set(lat.face_polytope(carrier).vertices) == {(0, 0), (4, 0)}
-    assert s.is_boundary(bottom_edge)
-    assert s.is_boundary(())
+    assert bottom_edge not in s.interior_ids()
+    assert () not in s.interior_ids()
     assert len(s.interior_ids()) == 13  # 3 vertices + 6 edges + 4 two-cells
 
 
