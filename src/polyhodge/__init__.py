@@ -5,11 +5,12 @@ all in exact integer arithmetic."""
 
 from .laurent import LaurentPoly, L, T, U, V, W
 from .polytope import LatticePolytope
-from .poset import EulerianPoset, link_h_polynomial, stanley_inversion_check
+from .poset import EulerianPoset, stanley_inversion_check
 from .subdivision import (
     CellComplex,
     HeightFunction,
     euler_relation_check,
+    link_h_polynomial,
     regular_subdivision,
     trivial_subdivision,
 )

@@ -56,7 +56,12 @@ def _parse_height(value, where):
 
 
 def parse_input(path: str) -> ParsedInput:
-    """Parse and validate the JSON input file."""
+    """Parse and validate the JSON input file.
+
+    Lower-dimensional input is rewritten, points and heights alike, into the
+    lattice of its span, so that stringy E can see a reflexive polytope and
+    reports use the coordinates of that lattice.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -108,9 +113,11 @@ def parse_input(path: str) -> ParsedInput:
         heights[pt] = height
         first_index.setdefault(pt, i)
     try:
-        polytope = LatticePolytope.convex_hull(coords)
+        to_model = LatticePolytope.convex_hull(coords)._map.to_model
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+    heights = {to_model(pt): h for pt, h in heights.items()}
+    polytope = LatticePolytope.convex_hull(list(heights))
     height_fn = None
     if any_height:
         try:
@@ -125,17 +132,10 @@ def parse_input(path: str) -> ParsedInput:
 
 
 def build_complex(parsed: ParsedInput) -> CellComplex:
-    """Subdivision from the input.
-
-    Lower-dimensional input is rewritten into the lattice of its span, so
-    that stringy E can see a reflexive polytope and reports use the
-    coordinates of that lattice.
-    """
+    """Subdivision from the input, in the lattice of its span."""
     if parsed.height_fn is None:
-        s = trivial_subdivision(parsed.polytope)
-    else:
-        s = regular_subdivision(parsed.height_fn)
-    return s.model()
+        return trivial_subdivision(parsed.polytope)
+    return regular_subdivision(parsed.height_fn)
 
 
 def _parse_rays(rays, dim: int, where: str) -> list[tuple[int, ...]]:

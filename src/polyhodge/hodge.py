@@ -107,9 +107,7 @@ def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
     agrees with the refined polynomial at w = 1.
     """
     d = s.polytope.dim
-    terms = (
-        (d - s.dim_of(cid), hodge_deligne_uv(s.cell_polytope(cid))) for cid in s.interior_ids()
-    )
+    terms = ((d - cell.dim, hodge_deligne_uv(cell)) for cell in s.interior_cells())
     return power_sum(terms, 1 - UV)
 
 
@@ -251,8 +249,7 @@ def compactified_psi_face_sum(s: CellComplex) -> LaurentPoly:
     sum over nonempty cells F of E(V_F;u,v) (1-uv)^(dim carrier - dim F)."""
     face_dim = s.polytope.face_lattice().face_dim
     terms = (
-        (face_dim(s.carrier(cid)) - s.dim_of(cid), hodge_deligne_uv(s.cell_polytope(cid)))
-        for cid in s.nonempty_ids()
+        (face_dim(s.carrier(cell)) - cell.dim, hodge_deligne_uv(cell)) for cell in s.cells[1:]
     )
     return power_sum(terms, 1 - UV)
 

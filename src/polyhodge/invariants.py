@@ -31,6 +31,7 @@ h*(P,S), is the independent side that ``verify`` compares it with.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from typing import NamedTuple
 
@@ -51,8 +52,7 @@ from .laurent import (
     power_sum,
 )
 from .polytope import LatticePolytope
-from .poset import link_h_polynomial
-from .subdivision import CellComplex
+from .subdivision import CellComplex, link_h_polynomial
 from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
 from .memo import memo
 
@@ -102,10 +102,9 @@ def limit_mixed_h_star_by_links(s: CellComplex) -> LaurentPoly:
     v^(dim F + 1) l*(F; u v^-1) h(link_S(F); uv).
     """
     total = ZERO
-    for cid in s.ids:
-        cell = s.cell_polytope(cid)
+    for cell in s.cells:
         local = local_h_star(cell).substitute({"u": U_OVER_V})
-        link = link_h_polynomial(s, cid).substitute({"t": UV})
+        link = link_h_polynomial(s, cell).substitute({"t": UV})
         total = total + V ** (cell.dim + 1) * local * link
     if not total.is_polynomial():
         raise ValueError("limit mixed h* failed to be polynomial; tower bug")
@@ -167,10 +166,7 @@ def face_tower(s: CellComplex) -> Tower:
     signed_limit, w_local = {0: -ONE}, {0: ONE}
     for q in lattice.all_faces()[1:]:
         qdim = lattice.face_dim(q)
-        limit = power_sum(
-            ((qdim - s.dim_of(cid), mixed_h_star(s.cell_polytope(cid))) for cid in s.carried(q)),
-            UV - 1,
-        )
+        limit = power_sum(((qdim - cell.dim, mixed_h_star(cell)) for cell in s.carried(q)), UV - 1)
         if not limit.is_polynomial():
             raise ValueError("limit mixed h* failed to be polynomial; tower bug")
         signed_limit[q] = (-1) ** qdim * limit
@@ -260,22 +256,15 @@ def small_coeff_oracle(s: CellComplex) -> dict:
         if fid and lattice.face_dim(fid) <= 1:
             interior_low += lattice.face_polytope(fid).interior_lattice_point_count()
     out[(0, 0, 0)] = interior_low - (d + 1)
-    for r in range(1, d):
-        total = 0
-        for cid in s.nonempty_ids():
-            if s.dim_of(cid) <= 1 and lattice.face_dim(s.carrier(cid)) == r + 1:
-                total += s.cell_polytope(cid).interior_lattice_point_count()
-        out[(0, 0, r)] = total
-    for q in range(1, d):
+    # Interior counts by (max(dim F - 1, 0), dim carrier(F) - 1): (0, 0, r)
+    # sums the cells of dim <= 1, and (0, q, r) those of dim q + 1.
+    counts = Counter()
+    for cell in s.cells[1:]:
+        key = (max(cell.dim - 1, 0), lattice.face_dim(s.carrier(cell)) - 1)
+        counts[key] += cell.interior_lattice_point_count()
+    for q in range(d):
         for r in range(1, d):
-            total = 0
-            for cid in s.nonempty_ids():
-                if (
-                    s.dim_of(cid) == q + 1
-                    and lattice.face_dim(s.carrier(cid)) == r + 1
-                ):
-                    total += s.cell_polytope(cid).interior_lattice_point_count()
-            out[(0, q, r)] = total
+            out[(0, q, r)] = counts[q, r]
     if d == 3:
         known = (
             out[(0, 0, 0)]

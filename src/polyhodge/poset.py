@@ -35,8 +35,7 @@ stay the full recursion: a face lattice runs it only at rank >= 7, reading
 the stored closed-form values below, and a ``copy`` runs it throughout, so
 ``verify`` and the tests check the closed form against it.
 
-The recursion's sum over [z, x) and the link h-polynomial's sum over the
-cells above a cell are ``laurent.power_sum``s in t - 1.
+The recursion's sum over [z, x) is a ``laurent.power_sum`` in t - 1.
 """
 
 from __future__ import annotations
@@ -229,26 +228,3 @@ def stanley_inversion_check(poset: EulerianPoset, interval=None) -> bool:
         second = second + sign * dual.g(i, bottom) * poset.g(i, top)
     return first == ZERO and second == ZERO
 
-
-def link_h_polynomial(complex_, cell) -> LaurentPoly:
-    """h-polynomial of the link of a cell in a polyhedral subdivision.
-
-    Defined through t^(dim P - dim F) h(link; 1/t) = sum over cells F' >= F
-    of (t-1)^(dim P - dim F') g([F, F']; t), where [F, F'] is the interval in
-    the cell poset of the subdivision, read off the face lattice of F'.
-    """
-    dim_p = complex_.polytope.dim
-    if cell not in complex_.cells:
-        raise ValueError(f"{cell!r} is not a cell of the subdivision")
-    dim_f = complex_.dim_of(cell)
-    delta = dim_p - dim_f
-    terms = (
-        (dim_p - complex_.dim_of(other), lattice.g(lower, upper))
-        for other in complex_.cells_containing(cell)
-        for lattice, lower, upper in [complex_.interval_faces(cell, other)]
-    )
-    rest = power_sum(terms, T - 1)
-    h = rest.substitute({"t": T_INV}) * T**delta
-    if not h.is_polynomial():
-        raise ValueError("link h-polynomial is not polynomial; subdivision bug")
-    return h

@@ -3,10 +3,13 @@
 A cell complex is given by its maximal cells, the full-dimensional cells
 of a subdivision of a polytope P.  Its cells are every face of a maximal
 cell plus the empty cell, so the cell set is closed under faces by
-construction.  It stores the inclusion order among cells and per-cell
-metadata: the carrier (smallest face of P containing the cell, named by its
-vertex bitmask in P's face lattice), and it groups the cells by carrier; the
-interior cells are those carried by P.  Regular subdivisions are produced by
+construction.  A cell is its polytope: hulls are interned by vertex set, so
+each cell is one ``LatticePolytope`` wherever it appears, and the complex
+takes and returns cells.  It stores the inclusion order among cells and the
+carrier of each cell (smallest face of P containing it, named by its vertex
+bitmask in P's face lattice), and it groups the cells by carrier; the
+interior cells are those carried by P.  The h-polynomial of a cell's link
+is read off the cells above it.  Regular subdivisions are produced by
 projecting the lower facets of the lifted point set; constant or affine
 heights give the trivial subdivision, whose one maximal cell is P.
 
@@ -31,12 +34,11 @@ from math import gcd
 from operator import and_
 from typing import Mapping
 
+from .laurent import T, T_INV, LaurentPoly, power_sum
 from .linalg import dot
 from .polytope import LatticePolytope
 from .poset import set_bits
 from .memo import table
-
-CellId = tuple  # sorted tuple of vertex coordinate tuples; () is the empty cell
 
 
 class HeightFunction:
@@ -65,7 +67,7 @@ class CellComplex:
 
     Cells are ordered by inclusion, which for cells of a valid complex is
     vertex-set inclusion.  Complexes are immutable after construction and
-    interned by (polytope, maximal cell ids), so repeated restrictions are
+    interned by (polytope, maximal cells), so repeated restrictions are
     validated once.
     """
 
@@ -90,23 +92,19 @@ class CellComplex:
     def __init__(self, polytope: LatticePolytope, maximal, heights=None):
         self.polytope = polytope
         self.heights = heights
-        cells: dict[CellId, LatticePolytope] = {
-            (): LatticePolytope.empty(polytope.ambient_dim)
-        }
+        cells = {LatticePolytope.empty(polytope.ambient_dim)}
         # The nonempty faces of each maximal cell: the cell incidence.
-        self._faces: dict[CellId, frozenset] = {}
+        self._faces: dict[LatticePolytope, frozenset] = {}
         for poly in maximal:
             lat = poly.face_lattice()
-            faces = [lat.face_polytope(fid) for fid in lat.all_faces() if fid]
-            cells.update((face.vertices, face) for face in faces)
-            self._faces[poly.vertices] = frozenset(face.vertices for face in faces)
-        self.cells = dict(sorted(cells.items(), key=lambda kv: (kv[1].dim, kv[0])))
-        self.ids = tuple(self.cells)
-        self._vsets = {cid: frozenset(cid) for cid in self.ids}
-        self._dims = {cid: poly.dim for cid, poly in self.cells.items()}
-        self.maximal_cells = tuple(sorted(self._faces))
+            faces = frozenset(lat.face_polytope(fid) for fid in lat.all_faces() if fid)
+            cells |= faces
+            self._faces[poly] = faces
+        self.cells = tuple(sorted(cells, key=_order))
+        self._vsets = {cell: frozenset(cell.vertices) for cell in self.cells}
+        self.maximal_cells = tuple(sorted(self._faces, key=_order))
         # The inverse incidence: each nonempty cell -> the maximal cells holding it.
-        self._holders: dict[CellId, list] = {}
+        self._holders: dict[LatticePolytope, list] = {}
         for top in self.maximal_cells:
             for face in self._faces[top]:
                 self._holders.setdefault(face, []).append(top)
@@ -119,75 +117,67 @@ class CellComplex:
     def key(self):
         return (self.polytope.key, self.maximal_cells)
 
-    def dim_of(self, cid: CellId) -> int:
-        return self._dims[cid]
-
-    def cell_polytope(self, cid: CellId) -> LatticePolytope:
-        return self.cells[cid]
-
-    def nonempty_ids(self):
-        return tuple(cid for cid in self.ids if cid != ())
-
-    def leq(self, a: CellId, b: CellId) -> bool:
+    def leq(self, a: LatticePolytope, b: LatticePolytope) -> bool:
         return self._vsets[a] <= self._vsets[b]
 
-    def cells_containing(self, cid: CellId):
-        """Cells above ``cid`` in ``ids`` order, read off the maximal cells
+    def cells_containing(self, cell: LatticePolytope):
+        """Cells above ``cell`` in ``cells`` order, read off the maximal cells
         that hold it."""
-        if cid == ():
-            return self.ids
-        vs = self._vsets[cid]
-        above = {b for top in self._holders[cid] for b in self._faces[top]}
-        above = [b for b in above if vs <= self._vsets[b]]
-        return tuple(sorted(above, key=lambda b: (self._dims[b], b)))
+        if cell.is_empty:
+            return self.cells
+        vs = self._vsets[cell]
+        above = {b for top in self._holders[cell] for b in self._faces[top]}
+        return tuple(sorted((b for b in above if vs <= self._vsets[b]), key=_order))
 
     def _compute_carriers(self):
         """Each cell's carrier: the facets of P through all its vertices,
-        intersected; and the nonempty cells grouped by carrier, in ``ids`` order."""
+        intersected; and the nonempty cells grouped by carrier, in ``cells``
+        order."""
         p = self.polytope
         on = {}  # point -> bitmask of the facets of P through it
-        carrier, carried = {(): 0}, {}
-        for cid in self.ids[1:]:  # () first, then the points, by (dim, id)
-            if len(cid) == 1:
-                x = p._map.to_model(cid[0])
-                on[cid[0]] = sum(1 << j for j, (a, b) in enumerate(p._facets) if dot(a, x) == b)
+        carrier, carried = {self.cells[0]: 0}, {}
+        for cell in self.cells[1:]:  # the empty cell first, then the points
+            if cell.dim == 0:
+                (v,) = cell.vertices
+                x = p._map.to_model(v)
+                on[v] = sum(1 << j for j, (a, b) in enumerate(p._facets) if dot(a, x) == b)
             face = (1 << len(p.vertices)) - 1
-            for j in set_bits(reduce(and_, (on[v] for v in cid))):
+            for j in set_bits(reduce(and_, (on[v] for v in cell.vertices))):
                 face &= p._facet_masks[j]
-            carrier[cid] = face
-            carried.setdefault(face, []).append(cid)
+            carrier[cell] = face
+            carried.setdefault(face, []).append(cell)
         return carrier, carried
 
     def carried(self, face_id) -> tuple:
-        """The nonempty cells whose carrier is the face, in ``ids`` order:
+        """The nonempty cells whose carrier is the face, in ``cells`` order:
         the interior cells of the restriction to that face."""
         return tuple(self._carried.get(face_id, ()))
 
-    def carrier(self, cid: CellId):
+    def carrier(self, cell: LatticePolytope):
         """Face id (in P's face lattice) of the smallest face containing the cell."""
-        return self._carrier[cid]
+        return self._carrier[cell]
 
-    def interior_ids(self):
+    def interior_cells(self):
         """Nonempty cells whose relative interior lies in the interior of P:
-        the cells carried by P, in ``ids`` order."""
+        the cells carried by P, in ``cells`` order."""
         return self.carried(self.polytope.face_lattice().top)
 
     # -- posets ---------------------------------------------------------------
 
-    def interval_faces(self, a: CellId, b: CellId):
+    def interval_faces(self, a: LatticePolytope, b: LatticePolytope):
         """The cell interval [a, b] as (lattice, lower, upper) faces.
 
         Every cell below b is a face of b (``_validate`` checks this), so the
         interval is [a, top] in b's validated face lattice, with a named by
         the bitmask of its vertices among those of ``b``.  The empty cell has
-        no face lattice; [(), ()] is the one-point interval of P's lattice.
+        no face lattice; [empty, empty] is the one-point interval of P's.
         """
         if not self.leq(a, b):
             raise ValueError("not an interval: cells are not nested")
-        if b == ():
+        if b.is_empty:
             return self.polytope.face_lattice(), 0, 0
-        lattice = self.cells[b].face_lattice()
-        return lattice, sum(1 << b.index(v) for v in a), lattice.top
+        lattice = b.face_lattice()
+        return lattice, _mask(b, a.vertices), lattice.top
 
     # -- derived complexes ------------------------------------------------------
 
@@ -206,21 +196,8 @@ class CellComplex:
         if face_id == lattice.top:
             return self
         qdim = lattice.face_dim(face_id)
-        kept = [self.cells[cid] for cid in self._carried[face_id] if self._dims[cid] == qdim]
+        kept = [cell for cell in self._carried[face_id] if cell.dim == qdim]
         return CellComplex.interned(lattice.face_polytope(face_id), kept)
-
-    def model(self) -> "CellComplex":
-        """The complex rewritten in the lattice of P's affine span.
-
-        A full-dimensional complex is its own model; otherwise the maximal
-        cells are mapped by P's unimodular model map.
-        """
-        map_ = self.polytope._map
-        if map_.is_identity:
-            return self
-        hull = LatticePolytope.convex_hull
-        kept = [hull([map_.to_model(v) for v in cid]) for cid in self.maximal_cells]
-        return CellComplex.interned(hull(self.polytope._model_vertices), kept)
 
     # -- validation ---------------------------------------------------------------
 
@@ -228,17 +205,13 @@ class CellComplex:
         p = self.polytope
         if not self.maximal_cells:
             raise ValueError("subdivision has no full-dimensional cells")
-        if any(self._dims[cid] != p.dim for cid in self.maximal_cells):
+        if any(cell.dim != p.dim for cell in self.maximal_cells):
             raise ValueError("a maximal cell is not full-dimensional")
-        vol = sum(self.cells[cid].normalized_volume() for cid in self.maximal_cells)
+        vol = sum(cell.normalized_volume() for cell in self.maximal_cells)
         if vol != p.normalized_volume():
             raise ValueError("maximal cells do not tile P: volume mismatch")
         # Relative interiors partition the lattice points of P.
-        pts = sum(
-            self.cells[cid].interior_lattice_point_count()
-            for cid in self.ids
-            if cid != ()
-        )
+        pts = sum(cell.interior_lattice_point_count() for cell in self.cells[1:])
         if pts != p.lattice_point_count(1):
             raise ValueError("cell interiors do not partition the lattice points of P")
         # Any two maximal cells meet, on vertex sets, in a common face.  This
@@ -246,15 +219,27 @@ class CellComplex:
         # one: if A ∩ B = F is a face of A and of B, then for faces a ≤ A and
         # b ≤ B, a ∩ b = (a ∩ F) ∩ (b ∩ F) is a face of F, so of a and of b.
         for a, b in combinations(self.maximal_cells, 2):
-            common = tuple(sorted(self._vsets[a] & self._vsets[b]))
-            if common and not (common in self._faces[a] and common in self._faces[b]):
+            common = self._vsets[a] & self._vsets[b]
+            if common and not all(
+                _mask(c, common) in c.face_lattice().faces for c in (a, b)
+            ):
                 raise ValueError("cells intersect in a non-face")
         # A facet of a maximal cell lies in one maximal cell on the boundary
         # of P and in two inside it; overlaps and gaps break that count.
         top = p.face_lattice().top
         for f, tops in self._holders.items():
-            if self._dims[f] == p.dim - 1 and len(tops) != (1 if self._carrier[f] != top else 2):
+            if f.dim == p.dim - 1 and len(tops) != (1 if self._carrier[f] != top else 2):
                 raise ValueError("cells overlap or leave a gap at a facet")
+
+
+def _order(cell: LatticePolytope):
+    """The order of ``CellComplex.cells``: by dimension, then by vertices."""
+    return cell.dim, cell.vertices
+
+
+def _mask(cell: LatticePolytope, vertices) -> int:
+    """The bitmask of some vertices of a cell: the face id they name, if any."""
+    return sum(1 << cell.vertices.index(v) for v in vertices)
 
 
 def trivial_subdivision(polytope: LatticePolytope) -> CellComplex:
@@ -300,11 +285,34 @@ def euler_relation_check(complex_: CellComplex, face_id: int = 0) -> bool:
         raise ValueError("not a face of P")
     if face_id == lattice.top:
         raise ValueError("face must be proper")
-    # A vertex v of a cell lies in the face iff the carrier of the 0-cell
-    # (v,) does.
-    total = 0
-    for cid in complex_.interior_ids():
-        if not any(lattice.leq(complex_.carrier((v,)), face_id) for v in cid):
-            total += (-1) ** complex_.dim_of(cid)
+    # A vertex v of a cell lies in the face iff the carrier of the 0-cell at
+    # v does.
+    inside = {
+        c.vertices[0]
+        for c in complex_.cells
+        if c.dim == 0 and lattice.leq(complex_.carrier(c), face_id)
+    }
+    total = sum((-1) ** c.dim for c in complex_.interior_cells() if inside.isdisjoint(c.vertices))
     expected = (-1) ** p.dim if not face_id else 0
     return total == expected
+
+
+def link_h_polynomial(complex_: CellComplex, cell: LatticePolytope) -> LaurentPoly:
+    """h-polynomial of the link of a cell in a polyhedral subdivision.
+
+    Defined through t^(dim P - dim F) h(link; 1/t) = sum over cells F' >= F
+    of (t-1)^(dim P - dim F') g([F, F']; t), where [F, F'] is the interval in
+    the cell poset of the subdivision, read off the face lattice of F'.
+    """
+    if cell not in complex_._carrier:
+        raise ValueError(f"{cell!r} is not a cell of the subdivision")
+    dim_p = complex_.polytope.dim
+    terms = (
+        (dim_p - other.dim, lattice.g(lower, upper))
+        for other in complex_.cells_containing(cell)
+        for lattice, lower, upper in [complex_.interval_faces(cell, other)]
+    )
+    h = power_sum(terms, T - 1).substitute({"t": T_INV}) * T ** (dim_p - cell.dim)
+    if not h.is_polynomial():
+        raise ValueError("link h-polynomial is not polynomial; subdivision bug")
+    return h

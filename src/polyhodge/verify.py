@@ -56,10 +56,10 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
                 break
         out.append(_result("stanley_inversion_faces", bad is None, f"interval [{bad}, P]"))
     bad = None
-    for cid in s.maximal_cells:
-        interval = s.cell_polytope(cid).face_lattice().poset().copy()
+    for cell in s.maximal_cells:
+        interval = cell.face_lattice().poset().copy()
         if interval.rank >= 1 and not stanley_inversion_check(interval):
-            bad = cid
+            bad = cell.vertices
             break
     out.append(_result("stanley_inversion_cells", bad is None, f"interval [(), {bad}]"))
 
@@ -76,7 +76,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
     # Regularity idempotence when the producing heights are known.
     if s.heights is not None:
         again = regular_subdivision(s.heights)
-        out.append(_result("regular_subdivision_idempotent", again.ids == s.ids))
+        out.append(_result("regular_subdivision_idempotent", again.cells == s.cells))
 
     refined = inv.refined_limit_mixed_h_star(s)
     out.append(
@@ -235,7 +235,7 @@ def _weak_lefschetz_two_var(e_hd, d: int) -> bool:
 
 def _chi_y_inclusion_exclusion(s: CellComplex) -> bool:
     p = s.polytope
-    terms = ((p.dim - s.dim_of(cid), hodge.chi_y(s.cell_polytope(cid))) for cid in s.interior_ids())
+    terms = ((p.dim - cell.dim, hodge.chi_y(cell)) for cell in s.interior_cells())
     return power_sum(terms, 1 - U) == hodge.chi_y(p)
 
 

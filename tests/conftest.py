@@ -9,7 +9,7 @@ from polyhodge.generators import instance_corpus
 from polyhodge.laurent import ONE, UV, UVW2, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import EulerianPoset
-from polyhodge.subdivision import HeightFunction, regular_subdivision
+from polyhodge.subdivision import CellComplex, HeightFunction, regular_subdivision
 
 
 def quartic_triangle_pair():
@@ -139,11 +139,11 @@ def face_dims_reference(p):
     return dims
 
 
-def carrier_reference(s, cid):
+def carrier_reference(s, cell):
     """The smallest face of P holding the cell: the intersection of the
     facets' vertex sets over the facets that hold every vertex of the cell."""
     p = s.polytope
-    pts = [p._map.to_model(v) for v in cid]
+    pts = [p._map.to_model(v) for v in cell.vertices]
     face = set(range(len(p.vertices)))
     for (a, b), tight in zip(p._facets, dot_incidence(p)):
         if all(linalg.dot(a, x) == b for x in pts):
@@ -151,13 +151,25 @@ def carrier_reference(s, cid):
     return tuple(sorted(face))
 
 
-def cells_containing_scan(s, cid):
+def cells_containing_scan(s, cell):
     """The cells above a cell, read by scanning every maximal cell's face
-    set for the cell, in ``ids`` order."""
-    if cid == ():
-        return s.ids
-    above = {b for faces in s._faces.values() if cid in faces for b in faces}
-    return tuple(sorted((b for b in above if s.leq(cid, b)), key=lambda b: (s.dim_of(b), b)))
+    set for the cell, in ``cells`` order."""
+    if cell.is_empty:
+        return s.cells
+    above = {b for faces in s._faces.values() if cell in faces for b in faces}
+    return tuple(sorted((b for b in above if s.leq(cell, b)), key=lambda b: (b.dim, b.vertices)))
+
+
+def model_complex(s):
+    """S rewritten in the lattice of P's affine span: S itself when P is
+    full-dimensional, else the complex of its maximal cells mapped by P's
+    unimodular model map."""
+    map_ = s.polytope._map
+    if map_.is_identity:
+        return s
+    hull = LatticePolytope.convex_hull
+    kept = [hull([map_.to_model(v) for v in cell.vertices]) for cell in s.maximal_cells]
+    return CellComplex.interned(hull(s.polytope._model_vertices), kept)
 
 
 # -- h*-tower reference ---------------------------------------------------------

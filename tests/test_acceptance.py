@@ -131,11 +131,11 @@ def test_criterion_08_stanley_inversion(corpus25):
             if i != poset.top:
                 assert stanley_inversion_check(poset, (i, poset.top))
                 checked += 1
-        for cid in s.maximal_cells:
-            poset = s.cell_polytope(cid).face_lattice().poset().copy()
-            for lower in s.ids:
-                if s.leq(lower, cid) and lower != cid:
-                    _, face, _ = s.interval_faces(lower, cid)
+        for cell in s.maximal_cells:
+            poset = cell.face_lattice().poset().copy()
+            for lower in s.cells:
+                if s.leq(lower, cell) and lower != cell:
+                    _, face, _ = s.interval_faces(lower, cell)
                     assert stanley_inversion_check(poset, (poset.elements.index(face), poset.top))
                     checked += 1
     passed(8, f"both inversion sums vanish on {checked} intervals")
@@ -163,8 +163,7 @@ def test_criterion_10_independent_oracles(corpus25):
             for (a, b, c), value in inv.small_coeff_oracle(s).items():
                 assert body.coeff({"u": a, "v": b, "w": c}) == value
         total = ZERO
-        for cid in s.interior_ids():
-            cell = s.cell_polytope(cid)
+        for cell in s.interior_cells():
             total = total + hodge.chi_y(cell) * (1 - U) ** (s.polytope.dim - cell.dim)
         assert total == hodge.chi_y(s.polytope)
     passed(10, "reconstruction, strata-sum, closed-form and valuation oracles agree")

@@ -418,11 +418,13 @@ def test_golden_outputs_on_worked_example():
 
 
 # The same table for the worked example placed in the plane z = x of 3-space.
-# The CLI rewrites lower-dimensional input into the lattice of its span, so
-# every command but hstar and gpoly reports on that rewrite.  The memo tables
-# are emptied before each command, as in a fresh process: the rewrite interns
-# the same complex as the worked example, and an interned complex keeps the
-# heights it was first built with (see tests/test_memo.py).
+# The CLI rewrites lower-dimensional input, points and heights, into the
+# lattice of its span before it subdivides, so every command reports on that
+# rewrite, and verify runs regular_subdivision_idempotent as on the worked
+# example.  The memo tables are emptied before each command, as in a fresh
+# process: the rewrite interns the same complex as the worked example, and an
+# interned complex keeps the heights it was first built with (see
+# tests/test_memo.py).
 IN_PLANE = str(DATA / "concrete_curve_in_plane.json")
 GOLDEN_IN_PLANE = {
     "hstar": (0, "19cfca8e3dfca5b27b0a726a53e6eb076c3e221f9e411a63ef2bfcad5089021b"),
@@ -433,7 +435,7 @@ GOLDEN_IN_PLANE = {
     "stringy": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "nearby": (0, "d0db1783783a33e11a4547e97b9ed79e179ce883408c0be54d3b658d636e642a"),
     "dk-check": (0, "37ed3a8d9ad2508405008cb530f0728c5edae08910c4ceb1f1cdca2c736799ac"),
-    "verify": (0, "8ced6b230919b6484a6b7fe646087968aa47b4a0fb0809e61ddd08621a4be551"),
+    "verify": (0, "5fd89e2e81a72f0eebe24c63517b1b6e9afba82666138fc6b046bf2485d5d894"),
 }
 
 
@@ -443,6 +445,22 @@ def test_golden_outputs_on_lower_dimensional_input():
         memo.clear()
         code, out = run_cli([command, IN_PLANE])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
+
+
+def test_lower_dimensional_input_keeps_its_heights():
+    # The points and their heights are rewritten into the lattice of their
+    # span before the subdivision is built, so the complex carries its
+    # heights and verify runs the same checks as on the worked example.
+    memo.clear()
+    assert cli.build_complex(cli.parse_input(IN_PLANE)).heights is not None
+    names = []
+    for path in (IN_PLANE, CONCRETE):
+        memo.clear()
+        code, out = run_cli(["verify", path])
+        assert code == 0, path
+        names.append([c["name"] for c in json.loads(out)["checks"]])
+    assert names[0] == names[1]
+    assert "regular_subdivision_idempotent" in names[0]
 
 
 # sha256 of the JSON stdout of hodge on the k*D_d ladders in tests/data
@@ -460,6 +478,46 @@ def test_golden_hodge_on_ladders():
         memo.clear()
         code, out = run_cli(["hodge", str(DATA / name)])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), name
+
+
+# Exit code and sha256 of the JSON stdout of every command on a triangulation
+# (6*D3 with heights, 169 maximal cells) and on the trivial subdivision of
+# [-1, 1]^4, the reflexive input with the most faces in tests/data.  6*D3 is
+# not reflexive, so stringy exits 1 on it and prints nothing.
+GOLDEN_EVERY_COMMAND = {
+    "ladder_6x3.json": {
+        "hstar": (0, "428013a6ee43b5803870402c4a3294b43c8844f71d8a00cad7d3bd882d19b1e8"),
+        "gpoly": (0, "c56a0882173fb308419987779ab8a2a5e3311f4bf7eb44867fcc827c40ca78c5"),
+        "invariants": (0, "f3827efd9a83893104ad8d36e09608f9a0c2a69d68e47fcb6c5286090583a1a9"),
+        "hodge": (0, "647363245e3bf45dec0d707adac99745bb583f1dbf5dd1a8cb69cbbe024bbcea"),
+        "intersection": (0, "93c6adbe3b24bfa3c379dfa88bce75efd9c2941fce0990f0f1037be2a0d53b3c"),
+        "stringy": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "nearby": (0, "144e201f4f1180dca50f078cc07b3c5f721e07742508a179b087a037539ed6e8"),
+        "dk-check": (0, "24958193b90cb2ed0922ba56111f6fb53cd26732dbbea182e760149b399d9bf3"),
+        "verify": (0, "b4b2d290e02f2dc3f5c2e26a4c65c479d95daa98ef56dd2d02d58e31a776138f"),
+    },
+    "cube4.json": {
+        "hstar": (0, "c4d500f291843a8a51fe8fe52a3234cfa9699fa39858b3b9bcab803efa051052"),
+        "gpoly": (0, "e27904dcd335b89771212afff1d8fa5570d50ac7a9ded119861edd66c14bf5bc"),
+        "invariants": (0, "7e9586add1c1bf2aad26f38e2bc35d1dba7f42235a3e59687e1b8e208485622c"),
+        "hodge": (0, "c6369fba813e873ef55f13dd6a344bdf6be50b184b105735f80a781ae19bbd85"),
+        "intersection": (0, "bd5b5c03e130ce4d66f5804dc27dcde593c5f43ca4a247ded6213f54e2fbf534"),
+        "stringy": (0, "3a13e299841e9172f2b44981c77cde8ed49b73a968bc06d803a110fac9592a07"),
+        "nearby": (0, "4487b08d12f06905106b161020d01a331f21202a0fc9f76d805ef6f42e51ce65"),
+        "dk-check": (0, "286012e4ff201cf8e822ee5f75b62c58538e1aeda64ff3d3948c896e229cd663"),
+        "verify": (0, "e635a45171bfd4b494317d83c10d8e9352469a646483955602338b3cd94840b0"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVERY_COMMAND))
+def test_golden_outputs_of_every_command(name):
+    golden = GOLDEN_EVERY_COMMAND[name]
+    assert set(golden) == set(cli._COMMANDS)
+    for command, expected in golden.items():
+        memo.clear()
+        code, out = run_cli([command, str(DATA / name)])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
 
 
 # The 4-dim cross-polytope with the subfan of the cones of the faces that

@@ -9,7 +9,9 @@ from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import set_bits
 from polyhodge.subdivision import trivial_subdivision
 
-from conftest import cone_contains_reference, cross_polytope, cube, faces_of_dim, mask
+from conftest import (
+    cone_contains_reference, cross_polytope, cube, faces_of_dim, mask, model_complex,
+)
 
 
 def test_normal_fan_of_quartic_triangle():
@@ -50,7 +52,7 @@ def test_normal_fan_lives_in_the_polytopes_own_lattice():
         assert fan.dim == q.dim
         for fid in fan.face_ids:
             assert fan.cone_dim(fid) == q.dim - fan.lattice.face_dim(fid)
-        model = trivial_subdivision(q).model().polytope
+        model = model_complex(trivial_subdivision(q)).polytope
         model_fan = TruncatedNormalFan(model)
         index = {v: i for i, v in enumerate(model.vertices)}
         to_model = [index[q._map.to_model(v)] for v in q.vertices]

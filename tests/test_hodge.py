@@ -8,7 +8,9 @@ from polyhodge.poset import EulerianPoset
 from polyhodge.subdivision import CellComplex, trivial_subdivision
 from polyhodge.verify import run_checks
 
-from conftest import cross_polytope, cube, quartic_triangle_pair, segment, unit_simplex
+from conftest import (
+    cross_polytope, cube, model_complex, quartic_triangle_pair, segment, unit_simplex,
+)
 
 UVW2 = U * V * W**2
 QUARTIC_E = -11 - 3 * (1 + U * V) * W + UVW2
@@ -334,7 +336,7 @@ def test_torus_baseline():
 
 def _model_restriction(s, fid):
     """S|Q rewritten full-dimensionally in the unimodular model of Q."""
-    return s.restrict(fid).model()
+    return model_complex(s.restrict(fid))
 
 
 STRATUM_INVARIANTS = (

@@ -160,8 +160,8 @@ def assert_faces_match_the_reference(p):
 
 
 def assert_carriers_match_the_reference(s):
-    for cid in s.nonempty_ids():
-        assert s.carrier(cid) == mask(carrier_reference(s, cid))
+    for cell in s.cells[1:]:
+        assert s.carrier(cell) == mask(carrier_reference(s, cell))
 
 
 @st.composite
@@ -188,8 +188,8 @@ def test_faces_from_the_incidence_match_the_reference(p):
 def test_faces_of_every_corpus_cell_match_the_reference(corpus25):
     for s in corpus25:
         assert_carriers_match_the_reference(s)
-        for cid in s.nonempty_ids():
-            assert_faces_match_the_reference(s.cell_polytope(cid))
+        for cell in s.cells[1:]:
+            assert_faces_match_the_reference(cell)
 
 
 def test_face_lattices_posets_and_hull_vertices_take_no_rank(monkeypatch):

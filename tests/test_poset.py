@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from polyhodge import invariants as inv, memo, verify
 from polyhodge.laurent import ONE, T, U, V, ZERO, from_univariate, univariate
 from polyhodge.polytope import FaceLattice, LatticePolytope
-from polyhodge.poset import EulerianPoset, link_h_polynomial, stanley_inversion_check
-from polyhodge.subdivision import HeightFunction, regular_subdivision, trivial_subdivision
+from polyhodge.poset import EulerianPoset, stanley_inversion_check
+from polyhodge.subdivision import (
+    HeightFunction, link_h_polynomial, regular_subdivision, trivial_subdivision,
+)
 
 from conftest import (
     cross_polytope, cube, eulerian_by_signed_sums, mask, poset_from_leq, poset_is_eulerian,
@@ -30,7 +32,7 @@ def interval(poset, z, x):
 def cell_interval(s, a, b):
     """The interval [a, b] of a cell complex, built by ``poset_from_leq`` on
     every cell between the two."""
-    return poset_from_leq([c for c in s.ids if s.leq(a, c) and s.leq(c, b)], s.leq)
+    return poset_from_leq([c for c in s.cells if s.leq(a, c) and s.leq(c, b)], s.leq)
 
 
 def whole_g(poset):
@@ -147,32 +149,32 @@ def test_non_graded_poset_rejected():
 def test_link_h_trivial_cases():
     tri = LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)])
     s = trivial_subdivision(tri)
-    assert link_h_polynomial(s, tri.vertices) == ONE
+    assert link_h_polynomial(s, tri) == ONE
 
 
 def test_link_h_on_subdivided_triangle():
     s = quartic_triangle_pair()
-    tri_cell = tuple(sorted([(1, 1), (2, 1), (1, 2)]))
+    tri_cell = LatticePolytope.convex_hull([(1, 1), (2, 1), (1, 2)])
     assert link_h_polynomial(s, tri_cell) == ONE
     # Link of an interior vertex, against a direct evaluation of the
     # defining reciprocity identity.
-    b0 = ((1, 1),)
+    b0 = LatticePolytope.convex_hull([(1, 1)])
     h = link_h_polynomial(s, b0)
     assert h == 1 + T + T**2
     dim_p = s.polytope.dim
     rhs = ZERO
     for other in s.cells_containing(b0):
         g = whole_g(cell_interval(s, b0, other))
-        rhs = rhs + (T - 1) ** (dim_p - s.dim_of(other)) * g
-    delta = dim_p - s.dim_of(b0)
+        rhs = rhs + (T - 1) ** (dim_p - other.dim) * g
+    delta = dim_p - b0.dim
     assert h.substitute({"t": T**-1}) * T**delta == rhs
 
 
 def test_cell_interval_posets_are_eulerian():
     s = quartic_triangle_pair()
-    for cid in s.maximal_cells:
-        assert poset_is_eulerian(cell_interval(s, (), cid))
-        assert stanley_inversion_check(cell_interval(s, (), cid))
+    for cell in s.maximal_cells:
+        assert poset_is_eulerian(cell_interval(s, s.cells[0], cell))
+        assert stanley_inversion_check(cell_interval(s, s.cells[0], cell))
 
 
 # -- EulerianPoset.g against an independent recursion ----------------------------
@@ -202,7 +204,7 @@ def test_g_matches_stanley_recursion_on_every_interval(corpus25):
     ]
     for s in corpus25:
         polytopes.append(s.polytope)
-        polytopes.extend(s.cell_polytope(cid) for cid in s.maximal_cells)
+        polytopes.extend(s.maximal_cells)
     checked = set()
     for p in polytopes:
         if p.key in checked:
@@ -284,12 +286,12 @@ def test_link_h_matches_cell_scan(corpus25):
     # reading the maximal cells and F''s face lattice.
     for s in [quartic_triangle_pair()] + [corpus25[i] for i in (4, 5, 11, 12)]:
         dim_p = s.polytope.dim
-        for cell in s.ids:
+        for cell in s.cells:
             rest = ZERO
-            for other in [c for c in s.ids if s.leq(cell, c)]:
+            for other in [c for c in s.cells if s.leq(cell, c)]:
                 g = stanley_g(cell_interval(s, cell, other))
-                rest = rest + (T - 1) ** (dim_p - s.dim_of(other)) * g
-            expected = rest.substitute({"t": T**-1}) * T ** (dim_p - s.dim_of(cell))
+                rest = rest + (T - 1) ** (dim_p - other.dim) * g
+            expected = rest.substitute({"t": T**-1}) * T ** (dim_p - cell.dim)
             assert link_h_polynomial(s, cell) == expected
 
 
@@ -310,8 +312,7 @@ def test_tower_reads_g_without_copying_intervals(monkeypatch):
     # the tower shares stay as they were.
     inversion_check = verify.stanley_inversion_check
     for s in (quartic_triangle_pair(), trivial_subdivision(cube(3))):
-        cells = [s.cell_polytope(cid) for cid in s.maximal_cells]
-        shared = [p.face_lattice().poset() for p in [s.polytope] + cells]
+        shared = [p.face_lattice().poset() for p in (s.polytope, *s.maximal_cells)]
 
         def checked(poset, bounds=None):
             before = [dict(p._g) for p in shared]
@@ -367,8 +368,7 @@ def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypa
     monkeypatch.setattr(LatticePolytope, "lattice_point_count", counted_count)
     for k, d in ((3, 2), (2, 3)):
         s = noisy_dilate_triangulation(k, d)
-        cells = [s.cell_polytope(cid) for cid in s.nonempty_ids()]
-        assert all(is_simplex(c) and c.normalized_volume() == 1 for c in cells)
+        assert all(is_simplex(c) and c.normalized_volume() == 1 for c in s.cells[1:])
         refined = inv.refined_limit_mixed_h_star(s)
         assert refined.substitute({"w": 1}) == inv.limit_mixed_h_star(s)
     assert posets == []

@@ -21,7 +21,7 @@ from polyhodge.subdivision import (
 
 from conftest import (
     carrier_reference, cells_containing_scan, cross_polytope, cube, faces_of_dim, mask,
-    poset_from_leq, quartic_triangle_pair,
+    model_complex, poset_from_leq, quartic_triangle_pair,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -35,40 +35,40 @@ def test_quartic_triangle_has_four_maximal_cells():
         tuple(sorted([(4, 0), (0, 4), (2, 1), (1, 2)])),
         tuple(sorted([(1, 1), (2, 1), (1, 2)])),
     }
-    assert set(s.maximal_cells) == expected
+    assert {cell.vertices for cell in s.maximal_cells} == expected
     dims = {}
-    for cid in s.nonempty_ids():
-        dims[s.dim_of(cid)] = dims.get(s.dim_of(cid), 0) + 1
+    for cell in s.cells[1:]:
+        dims[cell.dim] = dims.get(cell.dim, 0) + 1
     assert dims == {0: 6, 1: 9, 2: 4}
 
 
 def test_carriers_and_boundary_flags():
     s = quartic_triangle_pair()
     lat = s.polytope.face_lattice()
-    tri_cell = tuple(sorted([(1, 1), (2, 1), (1, 2)]))
+    tri_cell = LatticePolytope.convex_hull([(1, 1), (2, 1), (1, 2)])
     assert s.carrier(tri_cell) == lat.top
-    assert tri_cell in s.interior_ids()
-    bottom_edge = tuple(sorted([(0, 0), (4, 0)]))
+    assert tri_cell in s.interior_cells()
+    bottom_edge = LatticePolytope.convex_hull([(0, 0), (4, 0)])
     carrier = s.carrier(bottom_edge)
     assert set(lat.face_polytope(carrier).vertices) == {(0, 0), (4, 0)}
-    assert bottom_edge not in s.interior_ids()
-    assert () not in s.interior_ids()
-    assert len(s.interior_ids()) == 13  # 3 vertices + 6 edges + 4 two-cells
+    assert bottom_edge not in s.interior_cells()
+    assert s.cells[0] not in s.interior_cells()
+    assert len(s.interior_cells()) == 13  # 3 vertices + 6 edges + 4 two-cells
 
 
 def test_carrier_matches_brute_force():
     for s in instance_corpus(5, 6, dims=(2, 3)):
         lat = s.polytope.face_lattice()
-        for cid in s.nonempty_ids():
+        for cell in s.cells[1:]:
             # Smallest face containing the cell, found by exhaustive search.
             best = None
             for fid in lat.all_faces():
                 if not fid:
                     continue
-                if set(cid) <= set(lat.face_polytope(fid).lattice_points()):
+                if set(cell.vertices) <= set(lat.face_polytope(fid).lattice_points()):
                     if best is None or lat.face_dim(fid) < lat.face_dim(best):
                         best = fid
-            assert s.carrier(cid) == best
+            assert s.carrier(cell) == best
 
 
 def test_carriers_match_the_dot_product_reference(corpus25):
@@ -76,23 +76,22 @@ def test_carriers_match_the_dot_product_reference(corpus25):
         lattice = s.polytope.face_lattice()
         for fid in lattice.all_faces()[1:]:
             r = s.restrict(fid)
-            for cid in r.nonempty_ids():
-                assert r.carrier(cid) == mask(carrier_reference(r, cid))
+            for cell in r.cells[1:]:
+                assert r.carrier(cell) == mask(carrier_reference(r, cell))
 
 
 def test_trivial_subdivision_of_square():
     s = trivial_subdivision(cube(2))
-    assert len(s.nonempty_ids()) == 9
-    for cid in s.nonempty_ids():
-        carrier_poly = s.polytope.face_lattice().face_polytope(s.carrier(cid))
-        assert carrier_poly.vertices == cid
+    assert len(s.cells) == 10
+    for cell in s.cells[1:]:
+        assert s.polytope.face_lattice().face_polytope(s.carrier(cell)) is cell
 
 
 def test_square_diagonal_split():
     sq = cube(2)
     heights = {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0), (1, 1): Fraction(1)}
     s = regular_subdivision(HeightFunction(sq, heights))
-    assert set(s.maximal_cells) == {
+    assert {cell.vertices for cell in s.maximal_cells} == {
         tuple(sorted([(0, 0), (1, 0), (0, 1)])),
         tuple(sorted([(1, 0), (0, 1), (1, 1)])),
     }
@@ -102,7 +101,7 @@ def test_constant_heights_give_trivial_subdivision():
     sq = cube(2)
     heights = {v: Fraction(5) for v in sq.vertices}
     s = regular_subdivision(HeightFunction(sq, heights))
-    assert s.ids == trivial_subdivision(sq).ids
+    assert s.cells == trivial_subdivision(sq).cells
 
 
 def test_rational_heights_accepted():
@@ -132,8 +131,8 @@ def test_restriction_to_edge():
         if set(lat.face_polytope(f).vertices) == {(0, 0), (4, 0)}
     )
     r = s.restrict(edge)
-    expected = {cid for cid in s.nonempty_ids() if all(v[1] == 0 for v in cid)}
-    assert set(r.nonempty_ids()) == expected
+    expected = {cell for cell in s.cells if all(v[1] == 0 for v in cell.vertices)}
+    assert set(r.cells) == expected
     assert s.restrict(lat.top) is s
 
 
@@ -143,7 +142,7 @@ def test_restriction_of_trivial_is_trivial():
     lat = p.face_lattice()
     for fid in faces_of_dim(lat, 2):
         r = s.restrict(fid)
-        assert r.ids == trivial_subdivision(lat.face_polytope(fid)).ids
+        assert r.cells == trivial_subdivision(lat.face_polytope(fid)).cells
     with pytest.raises(ValueError):
         s.restrict(((0, 1, 2),))
 
@@ -157,7 +156,7 @@ def test_euler_relation_trivial_subdivision():
 def test_euler_relation_on_quartic_triangle():
     s = quartic_triangle_pair()
     # Direct count: interior cells are 3 vertices, 6 edges, 4 two-cells.
-    total = sum((-1) ** s.dim_of(c) for c in s.interior_ids())
+    total = sum((-1) ** c.dim for c in s.interior_cells())
     assert total == 3 - 6 + 4 == 1
     assert euler_relation_check(s)
     lat = s.polytope.face_lattice()
@@ -175,13 +174,11 @@ def test_euler_relation_rejects_improper_face():
 def test_invalid_complex_rejected():
     # Dropping a maximal cell breaks the volume accounting.
     s = quartic_triangle_pair()
-    cells = [s.cell_polytope(c) for c in s.maximal_cells[1:]]
     with pytest.raises(ValueError, match="volume mismatch"):
-        CellComplex(s.polytope, cells)
+        CellComplex(s.polytope, s.maximal_cells[1:])
     # A lower-dimensional cell given as maximal is rejected before the tiling
     # checks.
-    edge = tuple(sorted([(0, 0), (4, 0)]))
-    cells = [s.cell_polytope(c) for c in s.maximal_cells + (edge,)]
+    cells = s.maximal_cells + (LatticePolytope.convex_hull([(0, 0), (4, 0)]),)
     with pytest.raises(ValueError, match="not full-dimensional"):
         CellComplex(s.polytope, cells)
 
@@ -192,7 +189,7 @@ def test_regular_subdivision_idempotent():
         p = random_lattice_polytope(rng, 2)
         hf = random_height_function(rng, p)
         s = regular_subdivision(hf)
-        assert regular_subdivision(s.heights).ids == s.ids
+        assert regular_subdivision(s.heights).cells == s.cells
 
 
 def test_random_subdivisions_satisfy_euler_relation():
@@ -209,22 +206,23 @@ def test_interval_faces_match_cell_scan(corpus25):
     # checks it.
     quartic = quartic_triangle_pair()
     for s in [quartic] + [corpus25[i] for i in (4, 5, 11, 12)]:
-        pairs = [(a, b) for b in s.ids for a in s.ids if s.leq(a, b)]
-        assert ((), ()) in pairs
+        pairs = [(a, b) for b in s.cells for a in s.cells if s.leq(a, b)]
+        assert (s.cells[0], s.cells[0]) in pairs
         for a, b in pairs:
             lattice, lower, upper = s.interval_faces(a, b)
             got = [
                 f for f in lattice.all_faces() if lattice.leq(lower, f) and lattice.leq(f, upper)
             ]
-            members = [c for c in s.ids if s.leq(a, c) and s.leq(c, b)]
+            members = [c for c in s.cells if s.leq(a, c) and s.leq(c, b)]
             ref = poset_from_leq(members, s.leq)
             assert len(got) == len(ref)
             assert lattice.face_dim(upper) - lattice.face_dim(lower) == ref.rank
             assert lattice.g(lower, upper) == ref.g(ref.bottom, ref.top)
             # The face ids name exactly the cells between a and b.
-            assert sorted(tuple(b[i] for i in set_bits(f)) for f in got) == sorted(members)
+            named = sorted(tuple(b.vertices[i] for i in set_bits(f)) for f in got)
+            assert named == sorted(c.vertices for c in members)
     with pytest.raises(ValueError, match="not nested"):
-        quartic.interval_faces(quartic.maximal_cells[0], ())
+        quartic.interval_faces(quartic.maximal_cells[0], quartic.cells[0])
 
 
 def _gate_complexes(corpus25):
@@ -240,7 +238,8 @@ def _gate_complexes(corpus25):
 
 
 def _face_closure(maximal):
-    """Every face of every given cell, plus the empty cell."""
+    """The vertex sets of every face of every given cell, by vertex set, plus
+    the empty cell's."""
     closure = {()}
     for cid in maximal:
         lattice = LatticePolytope.convex_hull(cid).face_lattice()
@@ -250,22 +249,44 @@ def _face_closure(maximal):
 
 def test_cells_are_the_faces_of_the_maximal_cells(corpus25):
     for s in _gate_complexes(corpus25):
-        assert len(s.ids) == len(set(s.ids))
-        assert set(s.ids) == _face_closure(s.maximal_cells), s.key
+        assert len(s.cells) == len(set(s.cells))
+        closure = _face_closure(cell.vertices for cell in s.maximal_cells)
+        assert {cell.vertices for cell in s.cells} == closure, s.key
         assert s.key == (s.polytope.key, s.maximal_cells)
+
+
+def test_each_cell_is_the_interned_face_of_a_maximal_cell():
+    # A cell is its polytope: the object that the hull of its vertices
+    # interns, and a face polytope of some maximal cell's face lattice.
+    memo.clear()
+    complexes = instance_corpus(20240, 25) + [
+        quartic_triangle_pair(), trivial_subdivision(cube(4)), trivial_subdivision(cross_polytope(3))
+    ]
+    for s in complexes:
+        assert s.cells[0] is LatticePolytope.empty(s.polytope.ambient_dim)
+        assert list(s.cells) == sorted(s.cells, key=lambda c: (c.dim, c.vertices))
+        for c in s.cells[1:]:
+            assert c is LatticePolytope.convex_hull(c.vertices), c
+        faces = {
+            id(lattice.face_polytope(f))
+            for top in s.maximal_cells
+            for lattice in [top.face_lattice()]
+            for f in lattice.all_faces()
+        }
+        assert {id(c) for c in s.cells} == faces, s.key
 
 
 def test_cells_containing_matches_cell_scan(corpus25):
     for s in _gate_complexes(corpus25):
-        for c in s.ids:
-            assert s.cells_containing(c) == tuple(b for b in s.ids if s.leq(c, b))
+        for c in s.cells:
+            assert s.cells_containing(c) == tuple(b for b in s.cells if s.leq(c, b))
 
 
 def test_cells_containing_matches_the_scan_of_every_maximal_cell(corpus25):
     # The index of maximal cells by face gives what scanning every maximal
     # cell's face set gives, in the same order.
     for s in corpus25:
-        for c in s.ids:
+        for c in s.cells:
             assert s.cells_containing(c) == cells_containing_scan(s, c), (s.key, c)
 
 
@@ -275,23 +296,22 @@ def test_restriction_keeps_the_cells_carried_by_the_face(corpus25):
         for fid in lattice.all_faces():
             if not fid:
                 continue
-            expected = {()} | {
-                cid for cid in s.nonempty_ids() if not s.carrier(cid) & ~fid
-            }
-            assert set(s.restrict(fid).ids) == expected, (s.key, fid)
+            expected = {c for c in s.cells if not s.carrier(c) & ~fid}
+            assert set(s.restrict(fid).cells) == expected, (s.key, fid)
 
 
 def test_restriction_matches_the_scan_of_every_cell(corpus25):
     # restrict reads the cells carried by the face; the scan keeps every cell
     # of the face's dimension whose carrier lies in the face.
-    square = trivial_subdivision(cli.parse_input(str(DATA / "square_in_space.json")).polytope)
-    for s in list(corpus25) + [square, square.model()]:
+    points = json.loads((DATA / "square_in_space.json").read_text())["points"]
+    square = trivial_subdivision(_hull(e["coords"] for e in points))
+    for s in list(corpus25) + [square, model_complex(square)]:
         lattice = s.polytope.face_lattice()
         for fid in lattice.all_faces()[1:]:
             scan = [
-                cid
-                for cid in s.ids
-                if s.dim_of(cid) == lattice.face_dim(fid) and lattice.leq(s.carrier(cid), fid)
+                c
+                for c in s.cells
+                if c.dim == lattice.face_dim(fid) and lattice.leq(s.carrier(c), fid)
             ]
             assert s.restrict(fid).maximal_cells == tuple(scan), (s.key, fid)
 
@@ -304,27 +324,38 @@ def test_model_maps_every_cell(corpus25):
             if not fid:
                 continue
             r = s.restrict(fid)
-            model = r.model()
+            model = model_complex(r)
             to_model = r.polytope._map.to_model
-            mapped = {tuple(sorted(to_model(v) for v in cid)) for cid in r.ids}
-            assert set(model.ids) == mapped, (s.key, fid)
+            mapped = {tuple(sorted(to_model(v) for v in c.vertices)) for c in r.cells}
+            assert {c.vertices for c in model.cells} == mapped, (s.key, fid)
             assert model.polytope.dim == model.polytope.ambient_dim == r.polytope.dim
             lower += model is not r
     assert lower > 0
 
 
-def test_model_rewrites_into_the_span_lattice():
-    seg = LatticePolytope.convex_hull([(0, 0), (0, 3)])
-    assert trivial_subdivision(seg).model().polytope.vertices == ((0,), (3,))
-    diag = LatticePolytope.convex_hull([(0, 0), (2, 2)])
-    model = trivial_subdivision(diag).model().polytope
-    assert model.vertices == ((0,), (2,))
-    assert diag.lattice_point_count(1) == 3 == model.lattice_point_count(1)
-    # A full-dimensional complex is its own model, interned or not.
-    full = cube(2)
-    assert trivial_subdivision(full).model() is trivial_subdivision(full)
-    direct = CellComplex(full, [full])
-    assert direct.model() is direct
+def _parsed(tmp_path, points):
+    """cli.parse_input of the (coords, height) pairs."""
+    path = tmp_path / "input.json"
+    entries = [{"coords": list(c), "height": h} for c, h in points]
+    path.write_text(json.dumps({"dim": len(points[0][0]), "points": entries}))
+    return cli.parse_input(str(path))
+
+
+def test_model_rewrites_into_the_span_lattice(tmp_path):
+    # The CLI reads lower-dimensional input, heights included, in the
+    # lattice of its span, and subdivides it there.
+    seg = _parsed(tmp_path, [((0, 0), 0), ((0, 3), 0)])
+    assert seg.polytope.vertices == ((0,), (3,))
+    diag = _parsed(tmp_path, [((0, 0), 1), ((1, 1), 0), ((2, 2), 1)])
+    assert diag.polytope.vertices == ((0,), (2,))
+    assert diag.polytope.lattice_point_count(1) == 3
+    assert diag.height_fn.heights == {(0,): 1, (1,): 0, (2,): 1}
+    s = cli.build_complex(diag)
+    assert [c.vertices for c in s.maximal_cells] == [((0,), (1,)), ((1,), (2,))]
+    assert s.heights is diag.height_fn
+    # A full-dimensional input is read as it stands.
+    square = _parsed(tmp_path, [((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((1, 1), 1)])
+    assert square.polytope is cube(2)
 
 
 def _hull(points):
@@ -427,7 +458,7 @@ def test_validation_matches_all_pairs_check_on_square_cells(data):
 @given(data=st.data())
 def test_validation_matches_all_pairs_check_on_corrupted_complexes(corpus25, data):
     s = data.draw(st.sampled_from(corpus25))
-    maximal = [s.cell_polytope(c) for c in s.maximal_cells]
+    maximal = list(s.maximal_cells)
     points = s.polytope.lattice_points()
     change = data.draw(st.sampled_from(["drop", "add", "swap"]))
     if change != "add":
