@@ -86,7 +86,7 @@ def euler_characteristic(p: LatticePolytope) -> int:
         raise ValueError("requires a nonempty polytope")
     if p.dim == 0:
         return 0
-    return (-1) ** (p.dim + 1) * inv.h_star(p).eval_int({"u": 1})
+    return (-1) ** (p.dim + 1) * inv.h_star(p).substitute({"u": 1}).coeff({})
 
 
 def hodge_deligne(p: LatticePolytope) -> LaurentPoly:
@@ -347,4 +347,4 @@ def dk_reconstruct(s: CellComplex) -> LaurentPoly:
     flipped_middle = comp_middle.substitute({"u": U**-1, "v": V**-1}) * UV ** (d - 1)
     if flipped_middle != comp_middle:
         raise ValueError(f"reconstruction inconsistent at w-degree {d - 1}")
-    return LaurentPoly.assemble_in("w", e_parts)
+    return power_sum(e_parts.items(), W)

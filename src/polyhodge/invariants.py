@@ -39,7 +39,6 @@ from .laurent import (
     LaurentPoly,
     ONE,
     T,
-    T_INV,
     U,
     U_OVER_V,
     UV,
@@ -47,9 +46,9 @@ from .laurent import (
     V,
     W,
     ZERO,
-    div_exact_t_minus_one,
     from_univariate,
     power_sum,
+    univariate,
 )
 from .polytope import LatticePolytope
 from .subdivision import CellComplex, link_h_polynomial
@@ -229,11 +228,18 @@ def lambda_mixed(lam: LaurentPoly) -> LaurentPoly:
 
 def e_int_lef(p: LatticePolytope) -> LaurentPoly:
     """Lefschetz-forced intersection polynomial E(P;t): the unique polynomial
-    with (t-1) E = t^dim g([empty,P]*;1/t) - g([empty,P]*;t)."""
+    with (t-1) E = t^dim g([empty,P]*;1/t) - g([empty,P]*;t).
+
+    With g = sum g_i t^i of degree <= dim/2, which the g layer guarantees,
+    t^dim g(1/t) - g(t) = sum g_i (t^(dim-i) - t^i), so E is the closed form
+    sum g_i (t^i + ... + t^(dim-1-i)); a g_i at i = dim/2 adds nothing.
+    """
+    d = p.dim
     lattice = p.face_lattice()
-    gdual = lattice.g(0, lattice.top, dual=True)
-    rhs = gdual.substitute({"t": T_INV}) * T**p.dim - gdual
-    return div_exact_t_minus_one(rhs)
+    g = univariate(lattice.g(0, lattice.top, dual=True), "t")
+    if 2 * max(g) > d:
+        raise ValueError(f"dual g of degree {max(g)} exceeds dim/2 = {d}/2; g-layer bug")
+    return power_sum(((k, c) for i, c in g.items() for k in range(i, d - i)), T)
 
 
 def small_coeff_oracle(s: CellComplex) -> dict:

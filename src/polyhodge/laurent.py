@@ -24,8 +24,13 @@ arithmetic takes these fast paths:
   negative power of anything else raises ValueError.  Dividing by a
   monomial x is multiplying by ``x**-1``.
 
-``power_sum`` is the one sum weighted by the powers of a multi-term base,
-such as (uv - 1)^codim over the cells of a subdivision.
+Each polynomial job has one operator.  Evaluation is ``substitute`` with
+integer targets: p(1, 1, 1) is ``p.substitute({"u": 1, "v": 1, "w": 1})``,
+an int-valued constant polynomial that compares equal to an int.
+``power_sum`` is the one sum weighted by the powers of a base, such as
+(uv - 1)^codim over the cells of a subdivision; over a monomial base such
+as w it assembles a polynomial from its parts by degree, the inverse of
+``coeff_in``.
 
 Values are immutable after construction and all operations are pure, so they
 are safe to share between threads.
@@ -70,11 +75,11 @@ class LaurentPoly:
         return p
 
     @staticmethod
-    def var(name: str, power: int = 1) -> "LaurentPoly":
+    def var(name: str) -> "LaurentPoly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARS}")
         e = [0] * NVARS
-        e[_VAR_INDEX[name]] = power
+        e[_VAR_INDEX[name]] = 1
         return LaurentPoly({tuple(e): 1})
 
     # -- basic protocol ----------------------------------------------------
@@ -237,14 +242,6 @@ class LaurentPoly:
                 out[tuple(reduced)] = c
         return _trusted(out)
 
-    @staticmethod
-    def assemble_in(name: str, parts: Mapping[int, "LaurentPoly"]) -> "LaurentPoly":
-        """Inverse of coeff_in: sum of parts[k] * name**k."""
-        acc = ZERO
-        for k, p in parts.items():
-            acc = acc + p * LaurentPoly.var(name, k)
-        return acc
-
     # -- substitution ------------------------------------------------------
 
     def substitute(self, sub: Mapping[str, "LaurentPoly | int"]) -> "LaurentPoly":
@@ -300,27 +297,6 @@ class LaurentPoly:
             else:
                 out.pop(key, None)
         return _trusted(out)
-
-    def eval_int(self, values: Mapping[str, int]) -> int:
-        """Evaluate at integer values given for every occurring variable."""
-        total = 0
-        for e, c in self._terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = VARS[i]
-                if name not in values:
-                    raise ValueError(f"no value supplied for variable {name}")
-                x = values[name]
-                if k < 0:
-                    # 1/x is an integer only at x = 1 and x = -1, where it is x.
-                    if x not in (1, -1):
-                        raise ValueError("non-integer evaluation")
-                    k = -k
-                term *= x**k
-            total += term
-        return total
 
     # -- rendering ---------------------------------------------------------
 
@@ -412,11 +388,13 @@ def power_sum(terms: Iterable[tuple[int, LaurentPoly | int]], base: LaurentPoly)
 
     A part may be an int.  The parts that share an exponent are added up
     first, so each power of a multi-term base such as t - 1 or 1 - uv is
-    built once, step by step.
+    built once, step by step.  Raises ValueError on a negative exponent.
     """
     parts: dict[int, LaurentPoly | int] = {}
     for k, part in terms:
         parts[k] = parts.get(k, 0) + part
+    if parts and min(parts) < 0:
+        raise ValueError(f"power_sum: negative exponent {min(parts)}")
     total = ZERO + parts.get(0, 0)  # a polynomial even when every part is an int
     power = base
     for k in range(1, max(parts, default=0) + 1):
@@ -427,27 +405,3 @@ def power_sum(terms: Iterable[tuple[int, LaurentPoly | int]], base: LaurentPoly)
             total = total + power * part
     return total
 
-
-def div_exact_t_minus_one(p: LaurentPoly) -> LaurentPoly:
-    """Exact division of a polynomial in t by (t - 1).
-
-    Raises ValueError when the division leaves a remainder; used where a
-    vanishing remainder is a structural guarantee and a nonzero one signals
-    an upstream bug.
-    """
-    coeffs = univariate(p, "t")
-    if not coeffs:
-        return ZERO
-    lo, hi = min(coeffs), max(coeffs)
-    if lo < 0:
-        raise ValueError("expected a polynomial, got negative exponents")
-    # Synthetic division from the top: p = (t-1) q + r with r = p(1).
-    q: dict[int, int] = {}
-    carry = 0
-    for k in range(hi, 0, -1):
-        carry += coeffs.get(k, 0)
-        q[k - 1] = carry
-    remainder = carry + coeffs.get(0, 0)
-    if remainder != 0:
-        raise ValueError(f"inexact division by (t - 1): remainder {remainder}")
-    return from_univariate(q, "t")

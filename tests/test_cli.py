@@ -481,9 +481,11 @@ def test_golden_hodge_on_ladders():
 
 
 # Exit code and sha256 of the JSON stdout of every command on a triangulation
-# (6*D3 with heights, 169 maximal cells) and on the trivial subdivision of
-# [-1, 1]^4, the reflexive input with the most faces in tests/data.  6*D3 is
-# not reflexive, so stringy exits 1 on it and prints nothing.
+# (6*D3 with heights, 169 maximal cells), on the trivial subdivision of
+# [-1, 1]^4, the reflexive input with the most faces in tests/data, on the
+# 4-cross-polytope with a refinement of a non-simplicial subfan, and on a
+# reflexive square in a plane of 3-space.  6*D3 is not reflexive, so stringy
+# exits 1 on it and prints nothing.
 GOLDEN_EVERY_COMMAND = {
     "ladder_6x3.json": {
         "hstar": (0, "428013a6ee43b5803870402c4a3294b43c8844f71d8a00cad7d3bd882d19b1e8"),
@@ -507,6 +509,28 @@ GOLDEN_EVERY_COMMAND = {
         "dk-check": (0, "286012e4ff201cf8e822ee5f75b62c58538e1aeda64ff3d3948c896e229cd663"),
         "verify": (0, "e635a45171bfd4b494317d83c10d8e9352469a646483955602338b3cd94840b0"),
     },
+    "cross4_refinement.json": {
+        "hstar": (0, "63d77c6471d66c4d6daef45fa6e5568c7593090e64a812a26cf26f2fe077d66a"),
+        "gpoly": (0, "2a1c7fb7985b849445f56ee8fada6dae307e612f8b05b7416af7fa0679ec305f"),
+        "invariants": (0, "3d6744c81133a362d004c137f91e6a85dda2fbce4dacd9f8989df66928613de2"),
+        "hodge": (0, "520870ec8c921ee4ca6357255248d4d1b79442a7de8aa2db6afeb1acc7e423a7"),
+        "intersection": (0, "534216dd6626697b79e67288cb639f83259fac6d2e4f515e52d1a816ea9cf447"),
+        "stringy": (0, "a93177bce81d236d53091ef61f72a4de2fdf577590b318655ae5f1198a765a9d"),
+        "nearby": (0, "199541aa79aad0234855a3cb17e6d090f8b4545dd2f8abfe25fa5ade9f237353"),
+        "dk-check": (0, "523cbe92a702a40aaee88464bb700cda7da8e7360a5ee1076bbaef9b2b29605f"),
+        "verify": (0, "c5859418accb7c2e1ae6d575a1428a085ee7e134d944dbaf146a172dee25cb03"),
+    },
+    "square_in_space.json": {
+        "hstar": (0, "f6ccf8909e20af6256d755d0cd2776c7352534bb51b50b9addbfb60c1b00cbc8"),
+        "gpoly": (0, "08599e61995cd206e7d158780ee5302d91dc2def225b6df99a6262987b17bc03"),
+        "invariants": (0, "e34991676390210ac4240a5f7459342b28793d965e4918087aa6d3bfde5d6cfc"),
+        "hodge": (0, "36d10c949a5e3ae1aff239c66a47704d5ec5fcb96735aec07411a7afd65be7a2"),
+        "intersection": (0, "c365f4c879e68643cfb4f696ad1c96d03dba1a80ea5b9cbcdcaab4aae6e196eb"),
+        "stringy": (0, "66bf4555ee891df77ec1463c599622e08a2e36b299d91dc55174827fce27b7cb"),
+        "nearby": (0, "8d42e5925ed2aba69fbae66b6393c829e6371b0e641b65971f5d66b94a85913e"),
+        "dk-check": (0, "62ace9d6cb9ecd64f1c7bda551d56c74e4db178f95d3894c2961eefb15769c1e"),
+        "verify": (0, "6118df6cc186355228c234cef6c4ba3693353b7ec55ac9eefa4ee8f20447f2c0"),
+    },
 }
 
 
@@ -518,6 +542,25 @@ def test_golden_outputs_of_every_command(name):
         memo.clear()
         code, out = run_cli([command, str(DATA / name)])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, command
+
+
+# sha256 of the JSON stdout of gpoly, whose intersection_lefschetz is E_Lef,
+# on a long segment, on the 3*D4 and 5*D4 ladders, and on [-1, 1]^6.  The
+# face lattice of [-1, 1]^6 has rank 7, so its g runs the EulerianPoset
+# recursion, and its dual g has a t^3 term at half the dimension.
+GOLDEN_GPOLY = {
+    "long_segment.json": "51c65e39627e96016d05b4c074f47432a9c7a6ee85f379ce3d4cbafb4e9cea10",
+    "ladder_3x4.json": "b5c9b7ac67d0712418c2ac6aa3ead44eeb5c3bd7ba6dd624a9abfd8a4ec0ee1d",
+    "ladder_5x4.json": "6f97bb54a59bedbd5034ced348dfcc8cb1b1a6ee3b666b18544d626cad040652",
+    "cube6.json": "af348d47544a36888d5511a88edee965ec32e4309afbc7ee3788376718609f81",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GPOLY))
+def test_golden_gpoly(name):
+    memo.clear()
+    code, out = run_cli(["gpoly", str(DATA / name)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GOLDEN_GPOLY[name])
 
 
 # The 4-dim cross-polytope with the subfan of the cones of the faces that

@@ -33,7 +33,7 @@ def test_chi_y_recursion_on_simplices():
 
 def test_chi_y_examples():
     tri = LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)])
-    assert hodge.chi_y(tri).eval_int({"u": 1}) == -16
+    assert hodge.chi_y(tri).substitute({"u": 1}) == -16
     assert hodge.chi_y(unit_simplex(0)) == ZERO
 
 
@@ -96,7 +96,7 @@ def test_refined_E_specialization_tower(corpus25):
         e = hodge.refined_E(s)
         assert e.substitute({"w": 1}) == hodge.nearby_fiber_E(s)
         assert e.substitute({"u": U * W**-1, "v": 1}) == hodge.hodge_deligne(s.polytope)
-        assert e.eval_int({"u": 1, "v": 1, "w": 1}) == hodge.euler_characteristic(
+        assert e.substitute({"u": 1, "v": 1, "w": 1}) == hodge.euler_characteristic(
             s.polytope
         )
 
@@ -266,7 +266,7 @@ def test_stringy_cube_octahedron_is_k3():
     assert e_oct == expected
     a = hodge.stringy_E_generic(trivial_subdivision(cube3))
     b = hodge.stringy_E_generic(trivial_subdivision(oct3))
-    assert a.eval_int({"u": 1, "w": 1}) == 24
+    assert a.substitute({"u": 1, "w": 1}) == 24
     assert a == (-U) ** 2 * b.substitute({"u": U**-1})
 
 
@@ -382,6 +382,31 @@ def test_checks_pass_on_lower_dimensional_restrictions(corpus25):
             assert [c for c in checks if not c.ok] == [], (s.key, fid)
             restrictions += 1
     assert restrictions == 254
+
+
+# One side of a verify check on the quartic (d = 2), made wrong by adding a
+# term, and the check that must then fail: u v w^(d+3) and u^(d+2) lie above
+# the degree d + 1 that weak Lefschetz allows.
+FAULTS = {
+    "h_star_at_one_is_volume": (LatticePolytope, "normalized_volume", 1),
+    "euler_characteristic_specialization": (hodge, "euler_characteristic", 1),
+    "weak_lefschetz_refined": (hodge, "refined_E", U * V * W**5),
+    "weak_lefschetz_hodge_deligne": (hodge, "hodge_deligne", U**4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_a_wrong_side_fails_its_verify_check(name, monkeypatch, quartic_triangle):
+    def status():
+        return {c.name: c.status for c in run_checks(quartic_triangle)}[name]
+
+    # The clean run fills every cache first, so the fault reaches the
+    # check's side and is stored nowhere.
+    assert status() == "pass"
+    owner, attr, extra = FAULTS[name]
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args: original(*args) + extra)
+    assert status() == "fail"
 
 
 def test_the_strata_are_read_off_the_tower_without_restricting(monkeypatch, corpus25):

@@ -1,12 +1,13 @@
 from math import comb
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhodge import cli, invariants as inv
 from polyhodge.generators import instance_corpus
-from polyhodge.laurent import ONE, T, U, UVW2, V, W, ZERO, from_univariate
-from polyhodge.polytope import LatticePolytope
+from polyhodge.laurent import ONE, T, T_INV, U, UVW2, V, W, ZERO, from_univariate
+from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
 from conftest import (
@@ -74,7 +75,7 @@ def test_h_star_examples():
 
 def test_h_star_at_one_is_normalized_volume():
     for p in (cube(2), cube(3), segment(5)):
-        assert inv.h_star(p).eval_int({"u": 1}) == p.normalized_volume()
+        assert inv.h_star(p).substitute({"u": 1}) == p.normalized_volume()
 
 
 def test_local_h_star_examples():
@@ -244,6 +245,26 @@ def test_e_int_lef_examples():
     for p, facets in ((simplex3, 4), (cube(3), 6), (octahedron, 8), (prism, 5), (pyramid, 5)):
         assert len(p._facets) == facets
         assert inv.e_int_lef(p) == 1 + (facets - 3) * T + T**2
+
+
+def test_e_int_lef_solves_its_defining_identity(corpus25):
+    # (t - 1) E = t^dim g([empty, P]*; 1/t) - g([empty, P]*; t) on every
+    # cell of the corpus and on cubes, cross-polytopes and unit simplices of
+    # dimension up to 6, whose face lattices reach rank 7.
+    polytopes = [cell for s in corpus25 for cell in s.cells[1:]]
+    polytopes += [f(d) for f in (cube, unit_simplex) for d in range(7)]
+    polytopes += [cross_polytope(d) for d in range(1, 7)]
+    for p in polytopes:
+        lattice = p.face_lattice()
+        g = lattice.g(0, lattice.top, dual=True)
+        assert (T - 1) * inv.e_int_lef(p) == g.substitute({"t": T_INV}) * T**p.dim - g, p
+
+
+def test_e_int_lef_rejects_a_dual_g_above_half_the_dimension(monkeypatch):
+    # deg g([empty, P]*) <= dim P / 2; a larger degree is a bug of the g layer.
+    monkeypatch.setattr(FaceLattice, "g", lambda self, lo, hi, dual=False: 1 + 2 * T**2)
+    with pytest.raises(ValueError, match="degree"):
+        inv.e_int_lef(cube(3))
 
 
 def test_small_coeff_oracle_quartic():
