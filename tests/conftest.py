@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 
 from polyhodge import invariants as inv, linalg
 from polyhodge.generators import instance_corpus
-from polyhodge.laurent import ONE, UV, UVW2, W, ZERO
+from polyhodge.laurent import ONE, U_OVER_V, U, UV, UVW2, V, W, ZERO, from_univariate
 from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import EulerianPoset
 from polyhodge.subdivision import CellComplex, HeightFunction, regular_subdivision
@@ -229,6 +231,52 @@ def box_scan_lattice_points(p, m=1, interior=False):
         if all(v > 0 if interior else v >= 0 for v in values):
             out.append(x)
     return out
+
+
+@cache
+def h_star_by_box_scan(p):
+    """h* by the alternating-binomial convolution of the lattice point counts
+    of the dilates 0..dim p, each counted by ``box_scan_lattice_points``;
+    kept per polytope, as the face walks below read each face many times."""
+    if p.is_empty:
+        return ONE
+    d = p.dim
+    counts = [len(box_scan_lattice_points(p, m)) if m else 1 for m in range(d + 1)]
+    return from_univariate(
+        {k: sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1)) for k in range(d + 1)},
+        "u",
+    )
+
+
+def local_h_star_by_faces(p):
+    """l* by the face walk: the sum over the faces Q of p, the empty one
+    included, of (-1)^(dim p - dim Q) h*(Q) g([Q, p]*; u), with each h* by
+    ``h_star_by_box_scan``."""
+    if p.is_empty:
+        return ONE
+    lattice = p.face_lattice()
+    total = ZERO
+    for fid in lattice.all_faces():
+        sign = (-1) ** (p.dim - lattice.face_dim(fid))
+        g = lattice.g(fid, lattice.top, dual=True).substitute({"t": U})
+        total = total + sign * h_star_by_box_scan(lattice.face_polytope(fid)) * g
+    return total
+
+
+def mixed_h_star_by_faces(p):
+    """h*(p; u, v) by the face walk: the sum over the faces Q of p, the empty
+    one included, of v^(dim Q + 1) l*(Q; u/v) g([Q, p]; uv), with each l* by
+    ``local_h_star_by_faces``."""
+    if p.is_empty:
+        return ONE
+    lattice = p.face_lattice()
+    total = ZERO
+    for fid in lattice.all_faces():
+        q = lattice.face_polytope(fid)
+        local = local_h_star_by_faces(q).substitute({"u": U_OVER_V})
+        g = lattice.g(fid, lattice.top).substitute({"t": UV})
+        total = total + V ** (q.dim + 1) * local * g
+    return total
 
 
 # -- exact rational references -------------------------------------------------

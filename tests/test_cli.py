@@ -483,9 +483,12 @@ def test_golden_hodge_on_ladders():
 # Exit code and sha256 of the JSON stdout of every command on a triangulation
 # (6*D3 with heights, 169 maximal cells), on the trivial subdivision of
 # [-1, 1]^4, the reflexive input with the most faces in tests/data, on the
-# 4-cross-polytope with a refinement of a non-simplicial subfan, and on a
-# reflexive square in a plane of 3-space.  6*D3 is not reflexive, so stringy
-# exits 1 on it and prints nothing.
+# 4-cross-polytope with a refinement of a non-simplicial subfan, on a
+# reflexive square in a plane of 3-space, and on the trivial subdivision of
+# the Reeve tetrahedron conv{0, e1, e2, (1, 1, 5)}: volume 5, h* = 1 + 4u^2
+# and no interior point, a simplex whose box has points of height 2 only.
+# 6*D3 and the Reeve tetrahedron are not reflexive, so stringy exits 1 on
+# them and prints nothing.
 GOLDEN_EVERY_COMMAND = {
     "ladder_6x3.json": {
         "hstar": (0, "428013a6ee43b5803870402c4a3294b43c8844f71d8a00cad7d3bd882d19b1e8"),
@@ -530,6 +533,17 @@ GOLDEN_EVERY_COMMAND = {
         "nearby": (0, "8d42e5925ed2aba69fbae66b6393c829e6371b0e641b65971f5d66b94a85913e"),
         "dk-check": (0, "62ace9d6cb9ecd64f1c7bda551d56c74e4db178f95d3894c2961eefb15769c1e"),
         "verify": (0, "6118df6cc186355228c234cef6c4ba3693353b7ec55ac9eefa4ee8f20447f2c0"),
+    },
+    "reeve5.json": {
+        "hstar": (0, "64fbbb4976e07ee446a020ff4fe609f1825f0b7fb2a9e26686ab038a3a00d03b"),
+        "gpoly": (0, "7702da1e42ddfbc08fa73bba1b276b9714dabafaac463430a73b3da357ca6d7d"),
+        "invariants": (0, "a69acbc58e575b48a3751d8665691a3fc8527ad60a8747bf67a077566df4bf0d"),
+        "hodge": (0, "3ebd63992be62e79f2011f8437e73759c934a508bc0b95945f928a0b47976ee7"),
+        "intersection": (0, "f776342b46d7ed1ad124252f6fdc4332331366fd5977c9ebfe63070cdbb76d0e"),
+        "stringy": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "nearby": (0, "28ff13777467e5828074355ea8c11b506d1c355ba5dcdf690d214f0e0651eafb"),
+        "dk-check": (0, "57ab13757b6dd41838b26e7adc1e4bb00afb99691e79eab0b95cc0263edb513b"),
+        "verify": (0, "85a51a120132bd6ee1ad21efcde668f1127891399a8125cadeb0bf029a5a85ee"),
     },
 }
 
