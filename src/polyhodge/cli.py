@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import hodge, invariants as inv
@@ -272,7 +271,7 @@ def _report(command: str, parsed: ParsedInput, results, tables=None, checks=()):
         "input_hash": hashlib.sha256(parsed.raw_bytes).hexdigest(),
         "results": results,
         "tables": tables or {},
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }
 
 
@@ -440,7 +439,7 @@ def cmd_verify(parsed: ParsedInput, args) -> dict:
                 found = run_checks(instance)
             except Exception as exc:
                 raise ValueError(f"random[{i}] (seed {args.seed}): {_describe(exc)}") from exc
-            checks += [replace(c, name=f"random[{i}].{c.name}") for c in found]
+            checks += [c._replace(name=f"random[{i}].{c.name}") for c in found]
     return _report("verify", parsed, {}, checks=checks)
 
 

@@ -29,7 +29,7 @@ be a polynomial in the product uv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE, U, UV, UVW2, V, W, ZERO, power_sum
 from .polytope import LatticePolytope
@@ -120,8 +120,7 @@ def refined_E(s: CellComplex) -> LaurentPoly:
     return _e_from_h(s.polytope.dim, inv.refined_limit_mixed_h_star(s), UVW2)
 
 
-@dataclass
-class HodgeNumberTable:
+class HodgeNumberTable(NamedTuple):
     """Refined limit mixed Hodge numbers of middle-degree primitive
     cohomology, read off the refined h*-polynomial, together with the
     w-aggregated limit table and the top-weight local table."""

@@ -5,7 +5,8 @@ Implements, with exact integer arithmetic throughout:
   * h*(P; u): Ehrhart series numerator,
   * l*(P; u): local h*-polynomial (alternating face sum against dual
     g-polynomials),
-  * h*(P; u, v): mixed h*-polynomial, read off the face lattice of P,
+  * h*(P; u, v): mixed h*-polynomial, read off the face lattice of P, or
+    with h* and l* off the box points of a simplex,
   * h*(P, S; u, v): limit mixed h*-polynomial of a subdivision,
   * l*(P, S; u, v): local limit mixed h*-polynomial,
   * h*(P, S; u, v, w): refined limit mixed h*-polynomial,
@@ -56,21 +57,32 @@ from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
 from .memo import memo
 
 
+def _box(p: LatticePolytope):
+    """The box point counts of a simplex, or None: not a simplex, or a box
+    above ``BOX_LIMIT``, which is left to counting and the face walk."""
+    return p.box()[1] if len(p.vertices) == p.dim + 1 else None
+
+
 @memo("H_STAR", key=lambda p: p.key)
 def h_star(p: LatticePolytope) -> LaurentPoly:
     """Ehrhart h*-polynomial of a lattice polytope, in u; h*(empty) = 1.
 
     Determined by 1 + sum_{m>0} f_P(m) u^m = h*(P;u) / (1-u)^(dim P + 1);
     the coefficients come from the finite alternating-binomial convolution
-    of the counts f_P(0..dim P).  A simplex of normalized volume 1 has
-    h* = 1 without counting: h*(P; 1) is the normalized volume, h*_0 = 1 and
-    no coefficient is negative (Stanley 1980).
+    of the counts f_P(0..dim P).  A simplex counts nothing unless its box
+    exceeds ``BOX_LIMIT``: h* is the sum of u^height over its box points
+    (Betke and McMullen 1985), which on a simplex of normalized volume 1 are
+    the origin alone, so h* = 1.
     """
     if p.is_empty:
         return ONE
     d = p.dim
-    if len(p.vertices) == d + 1 and p.normalized_volume() == 1:
-        return ONE
+    box = _box(p)
+    if box is not None:
+        heights = Counter()
+        for (height, _), count in box.items():
+            heights[height] += count
+        return from_univariate(heights, "u")
     counts = [p.lattice_point_count(m) for m in range(d + 1)]
     coeffs = {}
     for k in range(d + 1):
@@ -81,10 +93,17 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
 @memo("LOCAL_H_STAR", key=lambda p: p.key)
 def local_h_star(p: LatticePolytope) -> LaurentPoly:
     """Local h*-polynomial l*(P;u): alternating sum of h*(Q) g([Q,P]*;u)
-    over all faces Q including the empty one; vanishes on unimodular
-    simplices and equals 1 on the empty polytope."""
+    over all faces Q including the empty one; equals 1 on the empty
+    polytope.  On a simplex it is the sum of u^height over the box points of
+    full support (Katz and Stapledon, arXiv 1411.7736), so it vanishes on a
+    unimodular one."""
     if p.is_empty:
         return ONE
+    box = _box(p)
+    if box is not None:
+        return from_univariate(
+            {height: count for (height, size), count in box.items() if size == p.dim + 1}, "u"
+        )
     lattice = p.face_lattice()
 
     def signed_h_star(f):
@@ -116,10 +135,17 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     subdivision.
 
     Sum over all faces Q of P (including the empty face) of
-    v^(dim Q + 1) l*(Q; u v^-1) g([Q, P]; uv).
+    v^(dim Q + 1) l*(Q; u v^-1) g([Q, P]; uv).  On a simplex, g = 1 and
+    l*(Q) sums the box points of support Q, so a box point of height h and
+    support size s adds u^h v^(s - h) (Katz and Stapledon, arXiv 1411.7736).
     """
     if p.is_empty:
         return ONE
+    box = _box(p)
+    if box is not None:
+        return LaurentPoly(
+            {(height, size - height, 0, 0, 0): count for (height, size), count in box.items()}
+        )
     lattice = p.face_lattice()
 
     def shifted_local(f):

@@ -9,6 +9,13 @@ kernel vectors read off it are canonical.  The normal of a hyperplane
 through d points is the one kernel vector of their d - 1 difference rows,
 and the saturated integer kernel comes with the inverse of its unimodular
 completion, which gives integer left inverses of lattice bases.
+
+The normal form of a matrix A of full column rank is a diagonal one,
+U A V = D, by unimodular row and column operations (Smith's elimination,
+without the divisibility step that makes D unique).  The lattice points of
+the column span of A modulo the columns of A form the group of order
+d_1 ... d_c, and the element with coordinates k_j mod d_j is A V (k / d):
+so V and the d_j alone enumerate it, and U is never formed.
 """
 
 from __future__ import annotations
@@ -167,3 +174,49 @@ def integer_kernel_basis(rows: list[tuple[int, ...]], n: int):
     left_inverse = [tuple(u_inv[j]) for j in range(lead, n)]
     return basis, left_inverse
 
+
+def diagonal_form(rows):
+    """A diagonal form U A V = D of an integer matrix A of full column rank.
+
+    Repeatedly moves an entry of least absolute value in the uncleared block
+    to the pivot and reduces its row and column by it, until both are clear.
+    Returns (diag, v): the positive diagonal entries d_1..d_c of D and the
+    column transform V as a list of rows.  Raises ValueError when the
+    columns are dependent.
+    """
+    a = [list(r) for r in rows]
+    nrows, ncols = len(a), len(a[0])
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    diag = []
+    for t in range(ncols):
+        while True:
+            entries = [
+                (abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]
+            ]
+            if not entries:
+                raise ValueError("columns are linearly dependent")
+            _, i, j = min(entries)
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a + v:
+                    row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            clear = True
+            for i in range(t + 1, nrows):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                clear = clear and not a[i][t]
+            for j in range(t + 1, ncols):
+                q = a[t][j] // p
+                if q:
+                    for row in a + v:  # column_j -= q * column_t, in A and in V
+                        row[j] -= q * row[t]
+                clear = clear and not a[t][j]
+            if clear:
+                break
+        if p < 0:
+            for row in a + v:
+                row[t] = -row[t]
+        diag.append(abs(p))
+    return diag, v

@@ -26,12 +26,31 @@ on first use.  A lower-dimensional polytope carries a unimodular affine model
 of itself in the saturated lattice of its affine span, with an integer left
 inverse, so that lattice point counts and volumes are intrinsic and model
 coordinates cost integer dot products only.
+
+A simplex cell of a subdivision, and a face of any polytope whose vertex
+count is its dimension + 1, is built from its vertices by
+``LatticePolytope.simplex``: its facets are the vertex sets that leave out one
+vertex, so its face lattice needs no hull, and its model map, model vertices
+and facet normals are built by ``_build_hull`` only when first read.  Its
+invariants are read off its box: the lattice points sum_i l_i (v_i, 1) with
+0 <= l_i < 1 of the cone over it, a group of order its normalized volume,
+enumerated from a diagonal form of the cone matrix (``linalg.diagonal_form``)
+in integers, with no model map, so a lower-dimensional simplex needs none.
+Each box point has a height sum_i l_i and a support {i : l_i > 0}; h*, l*
+and h*(u, v) of a simplex are sums over them (Betke and McMullen 1985; Katz
+and Stapledon, arXiv 1411.7736), and its interior lattice points are those
+of full support at height 1.  A box of more than ``BOX_LIMIT`` points is
+left to counting.  A polytope built by ``convex_hull`` keeps its pyramid
+volume and its fiber counts, so the volume and point checks of a
+subdivision compare two routes.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import reduce
+from math import lcm, prod
 from operator import and_, mul
 
 from . import linalg
@@ -92,6 +111,10 @@ def _identity_map(n: int) -> AffineUnimodularMap:
 
 _HULL_CACHE = table("HULL_CACHE")  # keyed by input points and by vertices
 
+# The largest box that is enumerated: a simplex of larger normalized volume
+# is counted fiber by fiber, which a long thin simplex needs.
+BOX_LIMIT = 1 << 12
+
 
 class LatticePolytope:
     """A lattice polytope given by its vertex set, with exact facet data."""
@@ -100,30 +123,30 @@ class LatticePolytope:
         "ambient_dim",
         "vertices",
         "dim",
-        "_map",
-        "_model_vertices",
-        "_facets",
+        "_hull",
         "_facet_masks",
+        "_from_vertices",
         "_face_lattice",
         "_count_cache",
         "_nvol",
+        "_box",
     )
 
-    def __init__(self, ambient_dim, vertices, dim, map_, model_vertices, facets):
+    def __init__(self, ambient_dim, vertices, dim, facet_masks, hull=None):
         self.ambient_dim = ambient_dim
         self.vertices = vertices
         self.dim = dim
-        self._map = map_
-        self._model_vertices = model_vertices
-        self._facets = facets  # list of (normal in Z^dim, rhs int): <a,x> >= b
+        # (model map, model vertices, facets), each facet (normal in Z^dim,
+        # rhs) meaning <a, x> >= b; None until first read on a simplex built
+        # from its vertices.
+        self._hull = hull
         # The vertex-facet incidence: bit i of a facet's mask is vertex i.
-        self._facet_masks = tuple(
-            sum(1 << i for i, v in enumerate(model_vertices) if linalg.dot(a, v) == b)
-            for a, b in facets
-        )
+        self._facet_masks = facet_masks
+        self._from_vertices = hull is None
         self._face_lattice = None
         self._count_cache = {}  # (m, interior) -> lattice points of the m-th dilate
         self._nvol = None
+        self._box = None
 
     # -- construction ------------------------------------------------------
 
@@ -131,8 +154,46 @@ class LatticePolytope:
     def empty(ambient_dim: int = 0) -> "LatticePolytope":
         key = ("empty", ambient_dim)
         if key not in _HULL_CACHE:
-            _HULL_CACHE[key] = LatticePolytope(ambient_dim, (), -1, None, (), ())
+            _HULL_CACHE[key] = LatticePolytope(ambient_dim, (), -1, (), (None, (), ()))
         return _HULL_CACHE[key]
+
+    @staticmethod
+    def simplex(vertices) -> "LatticePolytope":
+        """The simplex on sorted, distinct, affinely independent lattice
+        points, interned under its vertices as a hull is.
+
+        Its facets are the vertex sets that leave out one vertex; everything
+        else about its hull is built when first read, and its volume and
+        interior point count are read off its box.
+        """
+        vertices = tuple(vertices)
+        key = (len(vertices[0]), vertices)
+        poly = _HULL_CACHE.get(key)
+        if poly is None:
+            top = (1 << len(vertices)) - 1
+            masks = tuple(top ^ (1 << i) for i in range(len(vertices))) if top > 1 else ()
+            poly = _HULL_CACHE[key] = LatticePolytope(key[0], vertices, len(vertices) - 1, masks)
+        return poly
+
+    def _built(self):
+        """(model map, model vertices, facets): on a simplex built from its
+        vertices, ``_build_hull``'s, with its facet masks in its facet order."""
+        if self._hull is None:
+            hull = _build_hull(self.ambient_dim, list(self.vertices))
+            self._hull, self._facet_masks = hull._hull, hull._facet_masks
+        return self._hull
+
+    @property
+    def _map(self) -> AffineUnimodularMap:
+        return self._built()[0]
+
+    @property
+    def _model_vertices(self):
+        return self._built()[1]
+
+    @property
+    def _facets(self):
+        return self._built()[2]
 
     @property
     def is_empty(self) -> bool:
@@ -240,8 +301,15 @@ class LatticePolytope:
         return self._count(m, False)
 
     def interior_lattice_point_count(self) -> int:
-        """Lattice points in the relative interior (a point counts itself)."""
-        return self._count(1, True)
+        """Lattice points in the relative interior (a point counts itself);
+        on a simplex built from its vertices, its box points of full support
+        at height 1."""
+        if self.dim == 0:
+            return 1
+        box = self.box()[1] if self._from_vertices else None
+        if box is None:
+            return self._count(1, True)
+        return box.get((1, self.dim + 1), 0)
 
     def _count(self, m: int, interior: bool) -> int:
         if self.is_empty:
@@ -262,12 +330,45 @@ class LatticePolytope:
     # -- volume ----------------------------------------------------------------
 
     def normalized_volume(self) -> int:
-        """dim! times the Euclidean volume w.r.t. the intrinsic lattice."""
+        """dim! times the Euclidean volume w.r.t. the intrinsic lattice: the
+        size of the box on a simplex built from its vertices, else a sum of
+        pyramids over the facets."""
         if self.is_empty:
             raise ValueError("volume of the empty polytope")
         if self._nvol is None:
-            self._nvol = self._compute_nvol()
+            self._nvol = self.box()[0] if self._from_vertices else self._compute_nvol()
         return self._nvol
+
+    def box(self):
+        """(size, counts) of the box of a simplex: its box points counted by
+        (height, support size), or None in place of the counts when the size,
+        the normalized volume, exceeds ``BOX_LIMIT``.
+
+        A box point is a lattice point sum_i l_i (v_i, 1) with 0 <= l_i < 1;
+        they form the lattice points of the span of the cone matrix A, whose
+        columns are the (v_i, 1), modulo its columns.  With U A V = D
+        diagonal, the point k (0 <= k_j < d_j) has l = V (k / d) mod 1,
+        computed in integers over the common denominator lcm(d).
+        """
+        if self._box is None:
+            if len(self.vertices) != self.dim + 1:
+                raise ValueError("the box is defined on a simplex")
+            cone = [list(col) for col in zip(*self.vertices)] + [[1] * len(self.vertices)]
+            diag, v = linalg.diagonal_form(cone)
+            size = prod(diag)
+            counts = None
+            if size <= BOX_LIMIT:
+                denom = lcm(*diag)
+                steps = [(j, denom // d) for j, d in enumerate(diag) if d > 1]
+                counts = Counter()
+                for k in itertools.product(*(range(diag[j]) for j, _ in steps)):
+                    scaled = [
+                        sum(row[j] * kj * step for (j, step), kj in zip(steps, k)) % denom
+                        for row in v
+                    ]
+                    counts[sum(scaled) // denom, len(scaled) - scaled.count(0)] += 1
+            self._box = size, counts
+        return self._box
 
     def _compute_nvol(self) -> int:
         if self.dim == 0:
@@ -367,7 +468,12 @@ def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
     # Canonical vertex order: lexicographic on ambient coordinates.
     verts_ambient = sorted(map_.from_model(v) for v in vertex_models)
     model_vertices = tuple(map_.to_model(v) for v in verts_ambient)
-    return LatticePolytope(n, tuple(verts_ambient), d, map_, model_vertices, tuple(facets))
+    masks = tuple(
+        sum(1 << i for i, v in enumerate(model_vertices) if linalg.dot(a, v) == b)
+        for a, b in facets
+    )
+    hull = (map_, model_vertices, tuple(facets))
+    return LatticePolytope(n, tuple(verts_ambient), d, masks, hull)
 
 
 def _hull_in_full_dim(d: int, pts: list[Point]):
@@ -478,8 +584,9 @@ class FaceLattice:
     its level.  ``poset()`` builds the lattice once as an ``EulerianPoset``
     from the masks, which checks gradedness and the Euler relation as it is
     built, so intervals and the dual need no check.  A face's polytope is
-    looked up among the interned hulls before any hull is built, so a face
-    shared by several lattices is hulled once.
+    looked up among the interned polytopes before any is built, so a face
+    shared by several lattices is built once; a face whose vertex count is
+    its dimension + 1 is a simplex, built from its vertices with no hull.
     """
 
     def __init__(self, polytope: LatticePolytope):
@@ -509,11 +616,15 @@ class FaceLattice:
             if not fid:
                 self._polytopes[fid] = LatticePolytope.empty(n)
             else:
-                # The vertices of a face are sorted and distinct, and a hull is
-                # interned under its vertices, so a shared face is a lookup.
+                # The vertices of a face are sorted and distinct, and a
+                # polytope is interned under its vertices, so a shared face is
+                # a lookup.
                 verts = tuple(self.polytope.vertices[i] for i in set_bits(fid))
-                face = _HULL_CACHE.get((n, verts))
-                self._polytopes[fid] = face or LatticePolytope.convex_hull(verts)
+                if fid.bit_count() == self.faces[fid] + 1:
+                    face = LatticePolytope.simplex(verts)
+                else:
+                    face = _HULL_CACHE.get((n, verts)) or LatticePolytope.convex_hull(verts)
+                self._polytopes[fid] = face
         return self._polytopes[fid]
 
     def leq(self, f, g) -> bool:

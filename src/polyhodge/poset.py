@@ -16,7 +16,8 @@ poset is built, has checked the Euler relation on every interval before
 the poset exists.  The face lattice of a simplex builds no poset at all:
 its intervals are Boolean, so ``FaceLattice.g`` returns 1 once the
 lattice's face count certifies it, and ``verify`` checks the recursion on a
-``copy`` of each face lattice's poset.
+``copy`` of P's poset and of one poset per distinct relation among the
+maximal cells' lattices (every d-simplex has the same one).
 
 An interval of rank n <= 6 has g of degree at most 2, and the top
 coefficients of the defining identity give g in closed form from flag

@@ -3,9 +3,10 @@
 A cell complex is given by its maximal cells, the full-dimensional cells
 of a subdivision of a polytope P.  Its cells are every face of a maximal
 cell plus the empty cell, so the cell set is closed under faces by
-construction.  A cell is its polytope: hulls are interned by vertex set, so
-each cell is one ``LatticePolytope`` wherever it appears, and the complex
-takes and returns cells.  It stores the inclusion order among cells and the
+construction.  A cell is its polytope: polytopes are interned by vertex
+set, so each cell is one ``LatticePolytope`` wherever it appears, and the
+complex takes and returns cells; a simplex cell is built from its vertices,
+with no hull.  It stores the inclusion order among cells and the
 carrier of each cell (smallest face of P containing it, named by its vertex
 bitmask in P's face lattice), and it groups the cells by carrier; the
 interior cells are those carried by P.  The h-polynomial of a cell's link
@@ -254,7 +255,8 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
 
     Cells are the projections of the facets of conv{(a, h(a))} whose inner
     normal has positive last coordinate; affine height functions induce the
-    trivial subdivision.
+    trivial subdivision.  A lower facet with dim P + 1 vertices projects to
+    a simplex, which is built from its vertices with no hull.
     """
     p = height_fn.polytope
     map_ = p._map
@@ -267,8 +269,11 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
     maximal = []
     for (a, b), mask in zip(hull._facets, hull._facet_masks):
         if a[-1] > 0:
-            pts = [map_.from_model(hull._model_vertices[i][:-1]) for i in set_bits(mask)]
-            maximal.append(LatticePolytope.convex_hull(pts))
+            pts = sorted(map_.from_model(hull._model_vertices[i][:-1]) for i in set_bits(mask))
+            if len(pts) == p.dim + 1:
+                maximal.append(LatticePolytope.simplex(pts))
+            else:
+                maximal.append(LatticePolytope.convex_hull(pts))
     return CellComplex.interned(p, maximal, heights=height_fn)
 
 

@@ -2,9 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import strategies as st
 
 from polyhodge import invariants as inv, linalg
 from polyhodge.generators import instance_corpus
@@ -277,6 +278,40 @@ def mixed_h_star_by_faces(p):
         g = lattice.g(fid, lattice.top).substitute({"t": UV})
         total = total + V ** (q.dim + 1) * local * g
     return total
+
+
+@st.composite
+def random_simplices(draw):
+    """The vertices of a lattice simplex of dimension 0 to 5 in Z^n, n <= 6.
+
+    It is the origin and the rows of a lower triangular Hermite normal form
+    (0 <= h_ij < h_jj), so its normalized volume is the product of the
+    diagonal, up to 50.  The oracle scans every point of the bounding box of
+    each dilate 1..dim, at least (dim + 1)^dim points in the last, so the
+    volume is capped at 4 in dimension 5, and dimension 6 is left to explicit
+    examples.  The simplex is then moved by a signed permutation, up to two
+    shears x_i += c x_j and a translation: a unimodular map, which places a
+    simplex of dimension below n in a sublattice of its own.
+    """
+    d = draw(st.integers(0, 5))
+    cap = 4 if d == 5 else 50
+    diag = []
+    for _ in range(d):
+        diag.append(draw(st.integers(1, cap // prod(diag))))
+    n = min(6, draw(st.integers(max(d, 1), max(d, 1) + 2)))
+    rows = [[0] * n]
+    for i, h in enumerate(diag):
+        rows.append([draw(st.integers(0, diag[j] - 1)) for j in range(i)] + [h] + [0] * (n - 1 - i))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    rows = [[s * r[k] for s, k in zip(signs, perm)] for r in rows]
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        for r in rows:
+            r[i] += c * r[j]
+    shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return sorted(tuple(x + t for x, t in zip(r, shift)) for r in rows)
 
 
 # -- exact rational references -------------------------------------------------

@@ -280,6 +280,18 @@ def test_a_closed_stdout_ends_quietly():
     assert proc.returncode == 0
 
 
+def test_the_cli_does_not_import_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, a cost that every
+    # CLI process would pay at start-up.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, polyhodge.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_intersection_command():
     code, out = run_cli(["intersection", CONCRETE])
     assert code == 0

@@ -1,4 +1,4 @@
-from math import comb, prod
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,8 +12,8 @@ from polyhodge.subdivision import trivial_subdivision
 
 from conftest import (
     box_scan_lattice_points, cross_polytope, cube, faces_of_dim, h_star_by_box_scan,
-    local_h_star_by_faces, mixed_h_star_by_faces, quartic_triangle_pair, restriction_tower,
-    segment, unit_simplex,
+    local_h_star_by_faces, mixed_h_star_by_faces, quartic_triangle_pair, random_simplices,
+    restriction_tower, segment, unit_simplex,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -65,56 +65,27 @@ def test_h_star_matches_counting_on_random_cells(seed):
                 assert expected == ONE
 
 
-@st.composite
-def random_simplices(draw):
-    """The vertices of a lattice simplex of dimension 0 to 5 in Z^n, n <= 6.
-
-    It is the origin and the rows of a lower triangular Hermite normal form
-    (0 <= h_ij < h_jj), so its normalized volume is the product of the
-    diagonal, up to 50.  The oracle scans every point of the bounding box of
-    each dilate 1..dim, at least (dim + 1)^dim points in the last, so the
-    volume is capped at 4 in dimension 5, and dimension 6 is left to explicit
-    examples.  The simplex is then moved by a signed permutation, up to two
-    shears x_i += c x_j and a translation: a unimodular map, which places a
-    simplex of dimension below n in a sublattice of its own.
-    """
-    d = draw(st.integers(0, 5))
-    cap = 4 if d == 5 else 50
-    diag = []
-    for _ in range(d):
-        diag.append(draw(st.integers(1, cap // prod(diag))))
-    n = min(6, draw(st.integers(max(d, 1), max(d, 1) + 2)))
-    rows = [[0] * n]
-    for i, h in enumerate(diag):
-        rows.append([draw(st.integers(0, diag[j] - 1)) for j in range(i)] + [h] + [0] * (n - 1 - i))
-    perm = draw(st.permutations(range(n)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    rows = [[s * r[k] for s, k in zip(signs, perm)] for r in rows]
-    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        c = draw(st.integers(-2, 2))
-        for r in rows:
-            r[i] += c * r[j]
-    shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    return sorted(tuple(x + t for x, t in zip(r, shift)) for r in rows)
-
-
 SIMPLEX_6 = [(0,) * 6] + [tuple(int(i == j) for j in range(6)) for i in range(5)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(random_simplices())
 @example(sorted(SIMPLEX_6 + [(1, 1, 1, 1, 1, 2)]))
+@example([(0, 0), (0, 5000), (1, 0)])  # a box above BOX_LIMIT is left to counting
 def test_simplex_invariants_match_the_counting_oracle(vertices):
-    memo.clear()
-    p = LatticePolytope.convex_hull(vertices)
-    assert p.vertices == tuple(vertices) and p.dim == len(vertices) - 1
-    h = h_star_by_box_scan(p)
-    assert inv.h_star(p) == h
-    assert inv.local_h_star(p) == local_h_star_by_faces(p)
-    assert inv.mixed_h_star(p) == mixed_h_star_by_faces(p)
-    assert p.normalized_volume() == h.substitute({"u": 1}).coeff({})
-    assert p.interior_lattice_point_count() == len(box_scan_lattice_points(p, 1, interior=True))
+    # Built from its vertices, the simplex reads h*, l*, h*(u, v), its volume
+    # and its interior count off its box; hulled, only the first three.
+    for build in (LatticePolytope.simplex, LatticePolytope.convex_hull):
+        memo.clear()
+        p = build(vertices)
+        assert p.vertices == tuple(vertices) and p.dim == len(vertices) - 1
+        h = h_star_by_box_scan(p)
+        assert inv.h_star(p) == h
+        assert inv.local_h_star(p) == local_h_star_by_faces(p)
+        assert inv.mixed_h_star(p) == mixed_h_star_by_faces(p)
+        assert p.normalized_volume() == h.substitute({"u": 1}).coeff({})
+        interior = box_scan_lattice_points(p, 1, interior=True)
+        assert p.interior_lattice_point_count() == len(interior)
 
 
 def test_h_star_examples():

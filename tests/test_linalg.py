@@ -240,3 +240,45 @@ def test_hull_matches_exhaustive_scan_on_degenerate_inputs(case):
     diffs = [linalg.vec_sub(p, pts[0]) for p in pts]
     assume(len(rref_oracle(diffs)[1]) == d)
     assert _hull_in_full_dim(d, list(pts)) == hull_oracle(d, pts)
+
+
+# -- diagonal form ------------------------------------------------------------
+
+
+def det_oracle(rows):
+    """Determinant of a square integer matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(det)
+
+
+@SETTINGS
+@given(matrices(max_cols=4))
+def test_diagonal_form_orders_the_quotient_by_the_columns(rows):
+    # U A V = D: V is unimodular, column j of A V is d_j times column j of
+    # U^-1, and d_1 ... d_c, the order of the lattice points of the span
+    # modulo the columns, is the gcd of the c x c minors of A.
+    ncols = len(rows[0])
+    if len(rref_oracle(rows)[1]) < ncols:
+        with pytest.raises(ValueError, match="dependent"):
+            linalg.diagonal_form(rows)
+        return
+    diag, v = linalg.diagonal_form(rows)
+    assert all(d > 0 for d in diag) and abs(det_oracle(v)) == 1
+    for j, d in enumerate(diag):
+        assert all(linalg.dot(r, [row[j] for row in v]) % d == 0 for r in rows)
+    minors = 0
+    for square in itertools.combinations(rows, ncols):
+        minors = math.gcd(minors, det_oracle(square))
+    assert math.prod(diag) == abs(minors)

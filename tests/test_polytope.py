@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import linalg, memo, polytope
+from polyhodge import cli, linalg, memo, polytope
 from polyhodge.fans import TruncatedNormalFan
 from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
@@ -17,8 +18,10 @@ from conftest import (
     cube,
     dot_incidence,
     face_dims_reference,
+    faces_of_dim,
     mask,
     poset_is_eulerian,
+    random_simplices,
     segment,
     solve_oracle,
     unit_simplex,
@@ -112,9 +115,50 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
     assert hulls == [square]
     assert lattices[1].face_polytope(fids[1]) is face
     assert hulls == [square]
-    # A face no lattice has interned yet is still hulled.
-    lattices[1].face_polytope(mask((0, 1)))
+    # A face no lattice has interned yet is hulled, unless it is a simplex,
+    # which is built from its vertices.
+    edge = lattices[1].face_polytope(mask((0, 1)))
+    assert hulls == [square] and edge._from_vertices
+    other = next(f for f in faces_of_dim(lattices[0], 2) if f != fids[0])
+    assert not lattices[0].face_polytope(other)._from_vertices
     assert len(hulls) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_simplices())
+def test_a_simplex_built_from_its_vertices_reads_as_its_hull(vertices):
+    memo.clear()
+    p = LatticePolytope.simplex(vertices)
+    assert LatticePolytope.convex_hull(vertices) is p
+    faces = dict(p.face_lattice().faces)
+    masks = set(p._facet_masks)
+    hull = polytope._build_hull(len(vertices[0]), list(vertices))
+    read = (p.vertices, p.dim, p._facets, p._facet_masks, p._model_vertices)
+    assert read == (hull.vertices, hull.dim, hull._facets, hull._facet_masks, hull._model_vertices)
+    assert masks == set(hull._facet_masks)
+    assert faces == FaceLattice(hull).faces
+    assert [p._map.to_model(v) for v in p.vertices] == list(hull._model_vertices)
+
+
+def test_a_triangulation_hulls_no_simplex(monkeypatch):
+    # 6*D3 with heights: 169 maximal cells, 59 of its 1 019 cells no simplex.
+    memo.clear()
+    hulled = []
+    build = polytope._build_hull
+
+    def counted(n, pts):
+        diffs = [linalg.vec_sub(q, pts[0]) for q in pts]
+        hulled.append(len(pts) == linalg.rank(diffs) + 1)
+        return build(n, pts)
+
+    monkeypatch.setattr(polytope, "_build_hull", counted)
+    path = Path(__file__).parent / "data" / "ladder_6x3.json"
+    assert cli.main(["hodge", str(path)]) == 0
+    s = cli.build_complex(cli.parse_input(path))
+    nonsimplex = [c for c in s.cells[1:] if len(c.vertices) != c.dim + 1]
+    assert not any(hulled)
+    # P, the lifted hull and the cells that are no simplex.
+    assert len(hulled) == 2 + len(nonsimplex) == 61
 
 
 def test_face_lattice_counts():

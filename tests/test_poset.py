@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import invariants as inv, memo, verify
+from polyhodge import cli, invariants as inv, memo, verify
 from polyhodge.laurent import ONE, T, U, V, ZERO, from_univariate, univariate
 from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.poset import EulerianPoset, stanley_inversion_check
@@ -17,6 +18,10 @@ from conftest import (
     cross_polytope, cube, eulerian_by_signed_sums, mask, poset_from_leq, poset_is_eulerian,
     quartic_triangle_pair, unit_simplex,
 )
+
+DATA = Path(__file__).parent / "data"
+# The triangulations 3*D4 and 6*D3; 5*D4 is left out for its run time.
+LADDERS = ("ladder_3x4.json", "ladder_6x3.json")
 
 
 def interval(poset, z, x):
@@ -323,7 +328,39 @@ def test_tower_reads_g_without_copying_intervals(monkeypatch):
         monkeypatch.setattr(verify, "stanley_inversion_check", checked)
         copies.clear()
         assert all(c.ok for c in verify.run_checks(s))
-        assert len(copies) == len(shared)
+        # P's poset, and one per distinct relation among the maximal cells.
+        assert len(copies) == 1 + len({(p.elements, p.up) for p in shared[1:]})
+
+
+def first_cell_failing_inversion_per_cell(s, check):
+    """The vertices of the first maximal cell whose lattice fails ``check``,
+    run on a fresh copy of every maximal cell's poset, or None."""
+    for cell in s.maximal_cells:
+        interval = cell.face_lattice().poset().copy()
+        if interval.rank >= 1 and not check(interval):
+            return cell.vertices
+    return None
+
+
+def test_inversion_of_cells_once_per_relation_names_the_first_failing_cell(
+    corpus25, monkeypatch
+):
+    ladders = [cli.build_complex(cli.parse_input(DATA / name)) for name in LADDERS]
+    for s in [*corpus25, *ladders]:
+        assert verify._first_cell_failing_inversion(s) is None
+        assert first_cell_failing_inversion_per_cell(s, stanley_inversion_check) is None
+        # A check that fails on the relation of the last maximal cell names
+        # the first cell with that relation, as the per-cell loop does.
+        last = s.maximal_cells[-1].face_lattice().poset()
+
+        def failing(poset, bounds=None):
+            return (poset.elements, poset.up) != (last.elements, last.up)
+
+        monkeypatch.setattr(verify, "stanley_inversion_check", failing)
+        expected = first_cell_failing_inversion_per_cell(s, failing)
+        assert expected is not None
+        assert verify._first_cell_failing_inversion(s) == expected
+        monkeypatch.undo()
 
 
 # -- the simplex shortcut ---------------------------------------------------------
