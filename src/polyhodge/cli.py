@@ -9,11 +9,20 @@ report in JSON or plain text.  Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+
+try:
+    # hashlib is pretty heavy to load, try lean internal module first
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        # fallback to official implementation
+        from hashlib import sha256
 
 from . import hodge, invariants as inv
 from .fans import Refinement, TruncatedNormalFan, identity_refinement
@@ -268,7 +277,7 @@ def _report(command: str, parsed: ParsedInput, results, tables=None, checks=()):
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "input_hash": hashlib.sha256(parsed.raw_bytes).hexdigest(),
+        "input_hash": sha256(parsed.raw_bytes).hexdigest(),
         "results": results,
         "tables": tables or {},
         "checks": [c._asdict() for c in checks],

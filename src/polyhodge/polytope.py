@@ -130,6 +130,7 @@ class LatticePolytope:
         "_count_cache",
         "_nvol",
         "_box",
+        "_hash",
     )
 
     def __init__(self, ambient_dim, vertices, dim, facet_masks, hull=None):
@@ -147,6 +148,9 @@ class LatticePolytope:
         self._count_cache = {}  # (m, interior) -> lattice points of the m-th dilate
         self._nvol = None
         self._box = None
+        # Polytopes key every memo and cell dict, so the hash of the key is
+        # computed once.
+        self._hash = hash((ambient_dim, vertices))
 
     # -- construction ------------------------------------------------------
 
@@ -229,10 +233,12 @@ class LatticePolytope:
         return (self.ambient_dim, self.vertices)
 
     def __eq__(self, other):
-        return isinstance(other, LatticePolytope) and self.key == other.key
+        # Interned polytopes mostly meet themselves; one kept across a memo
+        # clear still equals its rebuilt copy by key.
+        return self is other or (isinstance(other, LatticePolytope) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         if self.is_empty:

@@ -85,8 +85,10 @@ class CellComplex:
             # The complex is shared, so an earlier trivial subdivision of the
             # same polytope gains them too, and with them one more verify
             # check.  Taking heights off the shared object changes pinned
-            # verify output: corpus 20240's instance 3 (trivial) inherits the
-            # heights that instance 0 (affine heights) was interned with.
+            # verify output: in corpus 20240, draws 0 and 3 are regular, with
+            # affine heights on the segment [0, 3], and draw 9, the trivial
+            # subdivision of that segment, inherits the heights they were
+            # interned with.
             cached.heights = heights
         return cached
 

@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import polyhodge
 from polyhodge import cli, hodge, memo
@@ -290,6 +291,80 @@ def test_the_cli_does_not_import_dataclasses():
         env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+# A fresh interpreter runs one command, then says whether OpenSSL's hashlib
+# binding was loaded that was not there at start.
+_HASHLIB_PROBE = (
+    "import sys\n"
+    "preloaded = '_hashlib' in sys.modules\n"
+    "from polyhodge import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, '_hashlib' in sys.modules and not preloaded, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_no_command_loads_openssl_for_the_input_hash(command):
+    # hashlib maps OpenSSL's libcrypto, 1.3-3.6 MB of RSS in every CLI
+    # process; the input hash takes CPython's built-in SHA-256 instead.
+    # pytest and hypothesis import hashlib, so this cannot run in-process.
+    argv = [command, str(DATA / "square_in_space.json")]
+    if command == "verify":
+        argv += ["--random", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "0 False\n")
+
+
+@given(st.binary(max_size=300))
+@example(b"")
+@example(bytes(55))  # the longest message padded within one 64-byte block
+@example(bytes(56))
+@example(bytes(64))
+def test_input_hash_of_any_bytes_is_their_sha256(data):
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+DATA_FILES = sorted(str(path) for path in DATA.glob("*.json"))
+
+
+def test_input_hash_of_every_data_file_is_the_sha256_of_its_bytes():
+    for path in DATA_FILES:
+        memo.clear()
+        code, out = run_cli(["gpoly", path])
+        assert code == 0, path
+        assert json.loads(out)["input_hash"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_input_hash_falls_back_to_hashlib_with_the_same_digest():
+    # With neither built-in SHA-256 module importable, the CLI takes hashlib's.
+    script = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from polyhodge import cli\n"
+        "assert cli.sha256 is hashlib.sha256\n"
+        "digests = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(['gpoly', path]) == 0\n"
+        "    digests.append(json.loads(out.getvalue())['input_hash'])\n"
+        "print(json.dumps(digests))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *DATA_FILES],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in DATA_FILES]
+    assert json.loads(proc.stdout) == expected
 
 
 def test_intersection_command():
