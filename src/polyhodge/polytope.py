@@ -6,8 +6,7 @@ Hulls are built by beneath-beyond: the points are inserted one at a time into
 a triangulated boundary grown from a simplex, each boundary simplex carries
 the hyperplane whose normal is the kernel of its d - 1 edge vectors, and the
 simplices are merged by hyperplane into facets, each certified against all
-points.  The hull of d + 1 points in dimension d is a simplex, whose facets
-are its d-subsets.
+points.
 
 Lattice points of a dilate are counted fiber by fiber along the longest side
 of its bounding box: on each line parallel to that axis through a lattice
@@ -27,22 +26,26 @@ of itself in the saturated lattice of its affine span, with an integer left
 inverse, so that lattice point counts and volumes are intrinsic and model
 coordinates cost integer dot products only.
 
-A simplex cell of a subdivision, and a face of any polytope whose vertex
-count is its dimension + 1, is built from its vertices by
-``LatticePolytope.simplex``: its facets are the vertex sets that leave out one
-vertex, so its face lattice needs no hull, and its model map, model vertices
-and facet normals are built by ``_build_hull`` only when first read.  Its
-invariants are read off its box: the lattice points sum_i l_i (v_i, 1) with
-0 <= l_i < 1 of the cone over it, a group of order its normalized volume,
-enumerated from a diagonal form of the cone matrix (``linalg.diagonal_form``)
-in integers, with no model map, so a lower-dimensional simplex needs none.
-Each box point has a height sum_i l_i and a support {i : l_i > 0}; h*, l*
-and h*(u, v) of a simplex are sums over them (Betke and McMullen 1985; Katz
-and Stapledon, arXiv 1411.7736), and its interior lattice points are those
-of full support at height 1.  A box of more than ``BOX_LIMIT`` points is
-left to counting.  A polytope built by ``convex_hull`` keeps its pyramid
-volume and its fiber counts, so the volume and point checks of a
-subdivision compare two routes.
+Beneath-beyond runs only on point sets: P, the lifted points of a
+subdivision, a dual, user input.  Every other polytope is built from a
+vertex-facet incidence it already has, by ``LatticePolytope.from_incidence``:
+a face from the cuts of its polytope's facets (Kaibel and Pfetsch), a cell
+of a subdivision from its lower facet's ridges in the lifted hull.  Its model
+map, model vertices and facet normals are built when first read: the map from
+its vertices, each facet's plane through that facet's vertices.
+
+The invariants of a simplex are read off its box: the lattice points
+sum_i l_i (v_i, 1) with 0 <= l_i < 1 of the cone over it, a group of order
+its normalized volume, enumerated from a diagonal form of the cone matrix
+(``linalg.diagonal_form``) in integers, with no model map, so a
+lower-dimensional simplex needs none.  Each box point has a height sum_i l_i
+and a support {i : l_i > 0}; h*, l* and h*(u, v) of a simplex are sums over
+them (Betke and McMullen 1985; Katz and Stapledon, arXiv 1411.7736), and its
+interior lattice points are those of full support at height 1.  A box of
+more than ``BOX_LIMIT`` points is left to counting.  Only a simplex built
+from its incidence reads its volume and interior point count off the box; a
+polytope built by ``convex_hull`` keeps its pyramid volume and its fiber
+counts, so the volume and point checks of a subdivision compare two routes.
 """
 
 from __future__ import annotations
@@ -104,11 +107,6 @@ class AffineUnimodularMap:
         return tuple(pt)
 
 
-def _identity_map(n: int) -> AffineUnimodularMap:
-    basis = _std_basis(n)
-    return AffineUnimodularMap((0,) * n, basis, basis)
-
-
 _HULL_CACHE = table("HULL_CACHE")  # keyed by input points and by vertices
 
 # The largest box that is enumerated: a simplex of larger normalized volume
@@ -125,7 +123,7 @@ class LatticePolytope:
         "dim",
         "_hull",
         "_facet_masks",
-        "_from_vertices",
+        "_boxed",
         "_face_lattice",
         "_count_cache",
         "_nvol",
@@ -138,12 +136,14 @@ class LatticePolytope:
         self.vertices = vertices
         self.dim = dim
         # (model map, model vertices, facets), each facet (normal in Z^dim,
-        # rhs) meaning <a, x> >= b; None until first read on a simplex built
-        # from its vertices.
+        # rhs) meaning <a, x> >= b; None until first read on a polytope built
+        # from its incidence.
         self._hull = hull
         # The vertex-facet incidence: bit i of a facet's mask is vertex i.
         self._facet_masks = facet_masks
-        self._from_vertices = hull is None
+        # A simplex built from its incidence reads its volume and interior
+        # point count off its box; a hull counts them.
+        self._boxed = hull is None and len(vertices) == dim + 1
         self._face_lattice = None
         self._count_cache = {}  # (m, interior) -> lattice points of the m-th dilate
         self._nvol = None
@@ -162,29 +162,28 @@ class LatticePolytope:
         return _HULL_CACHE[key]
 
     @staticmethod
-    def simplex(vertices) -> "LatticePolytope":
-        """The simplex on sorted, distinct, affinely independent lattice
-        points, interned under its vertices as a hull is.
-
-        Its facets are the vertex sets that leave out one vertex; everything
-        else about its hull is built when first read, and its volume and
-        interior point count are read off its box.
-        """
-        vertices = tuple(vertices)
-        key = (len(vertices[0]), vertices)
-        poly = _HULL_CACHE.get(key)
-        if poly is None:
-            top = (1 << len(vertices)) - 1
-            masks = tuple(top ^ (1 << i) for i in range(len(vertices))) if top > 1 else ()
-            poly = _HULL_CACHE[key] = LatticePolytope(key[0], vertices, len(vertices) - 1, masks)
-        return poly
+    def from_incidence(vertices, dim, facet_masks) -> "LatticePolytope":
+        """The polytope of dimension dim on sorted, distinct lattice points
+        whose facets are the given vertex bitmasks, interned under its
+        vertices as a hull is; the rest of its hull is built when first read."""
+        key = (len(vertices[0]), tuple(vertices))
+        if key not in _HULL_CACHE:
+            _HULL_CACHE[key] = LatticePolytope(*key, dim, tuple(facet_masks))
+        return _HULL_CACHE[key]
 
     def _built(self):
-        """(model map, model vertices, facets): on a simplex built from its
-        vertices, ``_build_hull``'s, with its facet masks in its facet order."""
+        """(model map, model vertices, facets), ``_build_hull``'s: on a polytope
+        built from its incidence, its masks are put in facet order."""
         if self._hull is None:
-            hull = _build_hull(self.ambient_dim, list(self.vertices))
-            self._hull, self._facet_masks = hull._hull, hull._facet_masks
+            map_ = _span_map(self.ambient_dim, self.vertices, self.dim)
+            model = tuple(map_.to_model(v) for v in self.vertices)
+            inside = tuple(map(sum, zip(*model)))
+            planes = sorted(
+                (_facet_plane([model[i] for i in set_bits(t)], inside, len(model)), t)
+                for t in self._facet_masks
+            )
+            self._facet_masks = tuple(t for _, t in planes)
+            self._hull = map_, model, tuple(plane for plane, _ in planes)
         return self._hull
 
     @property
@@ -308,11 +307,11 @@ class LatticePolytope:
 
     def interior_lattice_point_count(self) -> int:
         """Lattice points in the relative interior (a point counts itself);
-        on a simplex built from its vertices, its box points of full support
+        on a simplex built from its incidence, its box points of full support
         at height 1."""
         if self.dim == 0:
             return 1
-        box = self.box()[1] if self._from_vertices else None
+        box = self.box()[1] if self._boxed else None
         if box is None:
             return self._count(1, True)
         return box.get((1, self.dim + 1), 0)
@@ -337,12 +336,12 @@ class LatticePolytope:
 
     def normalized_volume(self) -> int:
         """dim! times the Euclidean volume w.r.t. the intrinsic lattice: the
-        size of the box on a simplex built from its vertices, else a sum of
+        size of the box on a simplex built from its incidence, else a sum of
         pyramids over the facets."""
         if self.is_empty:
             raise ValueError("volume of the empty polytope")
         if self._nvol is None:
-            self._nvol = self.box()[0] if self._from_vertices else self._compute_nvol()
+            self._nvol = self.box()[0] if self._boxed else self._compute_nvol()
         return self._nvol
 
     def box(self):
@@ -456,21 +455,21 @@ def _std_basis(n):
     return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
 
 
-def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
+def _span_map(n: int, pts, d: int) -> AffineUnimodularMap:
+    """The model map of the d-dimensional affine span of sorted points in Z^n."""
     base = pts[0]
-    diffs = [linalg.vec_sub(p, base) for p in pts]
-    d = linalg.rank(diffs)
-    if d == n:
-        map_ = _identity_map(n)
-        model_pts = pts
-    else:
-        eq_rows = linalg.kernel_basis(diffs) if d else _std_basis(n)
-        # A span through 0 keeps 0 as the model's origin, so that a polytope
-        # reflexive in its span has a reflexive model.
-        origin = base if any(linalg.dot(r, base) for r in eq_rows) else (0,) * n
-        map_ = AffineUnimodularMap(origin, *linalg.integer_kernel_basis(eq_rows, n))
-        model_pts = [map_.to_model(p) for p in pts]
-    facets, vertex_models = _hull_in_full_dim(d, model_pts)
+    # A full-dimensional span takes no equation: its map is the identity.
+    eq_rows = linalg.kernel_basis([linalg.vec_sub(p, base) for p in pts] if d < n else [])
+    # A span through 0 keeps 0 as the model's origin, so that a polytope
+    # reflexive in its span has a reflexive model.
+    origin = base if any(linalg.dot(r, base) for r in eq_rows) else (0,) * n
+    return AffineUnimodularMap(origin, *linalg.integer_kernel_basis(eq_rows, n))
+
+
+def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
+    d = linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts])
+    map_ = _span_map(n, pts, d)
+    facets, vertex_models = _hull_in_full_dim(d, [map_.to_model(p) for p in pts])
     # Canonical vertex order: lexicographic on ambient coordinates.
     verts_ambient = sorted(map_.from_model(v) for v in vertex_models)
     model_vertices = tuple(map_.to_model(v) for v in verts_ambient)
@@ -500,11 +499,6 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
     pts = sorted(set(pts))
     if d == 0:
         return [], [pts[0]]
-    if len(pts) == d + 1:
-        # A simplex: its facets are the d-subsets and every point is a vertex.
-        return sorted(
-            _facet_plane(pts[:k] + pts[k + 1:], pts[k], 1) for k in range(d + 1)
-        ), pts
     simplex, rows = [0], []
     for j in range(1, len(pts)):
         row = linalg.vec_sub(pts[j], pts[0])
@@ -567,12 +561,18 @@ def _facet_plane(points, inside, scale):
     return normal, linalg.dot(normal, base)
 
 
+def _renumber(masks, bits) -> tuple:
+    """Vertex bitmasks over the vertices at ``bits``, renumbered in that order."""
+    new = {b: 1 << k for k, b in enumerate(bits)}
+    return tuple(sum(new[i] for i in set_bits(m)) for m in masks)
+
+
 def _facets_of(face: int, facet_masks) -> list[int]:
     """The facets of a face of P, as vertex bitmasks: the inclusion-maximal
-    sets face & t over the facets t of P that do not contain the face
-    (Kaibel and Pfetsch, Comput. Geom. 23, 2002)."""
+    nonempty sets face & t over the facets t of P that do not contain the
+    face (Kaibel and Pfetsch, Comput. Geom. 23, 2002); a vertex has none."""
     cuts = sorted(
-        {face & t for t in facet_masks if face & ~t}, key=int.bit_count, reverse=True
+        {face & t for t in facet_masks if face & ~t} - {0}, key=int.bit_count, reverse=True
     )
     kept = []
     for cut in cuts:  # a cut inside another has fewer vertices, so comes later
@@ -591,8 +591,8 @@ class FaceLattice:
     from the masks, which checks gradedness and the Euler relation as it is
     built, so intervals and the dual need no check.  A face's polytope is
     looked up among the interned polytopes before any is built, so a face
-    shared by several lattices is built once; a face whose vertex count is
-    its dimension + 1 is a simplex, built from its vertices with no hull.
+    shared by several lattices is built once; it is built from its facets,
+    the cuts of P's facets, renumbered to its own vertices, with no hull.
     """
 
     def __init__(self, polytope: LatticePolytope):
@@ -601,7 +601,7 @@ class FaceLattice:
         by_dim: dict[int, list] = {}
         level = {self.top}
         for dim in range(polytope.dim, -2, -1):
-            level = level or {0}  # a point has no facet to cut its empty face
+            level = level or {0}  # a vertex has no facet to cut its empty face
             by_dim[dim] = sorted(level)
             level = {f for mask in level for f in _facets_of(mask, polytope._facet_masks)}
         self.faces = {fid: k for k in sorted(by_dim) for fid in by_dim[k]}
@@ -617,21 +617,19 @@ class FaceLattice:
         return tuple(self.faces)
 
     def face_polytope(self, fid) -> LatticePolytope:
-        if fid not in self._polytopes:
-            n = self.polytope.ambient_dim
-            if not fid:
-                self._polytopes[fid] = LatticePolytope.empty(n)
-            else:
-                # The vertices of a face are sorted and distinct, and a
-                # polytope is interned under its vertices, so a shared face is
-                # a lookup.
-                verts = tuple(self.polytope.vertices[i] for i in set_bits(fid))
-                if fid.bit_count() == self.faces[fid] + 1:
-                    face = LatticePolytope.simplex(verts)
-                else:
-                    face = _HULL_CACHE.get((n, verts)) or LatticePolytope.convex_hull(verts)
-                self._polytopes[fid] = face
-        return self._polytopes[fid]
+        face = self._polytopes.get(fid)
+        if face is None:
+            # The vertices of a face are sorted and distinct, and a polytope
+            # is interned under its vertices, so a shared face is a lookup.
+            p, n = self.polytope, self.polytope.ambient_dim
+            bits = tuple(set_bits(fid))
+            verts = tuple(p.vertices[i] for i in bits)
+            face = _HULL_CACHE.get((n, verts)) if fid else LatticePolytope.empty(n)
+            if face is None:
+                ridges = _renumber(_facets_of(fid, p._facet_masks), bits)
+                face = LatticePolytope.from_incidence(verts, self.faces[fid], ridges)
+            self._polytopes[fid] = face
+        return face
 
     def leq(self, f, g) -> bool:
         return not f & ~g

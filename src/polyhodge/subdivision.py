@@ -5,8 +5,8 @@ of a subdivision of a polytope P.  Its cells are every face of a maximal
 cell plus the empty cell, so the cell set is closed under faces by
 construction.  A cell is its polytope: polytopes are interned by vertex
 set, so each cell is one ``LatticePolytope`` wherever it appears, and the
-complex takes and returns cells; a simplex cell is built from its vertices,
-with no hull.  It stores the inclusion order among cells and the
+complex takes and returns cells; every cell is built from an incidence it
+already has, with no hull.  It stores the inclusion order among cells and the
 carrier of each cell (smallest face of P containing it, named by its vertex
 bitmask in P's face lattice), and it groups the cells by carrier; the
 interior cells are those carried by P.  The h-polynomial of a cell's link
@@ -37,7 +37,7 @@ from typing import Mapping
 
 from .laurent import T, T_INV, LaurentPoly, power_sum
 from .linalg import dot
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, _facets_of, _renumber
 from .poset import set_bits
 from .memo import table
 
@@ -257,8 +257,8 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
 
     Cells are the projections of the facets of conv{(a, h(a))} whose inner
     normal has positive last coordinate; affine height functions induce the
-    trivial subdivision.  A lower facet with dim P + 1 vertices projects to
-    a simplex, which is built from its vertices with no hull.
+    trivial subdivision.  Each cell is built, with no hull, from its lower
+    facet's ridges in the lifted hull (Kaibel and Pfetsch).
     """
     p = height_fn.polytope
     map_ = p._map
@@ -268,14 +268,21 @@ def regular_subdivision(height_fn: HeightFunction) -> CellComplex:
     if hull.dim <= p.dim:
         # Affine heights: every lifted point is on the one lower facet.
         return CellComplex.interned(p, [p], heights=height_fn)
+    below = [map_.from_model(v[:-1]) for v in hull._model_vertices]
+    on = [[] for _ in below]  # lifted vertex -> the lifted facets it is on
+    for t in hull._facet_masks:
+        for i in set_bits(t):
+            on[i].append(t)
     maximal = []
     for (a, b), mask in zip(hull._facets, hull._facet_masks):
         if a[-1] > 0:
-            pts = sorted(map_.from_model(hull._model_vertices[i][:-1]) for i in set_bits(mask))
-            if len(pts) == p.dim + 1:
-                maximal.append(LatticePolytope.simplex(pts))
-            else:
-                maximal.append(LatticePolytope.convex_hull(pts))
+            # A lifted facet cuts a ridge from this one only if it shares at
+            # least dim P of its vertices.
+            near = {t for i in set_bits(mask) for t in on[i] if (t & mask).bit_count() >= p.dim}
+            ridges = _facets_of(mask, near)
+            bits = sorted(set_bits(mask), key=below.__getitem__)
+            verts = [below[i] for i in bits]
+            maximal.append(LatticePolytope.from_incidence(verts, p.dim, _renumber(ridges, bits)))
     return CellComplex.interned(p, maximal, heights=height_fn)
 
 

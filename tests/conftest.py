@@ -55,6 +55,14 @@ def unit_simplex(dim):
     return LatticePolytope.convex_hull(pts)
 
 
+def simplex_from_incidence(vertices):
+    """The simplex on sorted, distinct, affinely independent lattice points,
+    built from its incidence: each facet leaves out one vertex."""
+    top = (1 << len(vertices)) - 1
+    masks = [top ^ (1 << i) for i in range(len(vertices))] if top > 1 else []
+    return LatticePolytope.from_incidence(vertices, len(vertices) - 1, masks)
+
+
 def cube(dim):
     return LatticePolytope.convex_hull(list(itertools.product((0, 1), repeat=dim)))
 

@@ -13,7 +13,7 @@ from polyhodge.subdivision import trivial_subdivision
 from conftest import (
     box_scan_lattice_points, cross_polytope, cube, faces_of_dim, h_star_by_box_scan,
     local_h_star_by_faces, mixed_h_star_by_faces, quartic_triangle_pair, random_simplices,
-    restriction_tower, segment, unit_simplex,
+    restriction_tower, segment, simplex_from_incidence, unit_simplex,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -73,9 +73,9 @@ SIMPLEX_6 = [(0,) * 6] + [tuple(int(i == j) for j in range(6)) for i in range(5)
 @example(sorted(SIMPLEX_6 + [(1, 1, 1, 1, 1, 2)]))
 @example([(0, 0), (0, 5000), (1, 0)])  # a box above BOX_LIMIT is left to counting
 def test_simplex_invariants_match_the_counting_oracle(vertices):
-    # Built from its vertices, the simplex reads h*, l*, h*(u, v), its volume
+    # Built from its incidence, the simplex reads h*, l*, h*(u, v), its volume
     # and its interior count off its box; hulled, only the first three.
-    for build in (LatticePolytope.simplex, LatticePolytope.convex_hull):
+    for build in (simplex_from_incidence, LatticePolytope.convex_hull):
         memo.clear()
         p = build(vertices)
         assert p.vertices == tuple(vertices) and p.dim == len(vertices) - 1

@@ -23,6 +23,7 @@ from conftest import (
     poset_is_eulerian,
     random_simplices,
     segment,
+    simplex_from_incidence,
     solve_oracle,
     unit_simplex,
 )
@@ -112,32 +113,58 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
 
     monkeypatch.setattr(LatticePolytope, "convex_hull", staticmethod(counted))
     face = lattices[0].face_polytope(fids[0])
-    assert hulls == [square]
+    assert hulls == [] and face._hull is None
     assert lattices[1].face_polytope(fids[1]) is face
-    assert hulls == [square]
-    # A face no lattice has interned yet is hulled, unless it is a simplex,
-    # which is built from its vertices.
+    assert hulls == []
+    # Every face is built from its lattice's incidence, with no hull; only a
+    # simplex reads its box.
     edge = lattices[1].face_polytope(mask((0, 1)))
-    assert hulls == [square] and edge._from_vertices
+    assert hulls == [] and edge._boxed
     other = next(f for f in faces_of_dim(lattices[0], 2) if f != fids[0])
-    assert not lattices[0].face_polytope(other)._from_vertices
-    assert len(hulls) == 2
+    other = lattices[0].face_polytope(other)
+    assert other._hull is None and not other._boxed
+    assert hulls == []
+
+
+def assert_reads_as_its_hull(p):
+    """p reads as ``_build_hull`` of its vertices: vertices, dimension,
+    facets, masks in facet order, model vertices, model map and faces."""
+    faces = dict(p.face_lattice().faces)
+    masks = set(p._facet_masks)
+    hull = polytope._build_hull(p.ambient_dim, list(p.vertices))
+    read = (p.vertices, p.dim, p._facets, p._facet_masks, p._model_vertices)
+    assert read == (hull.vertices, hull.dim, hull._facets, hull._facet_masks, hull._model_vertices)
+    assert masks == set(hull._facet_masks)
+    assert faces == FaceLattice(hull).faces
+    assert [p._map.to_model(v) for v in p.vertices] == list(hull._model_vertices)
+    assert (p._map.origin, p._map.basis) == (hull._map.origin, hull._map.basis)
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_simplices())
 def test_a_simplex_built_from_its_vertices_reads_as_its_hull(vertices):
     memo.clear()
-    p = LatticePolytope.simplex(vertices)
+    p = simplex_from_incidence(vertices)
     assert LatticePolytope.convex_hull(vertices) is p
-    faces = dict(p.face_lattice().faces)
-    masks = set(p._facet_masks)
-    hull = polytope._build_hull(len(vertices[0]), list(vertices))
-    read = (p.vertices, p.dim, p._facets, p._facet_masks, p._model_vertices)
-    assert read == (hull.vertices, hull.dim, hull._facets, hull._facet_masks, hull._model_vertices)
-    assert masks == set(hull._facet_masks)
-    assert faces == FaceLattice(hull).faces
-    assert [p._map.to_model(v) for v in p.vertices] == list(hull._model_vertices)
+    assert_reads_as_its_hull(p)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["ladder_6x3.json", "ladder_3x4.json", "cube4.json", "cross4_refinement.json", "corpus25"],
+)
+def test_a_polytope_built_from_its_incidence_reads_as_its_hull(source, request):
+    # Every cell is a face of a maximal cell; on cube4 and cross4 the cells
+    # are the faces of P, most of them lower-dimensional, with model maps.
+    if source == "corpus25":
+        complexes = request.getfixturevalue("corpus25")
+    else:
+        memo.clear()
+        complexes = [cli.build_complex(cli.parse_input(Path(__file__).parent / "data" / source))]
+    for s in complexes:
+        for lattice in (top.face_lattice() for top in s.maximal_cells):
+            for fid in lattice.all_faces()[1:]:
+                assert_reads_as_its_hull(lattice.face_polytope(fid))
 
 
 def test_a_triangulation_hulls_no_simplex(monkeypatch):
@@ -157,8 +184,32 @@ def test_a_triangulation_hulls_no_simplex(monkeypatch):
     s = cli.build_complex(cli.parse_input(path))
     nonsimplex = [c for c in s.cells[1:] if len(c.vertices) != c.dim + 1]
     assert not any(hulled)
-    # P, the lifted hull and the cells that are no simplex.
-    assert len(hulled) == 2 + len(nonsimplex) == 61
+    # P and the lifted hull: every cell, simplex or not, is built from the
+    # lifted hull's incidence.
+    assert len(hulled) == 2 and len(nonsimplex) == 59
+
+
+def test_beneath_beyond_runs_only_on_point_sets(monkeypatch):
+    runs = []
+    hull_in_full_dim = polytope._hull_in_full_dim
+
+    def counted(d, pts):
+        runs.append(sorted(pts))
+        return hull_in_full_dim(d, pts)
+
+    monkeypatch.setattr(polytope, "_hull_in_full_dim", counted)
+    data = Path(__file__).parent / "data"
+    memo.clear()
+    parsed = cli.parse_input(data / "ladder_5x4.json")
+    runs.clear()
+    s = cli.build_complex(parsed)
+    assert len(runs) == 1 and len(s.maximal_cells) > 1  # the lifted hull
+    memo.clear()
+    runs.clear()
+    assert cli.main(["stringy", str(data / "cube4.json")]) == 0
+    # P, the 16 points of the file, and its dual, the hull of P's 8 normals.
+    normals = sorted(tuple(sign * (i == j) for j in range(4)) for i in range(4) for sign in (-1, 1))
+    assert runs == [list(itertools.product((-1, 1), repeat=4)), normals]
 
 
 def test_face_lattice_counts():
