@@ -205,19 +205,8 @@ class LatticePolytope:
     @staticmethod
     def convex_hull(points) -> "LatticePolytope":
         """Convex hull of lattice points (vertices, facets, intrinsic dim)."""
-        pts = set()
-        for p in points:
-            p = tuple(p)
-            if not all(type(c) is int for c in p):  # a bool is no coordinate
-                raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
-            pts.add(p)
-        pts = sorted(pts)
-        if not pts:
-            raise ValueError("convex hull of an empty point set")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise ValueError("points of mixed dimension")
-        key = (n, tuple(pts))
+        key = lattice_point_set(points)
+        n, pts = key
         cached = _HULL_CACHE.get(key)
         if cached is not None:
             return cached
@@ -230,6 +219,16 @@ class LatticePolytope:
     @property
     def key(self):
         return (self.ambient_dim, self.vertices)
+
+    def contains(self, point) -> bool:
+        """Whether a lattice point of the ambient space lies in the polytope:
+        in its affine span and on the inner side of every facet."""
+        if self.is_empty or len(point) != self.ambient_dim:
+            return False
+        x = self._map.to_model(point)
+        return self._map.from_model(x) == tuple(point) and all(
+            linalg.dot(a, x) >= b for a, b in self._facets
+        )
 
     def __eq__(self, other):
         # Interned polytopes mostly meet themselves; one kept across a memo
@@ -449,6 +448,24 @@ class LatticePolytope:
                 if lat.leq(a, b) and not dlat.leq(mapping[b], mapping[a]):
                     raise ValueError("dual face correspondence is not inclusion-reversing")
         return dual, mapping
+
+
+def lattice_point_set(points) -> tuple[int, tuple]:
+    """(n, the distinct points sorted) for a nonempty set of lattice points
+    of Z^n, or ValueError."""
+    pts = set()
+    for p in points:
+        p = tuple(p)
+        if not all(type(c) is int for c in p):  # a bool is no coordinate
+            raise ValueError(f"lattice point coordinates must be integers, got {p!r}")
+        pts.add(p)
+    pts = sorted(pts)
+    if not pts:
+        raise ValueError("convex hull of an empty point set")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise ValueError("points of mixed dimension")
+    return n, tuple(pts)
 
 
 def _std_basis(n):

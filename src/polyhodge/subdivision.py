@@ -6,7 +6,11 @@ cell plus the empty cell, so the cell set is closed under faces by
 construction.  A cell is its polytope: polytopes are interned by vertex
 set, so each cell is one ``LatticePolytope`` wherever it appears, and the
 complex takes and returns cells; every cell is built from an incidence it
-already has, with no hull.  It stores the inclusion order among cells and the
+already has, with no hull.  The complex stores one cell incidence in ints,
+built once: each cell's vertices as a bitmask over the 0-cells, each maximal
+cell's faces as indices into the cells, and the maximal cells holding each
+cell as a bitmask.  Inclusion among cells is a mask test, and the cells
+above a cell are read off the maximal cells holding it.  It also stores the
 carrier of each cell (smallest face of P containing it, named by its vertex
 bitmask in P's face lattice), and it groups the cells by carrier; the
 interior cells are those carried by P.  The h-polynomial of a cell's link
@@ -22,22 +26,23 @@ exactly one maximal cell if it is in the boundary of P and in exactly two
 otherwise.  The common-face check compares vertex sets, and checking the
 maximal pairs covers every pair of cells: each cell is a face of a maximal
 one, and faces of two cells that meet in a common face meet in a common face
-of theirs.  The facet count rejects cells that overlap or leave a gap,
-which vertex sets alone cannot see.
+of theirs.  It visits only the maximal pairs that share a vertex, read off
+the holders of each vertex, in the order of all pairs.  The facet count
+rejects cells that overlap or leave a gap, which vertex sets alone cannot
+see.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import gcd
 from operator import and_
 from typing import Mapping
 
 from .laurent import T, T_INV, LaurentPoly, power_sum
 from .linalg import dot
-from .polytope import LatticePolytope, _facets_of, _renumber
+from .polytope import LatticePolytope, _facets_of, _renumber, lattice_point_set
 from .poset import set_bits
 from .memo import table
 
@@ -48,8 +53,12 @@ class HeightFunction:
     def __init__(self, polytope: LatticePolytope, heights: Mapping[tuple, Fraction]):
         self.polytope = polytope
         self.heights = {tuple(p): Fraction(h) for p, h in heights.items()}
-        hull = LatticePolytope.convex_hull(list(self.heights))
-        if hull.key != polytope.key:
+        # hull(domain) = P, with no hull built: the domain lies in P and
+        # holds every vertex of P.
+        _, domain = lattice_point_set(self.heights)
+        if not self.heights.keys() >= set(polytope.vertices) or not all(
+            map(polytope.contains, domain)
+        ):
             raise ValueError("heights must be given on a set whose hull is P")
 
     def integer_scaled(self) -> dict[tuple, int]:
@@ -67,9 +76,11 @@ class CellComplex:
     """A lattice polyhedral subdivision of a polytope, as a poset of cells.
 
     Cells are ordered by inclusion, which for cells of a valid complex is
-    vertex-set inclusion.  Complexes are immutable after construction and
-    interned by (polytope, maximal cells), so repeated restrictions are
-    validated once.
+    vertex-set inclusion: a test on the cells' vertex bitmasks over the
+    0-cells.  The faces of each maximal cell and the maximal cells holding
+    each cell are kept as cell indices and bitmasks, not as sets of
+    polytopes.  Complexes are immutable after construction and interned by
+    (polytope, maximal cells), so repeated restrictions are validated once.
     """
 
     @staticmethod
@@ -95,22 +106,28 @@ class CellComplex:
     def __init__(self, polytope: LatticePolytope, maximal, heights=None):
         self.polytope = polytope
         self.heights = heights
-        cells = {LatticePolytope.empty(polytope.ambient_dim)}
-        # The nonempty faces of each maximal cell: the cell incidence.
-        self._faces: dict[LatticePolytope, frozenset] = {}
-        for poly in maximal:
-            lat = poly.face_lattice()
-            faces = frozenset(lat.face_polytope(fid) for fid in lat.all_faces() if fid)
-            cells |= faces
-            self._faces[poly] = faces
+        self.maximal_cells = tuple(sorted(set(maximal), key=_order))
+        # The nonempty faces of each maximal cell, which with the empty cell
+        # are all the cells.
+        face_lists = [
+            [lat.face_polytope(fid) for fid in lat.all_faces() if fid]
+            for lat in (top.face_lattice() for top in self.maximal_cells)
+        ]
+        cells = {LatticePolytope.empty(polytope.ambient_dim)}.union(*face_lists)
         self.cells = tuple(sorted(cells, key=_order))
-        self._vsets = {cell: frozenset(cell.vertices) for cell in self.cells}
-        self.maximal_cells = tuple(sorted(self._faces, key=_order))
-        # The inverse incidence: each nonempty cell -> the maximal cells holding it.
-        self._holders: dict[LatticePolytope, list] = {}
-        for top in self.maximal_cells:
-            for face in self._faces[top]:
-                self._holders.setdefault(face, []).append(top)
+        # The cell incidence, in ints: cell -> its index in ``cells``; per
+        # cell, its vertices as a bitmask over the 0-cells (bit j is
+        # cells[j + 1]); per maximal cell, the sorted indices of its faces,
+        # itself last; per cell, the maximal cells holding it as a bitmask
+        # over ``maximal_cells``.
+        self._index = {cell: i for i, cell in enumerate(self.cells)}
+        bit = {c.vertices[0]: 1 << (i - 1) for i, c in enumerate(self.cells) if c.dim == 0}
+        self._vmask = [sum(bit[v] for v in cell.vertices) for cell in self.cells]
+        self._faces = [tuple(sorted(self._index[f] for f in faces)) for faces in face_lists]
+        self._holders = [0] * len(self.cells)
+        for k, faces in enumerate(self._faces):
+            for i in faces:
+                self._holders[i] |= 1 << k
         self._carrier, self._carried = self._compute_carriers()
         self._validate()
 
@@ -121,24 +138,27 @@ class CellComplex:
         return (self.polytope.key, self.maximal_cells)
 
     def leq(self, a: LatticePolytope, b: LatticePolytope) -> bool:
-        return self._vsets[a] <= self._vsets[b]
+        return not self._vmask[self._index[a]] & ~self._vmask[self._index[b]]
 
     def cells_containing(self, cell: LatticePolytope):
         """Cells above ``cell`` in ``cells`` order, read off the maximal cells
         that hold it."""
         if cell.is_empty:
             return self.cells
-        vs = self._vsets[cell]
-        above = {b for top in self._holders[cell] for b in self._faces[top]}
-        return tuple(sorted((b for b in above if vs <= self._vsets[b]), key=_order))
+        i = self._index[cell]
+        vm, vmask = self._vmask[i], self._vmask
+        above = set()
+        for k in set_bits(self._holders[i]):
+            above.update(self._faces[k])
+        return tuple(self.cells[j] for j in sorted(above) if not vm & ~vmask[j])
 
     def _compute_carriers(self):
-        """Each cell's carrier: the facets of P through all its vertices,
-        intersected; and the nonempty cells grouped by carrier, in ``cells``
-        order."""
+        """Each cell's carrier, indexed like ``cells``: the facets of P through
+        all its vertices, intersected; and the nonempty cells grouped by
+        carrier, in ``cells`` order."""
         p = self.polytope
         on = {}  # point -> bitmask of the facets of P through it
-        carrier, carried = {self.cells[0]: 0}, {}
+        carrier, carried = [0], {}
         for cell in self.cells[1:]:  # the empty cell first, then the points
             if cell.dim == 0:
                 (v,) = cell.vertices
@@ -147,7 +167,7 @@ class CellComplex:
             face = (1 << len(p.vertices)) - 1
             for j in set_bits(reduce(and_, (on[v] for v in cell.vertices))):
                 face &= p._facet_masks[j]
-            carrier[cell] = face
+            carrier.append(face)
             carried.setdefault(face, []).append(cell)
         return carrier, carried
 
@@ -158,7 +178,7 @@ class CellComplex:
 
     def carrier(self, cell: LatticePolytope):
         """Face id (in P's face lattice) of the smallest face containing the cell."""
-        return self._carrier[cell]
+        return self._carrier[self._index[cell]]
 
     def interior_cells(self):
         """Nonempty cells whose relative interior lies in the interior of P:
@@ -221,18 +241,35 @@ class CellComplex:
         # covers every pair of cells, as each cell is a face of a maximal
         # one: if A ∩ B = F is a face of A and of B, then for faces a ≤ A and
         # b ≤ B, a ∩ b = (a ∩ F) ∩ (b ∩ F) is a face of F, so of a and of b.
-        for a, b in combinations(self.maximal_cells, 2):
-            common = self._vsets[a] & self._vsets[b]
-            if common and not all(
-                _mask(c, common) in c.face_lattice().faces for c in (a, b)
-            ):
-                raise ValueError("cells intersect in a non-face")
+        # A cell is one per vertex set, so the common vertices of a and b
+        # are a face of both iff they are those of a face of a that b holds.
+        for a, later in self._meeting_pairs():
+            own = {self._vmask[i]: i for i in self._faces[a]}
+            va = self._vmask[self._faces[a][-1]]
+            for b in set_bits(later):
+                i = own.get(va & self._vmask[self._faces[b][-1]])
+                if i is None or not self._holders[i] >> b & 1:
+                    raise ValueError("cells intersect in a non-face")
         # A facet of a maximal cell lies in one maximal cell on the boundary
-        # of P and in two inside it; overlaps and gaps break that count.
+        # of P and in two inside it; overlaps and gaps break that count.  The
+        # empty cell is no facet, not even of a point.
         top = p.face_lattice().top
-        for f, tops in self._holders.items():
-            if f.dim == p.dim - 1 and len(tops) != (1 if self._carrier[f] != top else 2):
+        for cell, tops, face in zip(self.cells[1:], self._holders[1:], self._carrier[1:]):
+            if cell.dim == p.dim - 1 and tops.bit_count() != (1 if face != top else 2):
                 raise ValueError("cells overlap or leave a gap at a facet")
+
+    def _meeting_pairs(self):
+        """For each maximal cell a, in order, the later maximal cells that
+        share a vertex with it, if any, as (a, bitmask over
+        ``maximal_cells``): the pairs of ``combinations(maximal_cells, 2)`` in
+        their order, less those with nothing in common to check."""
+        for a, faces in enumerate(self._faces):
+            near = 0
+            for j in set_bits(self._vmask[faces[-1]]):
+                near |= self._holders[j + 1]
+            later = near >> (a + 1) << (a + 1)
+            if later:
+                yield a, later
 
 
 def _order(cell: LatticePolytope):
@@ -299,14 +336,17 @@ def euler_relation_check(complex_: CellComplex, face_id: int = 0) -> bool:
         raise ValueError("not a face of P")
     if face_id == lattice.top:
         raise ValueError("face must be proper")
-    # A vertex v of a cell lies in the face iff the carrier of the 0-cell at
-    # v does.
-    inside = {
-        c.vertices[0]
-        for c in complex_.cells
-        if c.dim == 0 and lattice.leq(complex_.carrier(c), face_id)
-    }
-    total = sum((-1) ** c.dim for c in complex_.interior_cells() if inside.isdisjoint(c.vertices))
+    # A vertex of a cell lies in the face iff the carrier of its 0-cell does.
+    inside = sum(
+        1 << (i - 1)
+        for i, c in enumerate(complex_.cells)
+        if c.dim == 0 and lattice.leq(complex_._carrier[i], face_id)
+    )
+    total = sum(
+        (-1) ** c.dim
+        for c in complex_.interior_cells()
+        if not complex_._vmask[complex_._index[c]] & inside
+    )
     expected = (-1) ** p.dim if not face_id else 0
     return total == expected
 
@@ -318,7 +358,7 @@ def link_h_polynomial(complex_: CellComplex, cell: LatticePolytope) -> LaurentPo
     of (t-1)^(dim P - dim F') g([F, F']; t), where [F, F'] is the interval in
     the cell poset of the subdivision, read off the face lattice of F'.
     """
-    if cell not in complex_._carrier:
+    if cell not in complex_._index:
         raise ValueError(f"{cell!r} is not a cell of the subdivision")
     dim_p = complex_.polytope.dim
     terms = (

@@ -163,12 +163,19 @@ def carrier_reference(s, cell):
 
 
 def cells_containing_scan(s, cell):
-    """The cells above a cell, read by scanning every maximal cell's face
-    set for the cell, in ``cells`` order."""
+    """The cells above a cell, in ``cells`` order: the faces, with the
+    cell's vertices, of every maximal cell whose own face lattice holds the
+    cell."""
     if cell.is_empty:
         return s.cells
-    above = {b for faces in s._faces.values() if cell in faces for b in faces}
-    return tuple(sorted((b for b in above if s.leq(cell, b)), key=lambda b: (b.dim, b.vertices)))
+    vertices = set(cell.vertices)
+    above = set()
+    for top in s.maximal_cells:
+        lattice = top.face_lattice()
+        faces = [lattice.face_polytope(fid) for fid in lattice.all_faces() if fid]
+        if cell in faces:
+            above.update(b for b in faces if vertices <= set(b.vertices))
+    return tuple(sorted(above, key=lambda b: (b.dim, b.vertices)))
 
 
 def model_complex(s):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import cli, linalg, memo
+from polyhodge import cli, linalg, memo, polytope
 from polyhodge.generators import instance_corpus, random_height_function, random_lattice_polytope
 from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import set_bits
@@ -120,6 +120,41 @@ def test_heights_must_span_polytope():
     sq = cube(2)
     with pytest.raises(ValueError):
         HeightFunction(sq, {(0, 0): Fraction(0), (1, 1): Fraction(1)})
+
+
+# The domain of the heights is checked against P's vertices, facets and span,
+# with no hull built.
+SPAN_HEIGHTS = {(0, 0): 0, (2, 0): 1, (0, 2): 1, (2, 2): 0, (1, 1): 3}
+
+
+def test_heights_reject_a_non_integer_coordinate():
+    with pytest.raises(ValueError, match=r"coordinates must be integers, got \(1, 0.5\)"):
+        HeightFunction(SQUARE, {**SPAN_HEIGHTS, (1, 0.5): 2})
+
+
+def test_heights_reject_a_point_outside_p():
+    with pytest.raises(ValueError, match="heights must be given on a set whose hull is P"):
+        HeightFunction(SQUARE, {**SPAN_HEIGHTS, (3, 1): 2})
+
+
+def test_heights_reject_a_point_off_the_span_of_a_lower_dimensional_p():
+    # The square [0,2]^2 at height 1 in Z^3: (1, 1, 0) lies over it, not on it.
+    lifted = {x + (1,): h for x, h in SPAN_HEIGHTS.items()}
+    p = _hull(lifted)
+    assert p.dim == 2 and HeightFunction(p, lifted).polytope is p
+    with pytest.raises(ValueError, match="heights must be given on a set whose hull is P"):
+        HeightFunction(p, {**lifted, (1, 1, 0): 2})
+
+
+def test_heights_reject_a_domain_missing_a_vertex():
+    missing = {x: h for x, h in SPAN_HEIGHTS.items() if x != (2, 2)}
+    with pytest.raises(ValueError, match="heights must be given on a set whose hull is P"):
+        HeightFunction(SQUARE, missing)
+
+
+def test_heights_are_checked_with_no_hull_built(monkeypatch):
+    monkeypatch.setattr(polytope, "_build_hull", None)
+    assert HeightFunction(SQUARE, SPAN_HEIGHTS).polytope is SQUARE
 
 
 def test_restriction_to_edge():
@@ -282,9 +317,18 @@ def test_cells_containing_matches_cell_scan(corpus25):
             assert s.cells_containing(c) == tuple(b for b in s.cells if s.leq(c, b))
 
 
+def test_leq_is_vertex_set_inclusion(corpus25):
+    ladder = cli.build_complex(cli.parse_input(DATA / "ladder_6x3.json"))
+    for s in [*corpus25, ladder]:
+        vertex_sets = [(c, set(c.vertices)) for c in s.cells]
+        for a, va in vertex_sets:
+            for b, vb in vertex_sets:
+                assert s.leq(a, b) == (va <= vb), (s.key, a, b)
+
+
 def test_cells_containing_matches_the_scan_of_every_maximal_cell(corpus25):
-    # The index of maximal cells by face gives what scanning every maximal
-    # cell's face set gives, in the same order.
+    # The maximal cells holding a cell give what scanning every maximal
+    # cell's own face lattice gives, in the same order.
     for s in corpus25:
         for c in s.cells:
             assert s.cells_containing(c) == cells_containing_scan(s, c), (s.key, c)
@@ -480,6 +524,30 @@ def test_validation_matches_all_pairs_check_on_corrupted_complexes(corpus25, dat
     )
 
 
+def test_common_face_pass_visits_the_maximal_pairs_that_share_a_vertex(monkeypatch):
+    s = cli.build_complex(cli.parse_input(DATA / "ladder_5x4.json"))
+    sharing = [
+        (a, b)
+        for a, b in itertools.combinations(s.maximal_cells, 2)
+        if set(a.vertices) & set(b.vertices)
+    ]
+    visited = []
+    meeting_pairs = CellComplex._meeting_pairs
+
+    def recorded(self):
+        for a, later in meeting_pairs(self):
+            cells = self.maximal_cells
+            visited.extend((cells[a], cells[b]) for b in set_bits(later))
+            yield a, later
+
+    monkeypatch.setattr(CellComplex, "_meeting_pairs", recorded)
+    CellComplex(s.polytope, s.maximal_cells)
+    # 20 868 of the 76 245 pairs, in the order of all pairs, so the first
+    # failing pair is the one that order finds.
+    assert len(s.maximal_cells) == 391 and len(sharing) == 20_868
+    assert visited == sharing
+
+
 def test_cells_meeting_in_a_non_face_are_rejected():
     maximal = [
         _hull([(0, 0), (0, 1), (1, 0), (1, 2)]),
@@ -487,6 +555,17 @@ def test_cells_meeting_in_a_non_face_are_rejected():
     ]
     with pytest.raises(ValueError, match="cells intersect in a non-face"):
         CellComplex(SQUARE, maximal)
+
+
+def test_cells_meeting_in_a_non_face_of_the_later_cell_are_rejected():
+    # The cells above mirrored by x -> 2 - x: the segment from (2, 0) to
+    # (1, 2) is a diagonal of the cell that now comes second in the order
+    # of the maximal cells, and an edge of the first.
+    diagonal = _hull([(1, 0), (1, 2), (2, 0), (2, 1)])
+    edge = _hull([(0, 0), (0, 1), (1, 2), (2, 0)])
+    assert edge.vertices < diagonal.vertices
+    with pytest.raises(ValueError, match="cells intersect in a non-face"):
+        CellComplex(SQUARE, [diagonal, edge])
 
 
 def test_overlapping_cells_are_rejected():
