@@ -3,16 +3,18 @@
 Reads a polytope (and optional heights / subfan / refinement) from a JSON
 file, dispatches one of the computation commands, and emits a deterministic
 report in JSON or plain text.  Exit codes: 0 success, 1 input error,
-2 computation error, 3 verification failure.
+2 computation error, 3 verification failure.  ``entry`` runs a command as a
+process and ends it once the report is flushed; ``main(argv)`` is the same
+command as a library call.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
-from fractions import Fraction
 
 try:
     # hashlib is pretty heavy to load, try lean internal module first
@@ -51,6 +53,9 @@ class ParsedInput:
 
 
 def _parse_height(value, where):
+    # fractions (with numbers and decimal) loads only for input with heights.
+    from fractions import Fraction
+
     if isinstance(value, bool):
         raise InputError(f"{where}: height must be an integer or 'p/q' string")
     if isinstance(value, int):
@@ -112,7 +117,7 @@ def parse_input(path: str) -> ParsedInput:
             any_height = True
             height = _parse_height(entry["height"], where)
         else:
-            height = Fraction(0)
+            height = 0
         if pt in heights and heights[pt] != height:
             raise InputError(
                 f"{path}: points[{first_index[pt]}] and points[{i}] give the point "
@@ -536,5 +541,33 @@ def main(argv=None) -> int:
     return 3 if failed else 0
 
 
+def _exit_flushed(code: int) -> None:
+    """Flush stdout and stderr and end the process with ``code`` at once,
+    skipping interpreter finalization, which would only free the memo
+    tables.  A stream that fails to flush otherwise than on a closed pipe
+    raises here, and finalization then runs and reports it as usual."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass
+    os._exit(code)
+
+
+def entry() -> None:
+    """Process entry point of ``python -m polyhodge.cli`` and the
+    ``polyhodge`` console script: ``main()``, then an exit that ends the
+    process once its output is flushed.
+
+    The exit still goes through ``SystemExit``, so a wrapper that runs this
+    module, such as ``python -m cProfile``, finishes its own work first; the
+    handler that ends the process runs at interpreter exit.  An argparse
+    error or ``--help`` leaves ``main`` as ``SystemExit`` and exits as usual.
+    """
+    code = main()
+    atexit.register(_exit_flushed, code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -8,7 +8,6 @@ boundary subdivision and lower-dimensional carriers.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .polytope import LatticePolytope
 from .subdivision import CellComplex, HeightFunction, regular_subdivision, trivial_subdivision
@@ -30,6 +29,8 @@ def random_lattice_polytope(rng: random.Random, dim: int) -> LatticePolytope:
 def random_height_function(rng: random.Random, polytope: LatticePolytope) -> HeightFunction:
     """Random heights a/b, 0 <= a <= 3 and 1 <= b <= 2, on the vertices and a
     few lattice points of P."""
+    from fractions import Fraction  # loaded only when random instances are drawn
+
     domain = set(polytope.vertices)
     candidates = [p for p in polytope.lattice_points() if p not in domain]
     rng.shuffle(candidates)

@@ -293,6 +293,117 @@ def test_the_cli_does_not_import_dataclasses():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_input_without_heights_loads_no_fractions():
+    # fractions imports numbers and decimal, about 5 ms of every CLI
+    # process's start-up; only heights and random instances need it.
+    script = (
+        "import contextlib, io, sys\n"
+        "import polyhodge.cli\n"
+        "loaded = lambda: [m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = polyhodge.cli.main(['stringy', sys.argv[1]])\n"
+        "print(code, loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(DATA / "cube4.json")],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n0 []\n", "")
+    # A profiler that runs the CLI as a module still gets to print its stats.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "polyhodge.cli", "hstar", CONCRETE],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("{\n")
+    assert re.search(r"ncalls +tottime +percall +cumtime +percall", proc.stdout)
+
+
+# Adds 1 to dk-check's direct side, refined E, which nothing else in the
+# command reads, so that its one check fails.
+_BREAK_REFINED_E = "hodge.refined_E = lambda s, f=hodge.refined_E: f(s) + 1\n"
+
+
+def _fresh_process(argv, stdout=subprocess.PIPE, fault=False):
+    """(stdout bytes, stderr, exit code) of the command in a new interpreter,
+    run as ``python -m polyhodge.cli``, or with ``fault`` through
+    ``cli.entry`` after breaking dk-check's direct side."""
+    if fault:
+        script = "from polyhodge import cli, hodge\n" + _BREAK_REFINED_E + "cli.entry()\n"
+        head = [sys.executable, "-c", script]
+    else:
+        head = [sys.executable, "-m", "polyhodge.cli"]
+    proc = subprocess.run(
+        [*head, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(Path(polyhodge.__file__).parents[1])},
+    )
+    return proc.stdout, proc.stderr.decode(), proc.returncode
+
+
+def _in_process(argv, capsys):
+    """(stdout bytes, stderr, exit code) of ``main(argv)`` on cold memo tables."""
+    memo.clear()
+    capsys.readouterr()
+    try:
+        code, out = run_cli(argv)
+    except SystemExit as exc:  # argparse
+        code, out = exc.code, ""
+    return out.encode(), capsys.readouterr().err, code
+
+
+_PARITY_CASES = [
+    *([command, CONCRETE] for command in cli._COMMANDS),  # stringy: not reflexive, exit 1
+    ["stringy", str(DATA / "square_in_space.json"), "--format", "text"],
+    ["hodge", str(DATA / "cross4_refinement.json"), "--format", "text"],
+    ["verify", str(DATA / "reeve5.json")],
+    ["hstar", str(DATA / "no_such_input.json")],  # exit 1
+    ["hstar", CONCRETE, "--max-dilation", "x"],  # argparse, exit 2
+]
+
+
+@pytest.mark.parametrize("argv", _PARITY_CASES, ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_a_fresh_process_prints_what_main_returns(argv, capsys):
+    assert _fresh_process(argv) == _in_process(argv, capsys)
+
+
+def test_a_fresh_process_reports_a_computation_error_as_main_does(tmp_path, capsys):
+    # The triangle of test_unexpected_exceptions_exit_2_without_traceback.
+    points = [{"coords": [0, 0]}, {"coords": [10**30, 0]}, {"coords": [0, 10**30]}]
+    argv = ["hodge", write_input(tmp_path, {"dim": 2, "points": points})]
+    fresh = _fresh_process(argv)
+    assert fresh == _in_process(argv, capsys)
+    assert fresh[2] == 2 and fresh[1].startswith("computation error: OverflowError: ")
+
+
+def test_a_failed_check_exits_3_through_the_entry_point(capsys, monkeypatch):
+    argv = ["dk-check", CONCRETE, "--format", "text"]
+    fresh = _fresh_process(argv, fault=True)
+    refined_E = hodge.refined_E
+    monkeypatch.setattr(hodge, "refined_E", lambda s: refined_E(s) + 1)
+    assert fresh == _in_process(argv, capsys)
+    assert fresh[2] == 3 and b"check reconstruction_matches: fail" in fresh[0]
+
+
+def test_a_report_larger_than_a_pipe_buffer_reaches_a_file_whole(tmp_path, capsys):
+    # Sent to a file, stdout is block-buffered, so a final flush that the
+    # exit skipped would cut the report short.
+    argv = ["verify", CONCRETE, "--random", "25", "--seed", "7"]
+    path = tmp_path / "report.json"
+    with open(path, "wb") as fh:
+        _, err, code = _fresh_process(argv, stdout=fh)
+    out = path.read_bytes()
+    assert len(out) > 65536
+    assert (out, err, code) == _in_process(argv, capsys)
+    json.loads(out)
+
+
 # A fresh interpreter runs one command, then says whether OpenSSL's hashlib
 # binding was loaded that was not there at start.
 _HASHLIB_PROBE = (

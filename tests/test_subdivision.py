@@ -311,6 +311,22 @@ def test_each_cell_is_the_interned_face_of_a_maximal_cell():
         assert {id(c) for c in s.cells} == faces, s.key
 
 
+def test_a_one_cell_complex_takes_its_incidence_from_the_cell_face_ids():
+    # A complex with one maximal cell reads each cell's vertex mask off the
+    # cell's face id; the incidence built for many maximal cells must agree,
+    # on every face of two 4-polytopes and on lower-dimensional cells.
+    square = LatticePolytope.convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    tops = [cube(4), cross_polytope(4), square, LatticePolytope.convex_hull([(2, 3)])]
+    for top in tops:
+        lattice = top.face_lattice()
+        for fid in lattice.all_faces()[1:]:
+            face = lattice.face_polytope(fid)
+            s = CellComplex(face, [face])
+            incidence = (s.cells, s._index, list(s._vmask), s._faces, s._holders)
+            s._incidence()
+            assert incidence == (s.cells, s._index, s._vmask, s._faces, s._holders), face
+
+
 def test_cells_containing_matches_cell_scan(corpus25):
     for s in _gate_complexes(corpus25):
         for c in s.cells:
