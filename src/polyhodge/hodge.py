@@ -19,8 +19,9 @@ sides of ``verify`` identities, build ``s.restrict(Q)``.
 
 Each E is taken from its h*-polynomial by the one Danilov-Khovanskii
 transform ``_e_from_h``, x E = (x - 1)^dim + (-1)^(dim+1) h* at x = u, uw,
-uv or uvw^2, and each cell sum weighted by (1 - uv)^codim is a
-``laurent.power_sum``.
+uv or uvw^2, whose (x - 1)^dim and x^-1 are kept per pair (x, dim), and
+each cell sum weighted by (1 - uv)^codim is a ``laurent.power_sum``.  The E
+of a cell is kept per translation class, the nearby fiber per complex.
 
 Grothendieck-ring classes are never represented; a class in Z[L] is
 reported in the L-variable exactly when the (u,v)-realization happens to
@@ -62,12 +63,20 @@ def as_class_polynomial(p: LaurentPoly) -> LaurentPoly | None:
 # -- hypersurface invariants of a single polytope -------------------------------
 
 
+@memo("TORUS", key=lambda xd: xd)
+def _torus(xd: tuple[LaurentPoly, int]) -> tuple[LaurentPoly, LaurentPoly]:
+    """(x - 1)^d and x^-1 for a pair (x, d): few pairs, read by every E."""
+    x, d = xd
+    return (x - 1) ** d, x**-1
+
+
 def _e_from_h(d: int, h: LaurentPoly, x: LaurentPoly) -> LaurentPoly:
     """The E of dimension d >= 0 with x E = (x - 1)^d + (-1)^(d+1) h, for an
     h*-polynomial h realized at the monomial x: u, uw, uv or uvw^2."""
     if d < 0:
         raise ValueError("requires a nonempty polytope")
-    e = ((x - 1) ** d + (-1) ** (d + 1) * h) * x**-1
+    torus, inverse = _torus((x, d))
+    e = (torus + (-1) ** (d + 1) * h) * inverse
     if not e.is_polynomial():
         raise ValueError("E is not polynomial; invariant-tower bug")
     return e
@@ -95,11 +104,13 @@ def hodge_deligne(p: LatticePolytope) -> LaurentPoly:
     return _e_from_h(p.dim, inv.mixed_h_star(p).substitute({"v": W}), U * W)
 
 
+@memo("HODGE_DELIGNE_UV", key=lambda p: p.shape)
 def hodge_deligne_uv(p: LatticePolytope) -> LaurentPoly:
     """Hodge-Deligne polynomial with the weight variable renamed to v."""
     return _e_from_h(p.dim, inv.mixed_h_star(p), UV)
 
 
+@memo("NEARBY_FIBER_E", key=lambda s: s.key)
 def nearby_fiber_E(s: CellComplex) -> LaurentPoly:
     """Limit Hodge-Deligne realization of the nearby fiber, in (u, v).
 

@@ -15,6 +15,12 @@ Implements, with exact integer arithmetic throughout:
   * the Lefschetz-forced intersection polynomial in one variable,
   * closed forms for the low refined coefficients in dimension <= 3.
 
+h* of a simplex is read off its box.  Any other polytope counts half its
+dilates, f_P(1..ceil(d/2)) and the interior counts f_P°(1..floor(d/2)), and
+Ehrhart-Macdonald reciprocity f_P(-m) = (-1)^d f_P°(m) gives the rest of
+f_P(0..d).  h*, l* and h*(u, v) are memoized by ``LatticePolytope.shape``,
+the translation class, so translates share one entry.
+
 All sums over faces or cells include the empty face with the conventions
 dim(empty) = -1 and h* = l* = 1 on it.  Every division that the theory
 asserts to be exact is checked and raises on failure.  Each alternating
@@ -63,7 +69,7 @@ def _box(p: LatticePolytope):
     return p.box()[1] if len(p.vertices) == p.dim + 1 else None
 
 
-@memo("H_STAR", key=lambda p: p.key)
+@memo("H_STAR", key=lambda p: p.shape)
 def h_star(p: LatticePolytope) -> LaurentPoly:
     """Ehrhart h*-polynomial of a lattice polytope, in u; h*(empty) = 1.
 
@@ -73,6 +79,13 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
     exceeds ``BOX_LIMIT``: h* is the sum of u^height over its box points
     (Betke and McMullen 1985), which on a simplex of normalized volume 1 are
     the origin alone, so h* = 1.
+
+    Otherwise only half the dilates are counted: f_P(1..ceil(d/2)) and the
+    interior counts f_P°(1..floor(d/2)).  By Ehrhart-Macdonald reciprocity,
+    f_P(-m) = (-1)^d f_P°(m) (Macdonald 1971; Stanley, EC1 4.6.26), so these
+    are d + 1 values of the degree-d polynomial f_P at the consecutive
+    points -floor(d/2)..ceil(d/2), and ``_extend`` carries them on to
+    f_P(d) by forward differences.
     """
     if p.is_empty:
         return ONE
@@ -83,14 +96,34 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
         for (height, _), count in box.items():
             heights[height] += count
         return from_univariate(heights, "u")
-    counts = [p.lattice_point_count(m) for m in range(d + 1)]
+    up, down = (d + 1) // 2, d // 2
+    values = [(-1) ** d * p.lattice_point_count(m, interior=True) for m in range(down, 0, -1)]
+    values += [p.lattice_point_count(m) for m in range(up + 1)]
+    counts = _extend(values, down)[down:]
     coeffs = {}
     for k in range(d + 1):
         coeffs[k] = sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1))
     return from_univariate(coeffs, "u")
 
 
-@memo("LOCAL_H_STAR", key=lambda p: p.key)
+def _extend(values: list[int], n: int) -> list[int]:
+    """The d + 1 values of a polynomial of degree <= d at consecutive
+    integers, followed by its next n values, in integers: the last entry of
+    each forward-difference row moves one step at a time, and the d-th
+    difference is constant."""
+    tail, row = [], values
+    while row:
+        tail.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    out = list(values)
+    for _ in range(n):
+        for r in range(len(tail) - 2, -1, -1):
+            tail[r] += tail[r + 1]
+        out.append(tail[0])
+    return out
+
+
+@memo("LOCAL_H_STAR", key=lambda p: p.shape)
 def local_h_star(p: LatticePolytope) -> LaurentPoly:
     """Local h*-polynomial l*(P;u): alternating sum of h*(Q) g([Q,P]*;u)
     over all faces Q including the empty one; equals 1 on the empty
@@ -129,7 +162,7 @@ def limit_mixed_h_star_by_links(s: CellComplex) -> LaurentPoly:
     return total
 
 
-@memo("MIXED", key=lambda p: p.key)
+@memo("MIXED", key=lambda p: p.shape)
 def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     """Mixed h*-polynomial h*(P;u,v), the limit mixed h* of the trivial
     subdivision.

@@ -20,11 +20,12 @@ from it.  A face is named by its vertex bitmask (bit i is vertex i), from
 the lattice to the carriers, cones and restrictions built on it, so face
 containment is a bitmask test.
 
-Polytopes are immutable; derived data (face lattice, point counts) is cached
-on first use.  A lower-dimensional polytope carries a unimodular affine model
-of itself in the saturated lattice of its affine span, with an integer left
-inverse, so that lattice point counts and volumes are intrinsic and model
-coordinates cost integer dot products only.
+Polytopes are immutable; derived data (face lattice, point counts, the
+translation class ``shape`` that keys the lattice invariants' memo tables)
+is cached on first use.  A lower-dimensional polytope carries a unimodular
+affine model of itself in the saturated lattice of its affine span, with an
+integer left inverse, so that lattice point counts and volumes are intrinsic
+and model coordinates cost integer dot products only.
 
 Beneath-beyond runs only on point sets: P, the lifted points of a
 subdivision, a dual, user input.  Every other polytope is built from a
@@ -129,6 +130,7 @@ class LatticePolytope:
         "_nvol",
         "_box",
         "_hash",
+        "_shape",
     )
 
     def __init__(self, ambient_dim, vertices, dim, facet_masks, hull=None):
@@ -151,6 +153,7 @@ class LatticePolytope:
         # Polytopes key every memo and cell dict, so the hash of the key is
         # computed once.
         self._hash = hash((ambient_dim, vertices))
+        self._shape = None
 
     # -- construction ------------------------------------------------------
 
@@ -219,6 +222,18 @@ class LatticePolytope:
     @property
     def key(self):
         return (self.ambient_dim, self.vertices)
+
+    @property
+    def shape(self):
+        """The translation class: the sorted vertices minus the first, or
+        None for the empty polytope.  A translate by an integer vector keeps
+        the lexicographic vertex order, so equal shapes are lattice
+        equivalent and share every lattice invariant; lattice-equivalent
+        polytopes that are not translates have different shapes."""
+        if self._shape is None and not self.is_empty:
+            v0 = self.vertices[0]
+            self._shape = tuple(tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:])
+        return self._shape
 
     def contains(self, point) -> bool:
         """Whether a lattice point of the ambient space lies in the polytope:
@@ -298,11 +313,12 @@ class LatticePolytope:
             for t in range(lo, hi + 1)
         )
 
-    def lattice_point_count(self, m: int) -> int:
-        """Number of lattice points in the m-th dilate; 0 for the empty polytope."""
+    def lattice_point_count(self, m: int, interior: bool = False) -> int:
+        """Number of lattice points in the m-th dilate (its relative interior
+        if asked); 0 for the empty polytope."""
         if m < 0:
             raise ValueError("dilation factor must be nonnegative")
-        return self._count(m, False)
+        return self._count(m, interior)
 
     def interior_lattice_point_count(self) -> int:
         """Lattice points in the relative interior (a point counts itself);

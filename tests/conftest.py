@@ -264,6 +264,21 @@ def h_star_by_box_scan(p):
     )
 
 
+def h_star_by_counting(p):
+    """h* from the lattice point counts of the dilates 0..dim P, by the
+    alternating-binomial sum, with no shortcut: every dilate is counted,
+    none is read off reciprocity or a box."""
+    if p.is_empty:
+        return ONE
+    d = p.dim
+    counts = [p.lattice_point_count(m) for m in range(d + 1)]
+    coeffs = {
+        k: sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1))
+        for k in range(d + 1)
+    }
+    return from_univariate(coeffs, "u")
+
+
 def local_h_star_by_faces(p):
     """l* by the face walk: the sum over the faces Q of p, the empty one
     included, of (-1)^(dim p - dim Q) h*(Q) g([Q, p]*; u), with each h* by
@@ -327,6 +342,26 @@ def random_simplices(draw):
             r[i] += c * r[j]
     shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     return sorted(tuple(x + t for x, t in zip(r, shift)) for r in rows)
+
+
+@st.composite
+def random_polytope_points(draw, min_dim=0, max_dim=5, embed=True):
+    """Lattice points whose hull is a polytope of dimension at most d, drawn
+    in min_dim..max_dim: d + 2 to d + 6 points of the box [0, c]^d, c = 3 up
+    to dimension 3 and 1 above, so that the oracles' counts of the dilates
+    stay small.  With ``embed`` they may be put on the hyperplane
+    x_(d+1) = <a, x> + b of Z^(d+1), so that the hull is lower-dimensional.
+    """
+    d = draw(st.integers(min_dim, max_dim))
+    c = 3 if d <= 3 else 1
+    point = st.tuples(*[st.integers(0, c)] * d)
+    size = min(d + 2, (c + 1) ** d)
+    points = draw(st.lists(point, min_size=size, max_size=d + 6, unique=True))
+    if embed and draw(st.booleans()):
+        a = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        b = draw(st.integers(-3, 3))
+        points = [x + (sum(ai * xi for ai, xi in zip(a, x)) + b,) for x in points]
+    return points
 
 
 # -- exact rational references -------------------------------------------------

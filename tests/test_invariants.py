@@ -2,18 +2,19 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polyhodge import cli, invariants as inv, memo
+from polyhodge import cli, hodge, invariants as inv, memo
 from polyhodge.generators import instance_corpus
-from polyhodge.laurent import ONE, T, T_INV, U, UVW2, V, W, ZERO, from_univariate
-from polyhodge.polytope import FaceLattice, LatticePolytope
+from polyhodge.laurent import ONE, T, T_INV, U, UVW2, V, W, ZERO
+from polyhodge.polytope import BOX_LIMIT, FaceLattice, LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
 
 from conftest import (
     box_scan_lattice_points, cross_polytope, cube, faces_of_dim, h_star_by_box_scan,
-    local_h_star_by_faces, mixed_h_star_by_faces, quartic_triangle_pair, random_simplices,
-    restriction_tower, segment, simplex_from_incidence, unit_simplex,
+    h_star_by_counting, local_h_star_by_faces, mixed_h_star_by_faces, quartic_triangle_pair,
+    random_polytope_points, random_simplices, restriction_tower, segment,
+    simplex_from_incidence, unit_simplex,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -26,18 +27,6 @@ QUARTIC_REFINED = 1 + 9 * UVW2 + 3 * U * V * W**3 + 3 * U**2 * V**2 * W**3
 def test_h_star_of_unimodular_simplices():
     for d in range(5):
         assert inv.h_star(unit_simplex(d) if d else unit_simplex(0)) == ONE
-
-
-def h_star_by_counting(p):
-    """h* from the lattice point counts of the dilates 0..dim P, by the
-    alternating-binomial sum, with no shortcut."""
-    d = p.dim
-    counts = [p.lattice_point_count(m) for m in range(d + 1)]
-    coeffs = {
-        k: sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1))
-        for k in range(d + 1)
-    }
-    return from_univariate(coeffs, "u")
 
 
 def is_unimodular_simplex(p):
@@ -86,6 +75,128 @@ def test_simplex_invariants_match_the_counting_oracle(vertices):
         assert p.normalized_volume() == h.substitute({"u": 1}).coeff({})
         interior = box_scan_lattice_points(p, 1, interior=True)
         assert p.interior_lattice_point_count() == len(interior)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polytope_points())
+@example([(0, 0), (0, 1), (1, 0), (1, 1)])
+@example([(0, 0, 0, 7), (0, 0, 1, 5), (0, 1, 0, 7), (0, 1, 1, 5), (1, 0, 0, 6), (1, 1, 1, 4)])
+@example([tuple(int(i == j) for j in range(5)) for i in range(5)] + [(0,) * 5, (1,) * 5])
+def test_h_star_from_half_the_dilates_matches_counting(points):
+    # A simplex of dimension 2 or more reads h* off its box, which the
+    # simplex oracle test covers.  The two sides count on copies hulled
+    # after a clear, so they share no cached count.
+    memo.clear()
+    p = LatticePolytope.convex_hull(points)
+    assume(p.dim < 2 or len(p.vertices) > p.dim + 1)
+    expected = h_star_by_counting(p)
+    memo.clear()
+    assert inv.h_star(LatticePolytope.convex_hull(points)) == expected
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[(0, 0), (0, 5000), (1, 0)], [(0, 0, 0), (0, 0, 456), (0, 3, 0), (3, 0, 0)]],
+)
+def test_h_star_of_a_box_above_the_limit_matches_counting(vertices):
+    memo.clear()
+    p = LatticePolytope.convex_hull(vertices)
+    assert p.box()[1] is None and p.box()[0] > BOX_LIMIT
+    assert inv.h_star(p) == h_star_by_counting(p)
+
+
+# The tables keyed by a polytope's translation class, and the values read.
+CLASS_TABLES = ("H_STAR", "LOCAL_H_STAR", "MIXED", "HODGE_DELIGNE_UV")
+
+
+def class_values(p):
+    return inv.h_star(p), inv.local_h_star(p), inv.mixed_h_star(p), hodge.hodge_deligne_uv(p)
+
+
+def class_table_sizes():
+    return [len(memo.TABLES[name]) for name in CLASS_TABLES]
+
+
+def fresh_class_values(p):
+    """The values of a copy of p hulled anew after a clear, from no entry."""
+    memo.clear()
+    return class_values(LatticePolytope.convex_hull(p.vertices))
+
+
+def translation_classes(polytopes):
+    """The polytopes up to integer translation: each vertex set moved so that
+    its least vertex is the origin, with the empty set for the empty polytope."""
+    return {
+        frozenset(tuple(a - b for a, b in zip(v, min(q.vertices))) for v in q.vertices)
+        for q in polytopes
+    }
+
+
+def all_faces(p):
+    lattice = p.face_lattice()
+    return [lattice.face_polytope(f) for f in lattice.all_faces()]
+
+
+def fill_face_tables(p):
+    """h* and l* of every face of p, the empty face and p included."""
+    for q in all_faces(p):
+        inv.h_star(q)
+        inv.local_h_star(q)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    random_polytope_points(min_dim=2, max_dim=4, embed=False),
+    st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=1, max_size=3),
+)
+def test_translates_share_one_entry_per_class(points, shifts):
+    memo.clear()
+    p = LatticePolytope.convex_hull(points)
+    assume(p.dim == p.ambient_dim)
+    values = class_values(p)
+    fill_face_tables(p)
+    classes = len(translation_classes(all_faces(p)))
+    assert class_table_sizes() == [classes, classes, 1, 1]
+    translates = [
+        LatticePolytope.convex_hull([tuple(x + t for x, t in zip(v, shift)) for v in points])
+        for shift in shifts
+    ]
+    for q in translates:
+        assert q.shape == p.shape
+        assert class_values(q) == values
+        fill_face_tables(q)
+    assert class_table_sizes() == [classes, classes, 1, 1]
+    for q in translates:
+        assert fresh_class_values(q) == values
+    # -P is lattice equivalent to P, so it has the same values, whatever its shape.
+    minus_p = LatticePolytope.convex_hull([tuple(-x for x in v) for v in points])
+    assert fresh_class_values(minus_p) == values
+
+
+def test_the_facets_of_the_4_cube_fill_one_entry_per_translation_class():
+    memo.clear()
+    lattice = cube(4).face_lattice()
+    facets = [lattice.face_polytope(f) for f in faces_of_dim(lattice, 3)]
+    assert len(facets) == 8 and len({q.shape for q in facets}) == 4
+    values = [class_values(q) for q in facets]
+    # A k-face of the cube is a translate of the one on the same k free axes.
+    face_classes = 1 + sum(comb(4, k) for k in range(4))
+    assert face_classes == len(translation_classes(f for q in facets for f in all_faces(q)))
+    assert class_table_sizes() == [face_classes, face_classes, 4, 4]
+    for q, value in zip(facets, values):
+        assert fresh_class_values(q) == value
+
+
+def test_a_lattice_equivalent_non_translate_has_another_shape_and_equal_values():
+    triangle = [(0, 0), (3, 0), (0, 2)]
+    p = LatticePolytope.convex_hull(triangle)
+    minus_p = LatticePolytope.convex_hull([(-x, -y) for x, y in triangle])
+    assert p.shape != minus_p.shape
+    memo.clear()
+    values = class_values(p)
+    assert class_values(minus_p) == values
+    assert len(memo.TABLES["MIXED"]) == 2
+    assert values[0] == 1 + 4 * U + U**2
 
 
 def test_h_star_examples():

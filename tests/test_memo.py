@@ -67,7 +67,7 @@ def test_clear_empties_every_table_and_values_recompute():
     memo.clear()
     assert set(memo.TABLES) == {
         "HULL_CACHE", "COMPLEX_INTERN", "H_STAR", "LOCAL_H_STAR", "MIXED",
-        "TOWER", "DK_CACHE",
+        "TOWER", "DK_CACHE", "TORUS", "HODGE_DELIGNE_UV", "NEARBY_FIBER_E",
     }
     assert all(len(t) == 0 for t in memo.TABLES.values())
     assert inv.refined_limit_mixed_h_star(quartic_triangle_pair()) == QUARTIC_REFINED
