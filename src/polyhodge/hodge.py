@@ -100,8 +100,9 @@ def euler_characteristic(p: LatticePolytope) -> int:
 
 def hodge_deligne(p: LatticePolytope) -> LaurentPoly:
     """Hodge-Deligne polynomial in (u, w) of the generic hypersurface:
-    uw E = (uw-1)^dim + (-1)^(dim+1) h*(P;u,w)."""
-    return _e_from_h(p.dim, inv.mixed_h_star(p).substitute({"v": W}), U * W)
+    uw E = (uw-1)^dim + (-1)^(dim+1) h*(P;u,w), the (u, v) polynomial with
+    v renamed to w."""
+    return hodge_deligne_uv(p).substitute({"v": W})
 
 
 @memo("HODGE_DELIGNE_UV", key=lambda p: p.shape)

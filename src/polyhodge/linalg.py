@@ -1,21 +1,22 @@
 """Exact integer linear algebra used by the polytope machinery.
 
-One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves rank
-and kernel: every intermediate entry is an integer minor of the input, so the
-divisions are exact and no rational number is ever formed.
+One fraction-free elimination over Q (Bareiss, Math. Comp. 22, 1968) serves
+rank and kernel: every intermediate entry is an integer minor of the input,
+so the divisions are exact and no rational number is ever formed.
 Run to the reduced form, it yields D times the reduced row echelon form,
 where D is the determinant of the pivot minor; that form is unique, so
 kernel vectors read off it are canonical.  The normal of a hyperplane
-through d points is the one kernel vector of their d - 1 difference rows,
-and the saturated integer kernel comes with the inverse of its unimodular
-completion, which gives integer left inverses of lattice bases.
+through d points is the one kernel vector of their d - 1 difference rows.
 
-The normal form of a matrix A of full column rank is a diagonal one,
-U A V = D, by unimodular row and column operations (Smith's elimination,
-without the divisibility step that makes D unique).  The lattice points of
-the column span of A modulo the columns of A form the group of order
-d_1 ... d_c, and the element with coordinates k_j mod d_j is A V (k / d):
-so V and the d_j alone enumerate it, and U is never formed.
+One unimodular elimination over Z, ``_echelon``, a column echelon by
+Euclid's algorithm, serves the lattice.  It gives the saturated integer
+kernel with the inverse of its unimodular completion, which gives integer
+left inverses of lattice bases.  Alternated with the same echelon on the
+transpose, it gives a diagonal form U A V = D of a matrix A of full column
+rank (not the Smith form: D need not be a divisor chain).  The lattice
+points of the column span of A modulo the columns of A form the group of
+order d_1 ... d_c, and the element with coordinates k_j mod d_j is
+A V (k / d): so V and the d_j alone enumerate it, and U is never formed.
 """
 
 from __future__ import annotations
@@ -115,71 +116,72 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
     return basis
 
 
+def _echelon(a, ncols: int, mirror=None, inverse=None) -> int:
+    """Column echelon form of the integer matrix a, in place, by unimodular
+    column operations; returns its rank r.
+
+    Row by row, Euclid's algorithm across the columns not yet led moves the
+    gcd of the row's entries there into the next leading column and clears
+    the rest, so afterwards a = [H | 0] with H of r columns.  Each operation
+    is repeated on the columns of ``mirror`` (so a mirror started at the
+    identity ends as U with a_in U = a_out) and its inverse on the rows of
+    ``inverse`` (which then ends as U^-1).
+    """
+    cols = a + (mirror or [])
+    lead = 0
+    for row_i in a:
+        if lead == ncols:
+            break
+        nz = [j for j in range(lead, ncols) if row_i[j]]
+        if not nz:
+            continue
+        while True:
+            jmin = min(nz, key=lambda j: abs(row_i[j]))
+            if jmin != lead:
+                for row in cols:
+                    row[lead], row[jmin] = row[jmin], row[lead]
+                if inverse is not None:
+                    inverse[lead], inverse[jmin] = inverse[jmin], inverse[lead]
+            rest = []
+            for j in range(lead + 1, ncols):
+                if row_i[j]:
+                    q = row_i[j] // row_i[lead]
+                    for row in cols:  # column_j -= q * column_lead
+                        row[j] -= q * row[lead]
+                    if inverse is not None:  # row_lead += q * row_j
+                        inverse[lead] = [x + q * y for x, y in zip(inverse[lead], inverse[j])]
+                    if row_i[j]:
+                        rest.append(j)
+            if not rest:
+                break
+            nz = [lead] + rest
+        lead += 1
+    return lead
+
+
 def integer_kernel_basis(rows: list[tuple[int, ...]], n: int):
     """Z-basis of {x in Z^n : rows @ x = 0} (a saturated sublattice), with an
     integer left inverse of it.
 
-    Column reduction by a unimodular matrix U gives A U = [H | 0]; the
-    trailing columns of U span the (saturated) kernel.  The matching rows of
-    U^-1, tracked alongside by the inverse row operations, satisfy
-    left_inverse[k] . basis[j] == (k == j).  Returns (basis, left_inverse).
+    The column echelon A U = [H | 0] by a unimodular U leaves the trailing
+    columns of U spanning the (saturated) kernel, and the matching rows of
+    U^-1 satisfy left_inverse[k] . basis[j] == (k == j).  Returns
+    (basis, left_inverse).
     """
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # column ops mirror
-    u_inv = [row[:] for row in u]  # U^-1, by the inverse row ops
-    if not rows:
-        return [tuple(r) for r in u], [tuple(r) for r in u_inv]
-    a = [list(r) for r in rows]
-
-    def col_op(j, k, f):
-        # column_j += f * column_k; on U^-1: row_k -= f * row_j
-        for row in a:
-            row[j] += f * row[k]
-        for row in u:
-            row[j] += f * row[k]
-        row_j, row_k = u_inv[j], u_inv[k]
-        u_inv[k] = [y - f * x for x, y in zip(row_j, row_k)]
-
-    def col_swap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in u:
-            row[j], row[k] = row[k], row[j]
-        u_inv[j], u_inv[k] = u_inv[k], u_inv[j]
-
-    lead = 0
-    for i in range(len(a)):
-        if lead >= n:
-            break
-        # Euclidean reduction across columns lead..n-1 on row i.
-        while True:
-            nz = [j for j in range(lead, n) if a[i][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(a[i][j]))
-            col_swap(lead, jmin)
-            done = True
-            for j in range(lead + 1, n):
-                if a[i][j] != 0:
-                    q = a[i][j] // a[i][lead]
-                    col_op(j, lead, -q)
-                    if a[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if a[i][lead] != 0:
-            lead += 1
-    # Columns lead..n-1 of U are the kernel basis; rows lead..n-1 of U^-1
-    # are its left inverse.
-    basis = [tuple(u[i][j] for i in range(n)) for j in range(lead, n)]
-    left_inverse = [tuple(u_inv[j]) for j in range(lead, n)]
-    return basis, left_inverse
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    lead = _echelon([list(r) for r in rows], n, mirror=u, inverse=u_inv)
+    basis = [tuple(row[j] for row in u) for j in range(lead, n)]
+    return basis, [tuple(r) for r in u_inv[lead:]]
 
 
 def diagonal_form(rows):
     """A diagonal form U A V = D of an integer matrix A of full column rank.
 
-    Repeatedly moves an entry of least absolute value in the uncleared block
-    to the pivot and reduces its row and column by it, until both are clear.
+    Column echelons, mirrored in V, alternate with row echelons (column
+    echelons of the transpose; U is never formed) until A is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979): each round lowers the
+    first pivot not alone in its row and column, or leaves it alone there.
     Returns (diag, v): the positive diagonal entries d_1..d_c of D and the
     column transform V as a list of rows.  Raises ValueError when the
     columns are dependent.
@@ -187,36 +189,20 @@ def diagonal_form(rows):
     a = [list(r) for r in rows]
     nrows, ncols = len(a), len(a[0])
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    diag = []
+    if _echelon(a, ncols, mirror=v) < ncols:
+        raise ValueError("columns are linearly dependent")
+    # A column echelon leaves A lower triangular, a row echelon upper.
+    while True:
+        at = [list(col) for col in zip(*a)]
+        if not any(any(col[j + 1 :]) for j, col in enumerate(at)):
+            break
+        _echelon(at, nrows)
+        a = [list(row) for row in zip(*at)]
+        if not any(any(row[i + 1 :]) for i, row in enumerate(a)):
+            break
+        _echelon(a, ncols, mirror=v)
     for t in range(ncols):
-        while True:
-            entries = [
-                (abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]
-            ]
-            if not entries:
-                raise ValueError("columns are linearly dependent")
-            _, i, j = min(entries)
-            a[t], a[i] = a[i], a[t]
-            if j != t:
-                for row in a + v:
-                    row[t], row[j] = row[j], row[t]
-            p = a[t][t]
-            clear = True
-            for i in range(t + 1, nrows):
-                q = a[i][t] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                clear = clear and not a[i][t]
-            for j in range(t + 1, ncols):
-                q = a[t][j] // p
-                if q:
-                    for row in a + v:  # column_j -= q * column_t, in A and in V
-                        row[j] -= q * row[t]
-                clear = clear and not a[t][j]
-            if clear:
-                break
-        if p < 0:
-            for row in a + v:
+        if a[t][t] < 0:
+            for row in v:
                 row[t] = -row[t]
-        diag.append(abs(p))
-    return diag, v
+    return [abs(a[t][t]) for t in range(ncols)], v

@@ -43,10 +43,10 @@ lower-dimensional simplex needs none.  Each box point has a height sum_i l_i
 and a support {i : l_i > 0}; h*, l* and h*(u, v) of a simplex are sums over
 them (Betke and McMullen 1985; Katz and Stapledon, arXiv 1411.7736), and its
 interior lattice points are those of full support at height 1.  A box of
-more than ``BOX_LIMIT`` points is left to counting.  Only a simplex built
-from its incidence reads its volume and interior point count off the box; a
-polytope built by ``convex_hull`` keeps its pyramid volume and its fiber
-counts, so the volume and point checks of a subdivision compare two routes.
+more than ``BOX_LIMIT`` points is left to counting.  Every simplex reads its
+volume and interior point count off its box, whichever constructor interned
+it; ``pyramid_volume``, the sum of pyramids over the facets, stays a second
+route, against which ``verify`` checks h*(P; 1).
 """
 
 from __future__ import annotations
@@ -124,7 +124,6 @@ class LatticePolytope:
         "dim",
         "_hull",
         "_facet_masks",
-        "_boxed",
         "_face_lattice",
         "_count_cache",
         "_nvol",
@@ -143,9 +142,6 @@ class LatticePolytope:
         self._hull = hull
         # The vertex-facet incidence: bit i of a facet's mask is vertex i.
         self._facet_masks = facet_masks
-        # A simplex built from its incidence reads its volume and interior
-        # point count off its box; a hull counts them.
-        self._boxed = hull is None and len(vertices) == dim + 1
         self._face_lattice = None
         self._count_cache = {}  # (m, interior) -> lattice points of the m-th dilate
         self._nvol = None
@@ -322,11 +318,10 @@ class LatticePolytope:
 
     def interior_lattice_point_count(self) -> int:
         """Lattice points in the relative interior (a point counts itself);
-        on a simplex built from its incidence, its box points of full support
-        at height 1."""
+        on a simplex, its box points of full support at height 1."""
         if self.dim == 0:
             return 1
-        box = self.box()[1] if self._boxed else None
+        box = self.box()[1] if len(self.vertices) == self.dim + 1 else None
         if box is None:
             return self._count(1, True)
         return box.get((1, self.dim + 1), 0)
@@ -351,12 +346,12 @@ class LatticePolytope:
 
     def normalized_volume(self) -> int:
         """dim! times the Euclidean volume w.r.t. the intrinsic lattice: the
-        size of the box on a simplex built from its incidence, else a sum of
-        pyramids over the facets."""
+        size of the box on a simplex, else ``pyramid_volume``."""
         if self.is_empty:
             raise ValueError("volume of the empty polytope")
         if self._nvol is None:
-            self._nvol = self.box()[0] if self._boxed else self._compute_nvol()
+            simplex = len(self.vertices) == self.dim + 1
+            self._nvol = self.box()[0] if simplex else self.pyramid_volume()
         return self._nvol
 
     def box(self):
@@ -390,7 +385,11 @@ class LatticePolytope:
             self._box = size, counts
         return self._box
 
-    def _compute_nvol(self) -> int:
+    def pyramid_volume(self) -> int:
+        """The normalized volume as a sum of pyramids: over the facets F not
+        through the first vertex v0, the lattice distance of v0 from F times
+        the normalized volume of F.  On a simplex it is a second route to
+        the size of the box."""
         if self.dim == 0:
             return 1
         v0 = self._model_vertices[0]

@@ -111,19 +111,6 @@ class CellComplex:
         self.polytope = polytope
         self.heights = heights
         self.maximal_cells = tuple(sorted(set(maximal), key=_order))
-        # The cell incidence, in ints: cell -> its index in ``cells``; per
-        # cell, its vertices as a bitmask over the 0-cells (bit j is
-        # cells[j + 1]); per maximal cell, the sorted indices of its faces,
-        # itself last; per cell, the maximal cells holding it as a bitmask
-        # over ``maximal_cells``.
-        if len(self.maximal_cells) == 1:
-            self._one_cell_incidence()
-        else:
-            self._incidence()
-        self._carrier, self._carried = self._compute_carriers()
-        self._validate()
-
-    def _incidence(self):
         # The nonempty faces of each maximal cell, which with the empty cell
         # are all the cells.
         face_lists = [
@@ -132,6 +119,11 @@ class CellComplex:
         ]
         cells = {LatticePolytope.empty(self.polytope.ambient_dim)}.union(*face_lists)
         self.cells = tuple(sorted(cells, key=_order))
+        # The cell incidence, in ints: cell -> its index in ``cells``; per
+        # cell, its vertices as a bitmask over the 0-cells (bit j is
+        # cells[j + 1]); per maximal cell, the sorted indices of its faces,
+        # itself last; per cell, the maximal cells holding it as a bitmask
+        # over ``maximal_cells``.
         self._index = {cell: i for i, cell in enumerate(self.cells)}
         bit = {c.vertices[0]: 1 << (i - 1) for i, c in enumerate(self.cells) if c.dim == 0}
         self._vmask = [sum(bit[v] for v in cell.vertices) for cell in self.cells]
@@ -140,17 +132,8 @@ class CellComplex:
         for k, faces in enumerate(self._faces):
             for i in faces:
                 self._holders[i] |= 1 << k
-
-    def _one_cell_incidence(self):
-        # The cells are the faces of the one maximal cell.  Its vertices are
-        # sorted, so they are the 0-cells in order, and a face's id in its
-        # lattice already is the face's vertex mask over the 0-cells.
-        lat = self.maximal_cells[0].face_lattice()
-        self._vmask = sorted(lat.all_faces(), key=lambda fid: _order(lat.face_polytope(fid)))
-        self.cells = tuple(map(lat.face_polytope, self._vmask))
-        self._index = {cell: i for i, cell in enumerate(self.cells)}
-        self._faces = [tuple(range(1, len(self.cells)))]
-        self._holders = [0] + [1] * (len(self.cells) - 1)
+        self._carrier, self._carried = self._compute_carriers()
+        self._validate()
 
     # -- structure ----------------------------------------------------------
 

@@ -108,7 +108,7 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
     out.append(
         _result(
             "h_star_at_one_is_volume",
-            inv.h_star(p).substitute({"u": 1}) == p.normalized_volume(),
+            inv.h_star(p).substitute({"u": 1}) == p.pyramid_volume(),
         )
     )
     wdeg = refined.degree_in("w")

@@ -684,9 +684,11 @@ def test_golden_hodge_on_ladders():
 # 4-cross-polytope with a refinement of a non-simplicial subfan, on a
 # reflexive square in a plane of 3-space, and on the trivial subdivision of
 # the Reeve tetrahedron conv{0, e1, e2, (1, 1, 5)}: volume 5, h* = 1 + 4u^2
-# and no interior point, a simplex whose box has points of height 2 only.
-# 6*D3 and the Reeve tetrahedron are not reflexive, so stringy exits 1 on
-# them and prints nothing.
+# and no interior point, a simplex whose box has points of height 2 only;
+# and on a subdivided curve in a plane of 3-space, whose points and heights
+# are mapped into the lattice of their span.  6*D3, the Reeve tetrahedron
+# and the curve are not reflexive, so stringy exits 1 on them and prints
+# nothing.
 GOLDEN_EVERY_COMMAND = {
     "ladder_6x3.json": {
         "hstar": (0, "428013a6ee43b5803870402c4a3294b43c8844f71d8a00cad7d3bd882d19b1e8"),
@@ -742,6 +744,17 @@ GOLDEN_EVERY_COMMAND = {
         "nearby": (0, "28ff13777467e5828074355ea8c11b506d1c355ba5dcdf690d214f0e0651eafb"),
         "dk-check": (0, "57ab13757b6dd41838b26e7adc1e4bb00afb99691e79eab0b95cc0263edb513b"),
         "verify": (0, "85a51a120132bd6ee1ad21efcde668f1127891399a8125cadeb0bf029a5a85ee"),
+    },
+    "concrete_curve_in_plane.json": {
+        "hstar": (0, "19cfca8e3dfca5b27b0a726a53e6eb076c3e221f9e411a63ef2bfcad5089021b"),
+        "gpoly": (0, "3f33871387466a809b200208fb306012acc8a100df16b94b5ae92b92094bd5a4"),
+        "invariants": (0, "cbbd262c8db4e712b84e924485c8f88fd3253a95aaebe33a5edd81a7e553e9ba"),
+        "hodge": (0, "747b5b8c6198d13f479cd535847cbe301ce34224e5c9c5270def1b127d09e747"),
+        "intersection": (0, "0f51a7d89976987f7d1342de14d88d1656f16ab08040c18bf07e3a1b00cfcdb5"),
+        "stringy": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "nearby": (0, "d0db1783783a33e11a4547e97b9ed79e179ce883408c0be54d3b658d636e642a"),
+        "dk-check": (0, "37ed3a8d9ad2508405008cb530f0728c5edae08910c4ceb1f1cdca2c736799ac"),
+        "verify": (0, "5fd89e2e81a72f0eebe24c63517b1b6e9afba82666138fc6b046bf2485d5d894"),
     },
 }
 

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from polyhodge import hodge, invariants as inv, memo
 from polyhodge.fans import TruncatedNormalFan, identity_refinement
+from polyhodge.generators import instance_corpus
 from polyhodge.laurent import L, ONE, T, U, V, W, ZERO
 from polyhodge.polytope import LatticePolytope
 from polyhodge.poset import EulerianPoset
@@ -307,8 +310,6 @@ def test_dk_reconstruction_random(corpus25):
 def test_dk_does_not_use_refined_tower(monkeypatch):
     # The reconstruction is an independent oracle: it must never call the
     # refined tower or refined_E itself.
-    from polyhodge.generators import instance_corpus
-
     s = instance_corpus(4242, 3, dims=(2,))[1]
 
     def forbidden(*args, **kwargs):
@@ -388,7 +389,7 @@ def test_checks_pass_on_lower_dimensional_restrictions(corpus25):
 # term, and the check that must then fail: u v w^(d+3) and u^(d+2) lie above
 # the degree d + 1 that weak Lefschetz allows.
 FAULTS = {
-    "h_star_at_one_is_volume": (LatticePolytope, "normalized_volume", 1),
+    "h_star_at_one_is_volume": (LatticePolytope, "pyramid_volume", 1),
     "euler_characteristic_specialization": (hodge, "euler_characteristic", 1),
     "weak_lefschetz_refined": (hodge, "refined_E", U * V * W**5),
     "weak_lefschetz_hodge_deligne": (hodge, "hodge_deligne", U**4),
@@ -407,6 +408,38 @@ def test_a_wrong_side_fails_its_verify_check(name, monkeypatch, quartic_triangle
     original = getattr(owner, attr)
     monkeypatch.setattr(owner, attr, lambda *args: original(*args) + extra)
     assert status() == "fail"
+
+
+# Two draws whose P is a segment: in corpus 20240, P is first interned as a
+# face of an earlier draw's cell; in corpus 7, by ``convex_hull``.
+SEGMENT_DRAWS = [(20240, 25, 15), (7, 30, 6)]
+
+
+@pytest.mark.parametrize("seed, count, index", SEGMENT_DRAWS)
+def test_h_star_at_one_meets_a_volume_from_another_route(seed, count, index, monkeypatch):
+    # A fault in P's box, in its size and its counts alike, moves h*(P; 1)
+    # and the box volume together; the check must still see it, whichever
+    # constructor interned P first.  The clean run fills every cache, and
+    # only P's box, its volume and h*(P) are then dropped and recomputed.
+    memo.clear()
+    s = instance_corpus(seed, count)[index]
+    p = s.polytope
+    run_checks(s)
+    box = LatticePolytope.box
+
+    def faulted(self):
+        size, counts = box(self)
+        return (size + 1, counts + Counter({(1, 2): 1})) if self is p else (size, counts)
+
+    monkeypatch.setattr(p, "_box", None)
+    monkeypatch.setattr(p, "_nvol", None)
+    monkeypatch.setattr(LatticePolytope, "box", faulted)
+    del memo.TABLES["H_STAR"][p.shape]
+    try:
+        checks = {c.name: c.status for c in run_checks(s)}
+    finally:
+        memo.clear()
+    assert checks["h_star_at_one_is_volume"] == "fail"
 
 
 def test_the_strata_are_read_off_the_tower_without_restricting(monkeypatch, corpus25):

@@ -125,6 +125,55 @@ def test_integer_kernel_basis_is_saturated_with_left_inverse(rows, data):
     assert list(mat_vec(left, v)) == coeffs
 
 
+# (rows, n, (basis, left inverse)): the saturated kernels and the model
+# bases they give are pinned, since model coordinates reach the output.
+PINNED_KERNELS = [
+    ([], 3, ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+    ([(2, 3)], 2, ([(3, -2)], [(1, 1)])),
+    ([(0, 0, 0)], 3, ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+    ([(1, 1, 1)], 3, ([(-1, 1, 0), (-1, 0, 1)], [(0, 1, 0), (0, 0, 1)])),
+    ([(6, 10, 15)], 3, ([(-5, -3, 4), (5, 0, -2)], [(2, 3, 5), (1, 1, 2)])),
+    (
+        [(4, -6, 0, 9)],
+        4,
+        ([(6, 1, 0, -2), (0, 0, 1, 0), (9, 0, 0, -4)], [(0, 1, 0, 0), (0, 0, 1, 0), (1, -2, 0, 2)]),
+    ),
+    ([(1, 2, 3), (4, 5, 6)], 3, ([(1, -2, 1)], [(0, 0, 1)])),
+    (
+        [(2, 0, 4, 6), (0, 3, 3, -3)],
+        4,
+        ([(-2, -1, 1, 0), (-3, 1, 0, 1)], [(0, 0, 1, 0), (0, 0, 0, 1)]),
+    ),
+    ([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)], 4, ([(1, 1, 1, 1)], [(0, 0, 0, 1)])),
+    (
+        [(3, 5, -7, 2, 0), (-2, 4, 1, 0, 6)],
+        5,
+        (
+            [(0, 2, -8, -33, 0), (1, 1, -2, -11, 0), (0, -2, 2, 12, 1)],
+            [(5, 6, -11, 3, -2), (1, 0, 0, 0, 0), (0, 0, 0, 0, 1)],
+        ),
+    ),
+    (
+        [(1, 1, 1, 1, 1), (0, 1, 2, 3, 4), (0, 1, 4, 9, 16)],
+        5,
+        ([(-1, 3, -3, 1, 0), (-3, 8, -6, 0, 1)], [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]),
+    ),
+    (
+        [(5, -3, 2, 0, 1, 4), (2, 2, -1, 3, 0, 0), (0, 7, 1, -2, 5, 3)],
+        6,
+        (
+            [(-3, -25, -53, 1, 46, 0), (-4, -43, -94, 0, 79, 0), (-3, -28, -62, 0, 51, 1)],
+            [(0, 0, 0, 1, 0, 0), (-11, 1, 0, -8, 0, -5), (0, 0, 0, 0, 0, 1)],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, n, expected", PINNED_KERNELS)
+def test_integer_kernel_basis_is_pinned(rows, n, expected):
+    assert linalg.integer_kernel_basis(rows, n) == expected
+
+
 @SETTINGS
 @given(matrices(max_rows=3, max_cols=5), st.data())
 def test_affine_unimodular_map_round_trip(rows, data):
@@ -263,12 +312,24 @@ def det_oracle(rows):
     return int(det)
 
 
+@st.composite
+def cone_matrices(draw):
+    """The matrices ``LatticePolytope.box`` passes: columns (v_i, 1) for
+    d + 1 points v_i in Z^n, d <= n <= 6, coordinates in -3..3; some of the
+    point sets are affinely dependent."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(0, n))
+    pts = draw(points(n, d + 1))
+    return [list(col) for col in zip(*pts)] + [[1] * (d + 1)]
+
+
 @SETTINGS
-@given(matrices(max_cols=4))
+@given(st.one_of(matrices(max_cols=4), cone_matrices()))
 def test_diagonal_form_orders_the_quotient_by_the_columns(rows):
     # U A V = D: V is unimodular, column j of A V is d_j times column j of
     # U^-1, and d_1 ... d_c, the order of the lattice points of the span
-    # modulo the columns, is the gcd of the c x c minors of A.
+    # modulo the columns, is the gcd of the c x c minors of A.  Cone
+    # matrices run up to 7 x 7.
     ncols = len(rows[0])
     if len(rref_oracle(rows)[1]) < ncols:
         with pytest.raises(ValueError, match="dependent"):

@@ -116,13 +116,12 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
     assert hulls == [] and face._hull is None
     assert lattices[1].face_polytope(fids[1]) is face
     assert hulls == []
-    # Every face is built from its lattice's incidence, with no hull; only a
-    # simplex reads its box.
+    # Every face is built from its lattice's incidence, with no hull.
     edge = lattices[1].face_polytope(mask((0, 1)))
-    assert hulls == [] and edge._boxed
+    assert hulls == [] and edge._hull is None
     other = next(f for f in faces_of_dim(lattices[0], 2) if f != fids[0])
     other = lattices[0].face_polytope(other)
-    assert other._hull is None and not other._boxed
+    assert other._hull is None
     assert hulls == []
 
 

@@ -312,9 +312,11 @@ def test_each_cell_is_the_interned_face_of_a_maximal_cell():
 
 
 def test_a_one_cell_complex_takes_its_incidence_from_the_cell_face_ids():
-    # A complex with one maximal cell reads each cell's vertex mask off the
-    # cell's face id; the incidence built for many maximal cells must agree,
-    # on every face of two 4-polytopes and on lower-dimensional cells.
+    # The cells of a complex with one maximal cell are the faces of that
+    # cell.  Its vertices are sorted, so they are the 0-cells in order, and
+    # a face's id in the cell's lattice is the face's vertex mask over the
+    # 0-cells: the incidence read that way must be the complex's, on every
+    # face of two 4-polytopes and on lower-dimensional cells.
     square = LatticePolytope.convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     tops = [cube(4), cross_polytope(4), square, LatticePolytope.convex_hull([(2, 3)])]
     for top in tops:
@@ -322,9 +324,16 @@ def test_a_one_cell_complex_takes_its_incidence_from_the_cell_face_ids():
         for fid in lattice.all_faces()[1:]:
             face = lattice.face_polytope(fid)
             s = CellComplex(face, [face])
-            incidence = (s.cells, s._index, list(s._vmask), s._faces, s._holders)
-            s._incidence()
-            assert incidence == (s.cells, s._index, s._vmask, s._faces, s._holders), face
+            own = face.face_lattice()
+            fid_of = {own.face_polytope(f): f for f in own.all_faces()}
+            cells = tuple(sorted(fid_of, key=lambda c: (c.dim, c.vertices)))
+            vmask = [fid_of[c] for c in cells]
+            faces = [tuple(range(1, len(cells)))]
+            holders = [0] + [1] * (len(cells) - 1)
+            assert (s.cells, list(s._vmask), s._faces, s._holders) == (
+                cells, vmask, faces, holders
+            ), face
+            assert s._index == {cell: i for i, cell in enumerate(cells)}, face
 
 
 def test_cells_containing_matches_cell_scan(corpus25):
