@@ -276,14 +276,13 @@ def stringy_E(s: CellComplex) -> LaurentPoly:
     if not p.reflexive_check():
         raise ValueError("stringy E requires a reflexive polytope")
     dual, face_map = p.dual_face_map()
-    dlattice = dual.face_lattice()
     lattice = p.face_lattice()
     local = inv.face_tower(s).local
     total = ZERO
     for fid in lattice.all_faces():
         qdim = lattice.face_dim(fid)
         local2 = local[fid] if fid else ONE
-        dual_poly = dlattice.face_polytope(face_map[fid])
+        dual_poly = dual.face(face_map[fid])
         local1 = inv.local_h_star(dual_poly).substitute({"u": UVW2})
         total = total + (-W) ** (qdim + 1) * local2 * local1
     e = total * UVW2**-1

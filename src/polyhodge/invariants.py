@@ -140,7 +140,7 @@ def local_h_star(p: LatticePolytope) -> LaurentPoly:
     lattice = p.face_lattice()
 
     def signed_h_star(f):
-        return (-1) ** (p.dim - lattice.face_dim(f)) * h_star(lattice.face_polytope(f))
+        return (-1) ** (p.dim - lattice.face_dim(f)) * h_star(p.face(f))
 
     return lattice.g_sum(lattice.top, signed_h_star, U, dual=True)
 
@@ -182,7 +182,7 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     lattice = p.face_lattice()
 
     def shifted_local(f):
-        q = lattice.face_polytope(f)
+        q = p.face(f)
         return V ** (q.dim + 1) * local_h_star(q).substitute({"u": U_OVER_V})
 
     total = lattice.g_sum(lattice.top, shifted_local, UV)
@@ -319,7 +319,7 @@ def small_coeff_oracle(s: CellComplex) -> dict:
     interior_low = 0
     for fid in lattice.all_faces():
         if fid and lattice.face_dim(fid) <= 1:
-            interior_low += lattice.face_polytope(fid).interior_lattice_point_count()
+            interior_low += p.face(fid).interior_lattice_point_count()
     out[(0, 0, 0)] = interior_low - (d + 1)
     # Interior counts by (max(dim F - 1, 0), dim carrier(F) - 1): (0, 0, r)
     # sums the cells of dim <= 1, and (0, q, r) those of dim q + 1.

@@ -109,6 +109,7 @@ class AffineUnimodularMap:
 
 
 _HULL_CACHE = table("HULL_CACHE")  # keyed by input points and by vertices
+_FACE_LATTICES = table("FACE_LATTICE")  # keyed by the vertex-facet incidence
 
 # The largest box that is enumerated: a simplex of larger normalized volume
 # is counted fiber by fiber, which a long thin simplex needs.
@@ -394,21 +395,43 @@ class LatticePolytope:
             return 1
         v0 = self._model_vertices[0]
         total = 0
-        lattice = self.face_lattice()
         for (a, b), mask in zip(self._facets, self._facet_masks):
             h = linalg.dot(a, v0) - b
             if h > 0:
-                total += h * lattice.face_polytope(mask).normalized_volume()
+                total += h * self.face(mask).normalized_volume()
         return total
 
     # -- faces ---------------------------------------------------------------
 
     def face_lattice(self) -> "FaceLattice":
+        """The face lattice, shared by every polytope with the same
+        dimension, vertex count and set of facet masks."""
         if self._face_lattice is None:
             if self.is_empty:
                 raise ValueError("face lattice of the empty polytope")
-            self._face_lattice = FaceLattice(self)
+            key = (self.dim, len(self.vertices), frozenset(self._facet_masks))
+            lattice = _FACE_LATTICES.get(key)
+            if lattice is None:
+                lattice = _FACE_LATTICES[key] = FaceLattice(*key)
+            self._face_lattice = lattice
         return self._face_lattice
+
+    def face(self, fid) -> "LatticePolytope":
+        """The face with vertex bitmask ``fid``.  A face's vertices are sorted
+        and distinct, and a polytope is interned under its vertices, so a face
+        shared by several polytopes is a lookup; otherwise it is built from
+        its facets, the cuts of this polytope's facets renumbered to its own
+        vertices, with no hull."""
+        n = self.ambient_dim
+        if not fid:
+            return LatticePolytope.empty(n)
+        bits = tuple(set_bits(fid))
+        verts = tuple(self.vertices[i] for i in bits)
+        face = _HULL_CACHE.get((n, verts))
+        if face is None:
+            ridges = _renumber(_facets_of(fid, self._facet_masks), bits)
+            face = LatticePolytope.from_incidence(verts, self.face_lattice().faces[fid], ridges)
+        return face
 
     # -- duality ---------------------------------------------------------------
 
@@ -614,32 +637,31 @@ def _facets_of(face: int, facet_masks) -> list[int]:
 
 
 class FaceLattice:
-    """All faces of a polytope, graded by rho(Q) = dim Q + 1.
+    """The faces of a polytope, graded by rho(Q) = dim Q + 1, found from its
+    dimension, vertex count and facets as vertex bitmasks alone.
 
-    A face is named by its vertex bitmask, bit i for vertex i of P: 0 is the
-    empty face and ``top``, with every bit set, is P itself.  Faces are found
-    level by level from P's vertex-facet incidence, so a face's dimension is
-    its level.  ``poset()`` builds the lattice once as an ``EulerianPoset``
-    from the masks, which checks gradedness and the Euler relation as it is
-    built, so intervals and the dual need no check.  A face's polytope is
-    looked up among the interned polytopes before any is built, so a face
-    shared by several lattices is built once; it is built from its facets,
-    the cuts of P's facets, renumbered to its own vertices, with no hull.
+    A face is named by its vertex bitmask, bit i for vertex i: 0 is the
+    empty face and ``top``, with every bit set, is the polytope itself.
+    Faces are found level by level from the facets, so a face's dimension
+    is its level.  ``poset()`` builds the lattice once as an
+    ``EulerianPoset`` from the masks, which checks gradedness and the Euler
+    relation as it is built, so intervals and the dual need no check.
+    Polytopes with one incidence share one lattice, and with it its poset
+    and g table; a face's polytope is ``LatticePolytope.face``.
     """
 
-    def __init__(self, polytope: LatticePolytope):
-        self.polytope = polytope
-        self.top = (1 << len(polytope.vertices)) - 1
+    def __init__(self, dim: int, nverts: int, facet_masks):
+        self.dim = dim
+        self.top = (1 << nverts) - 1
         by_dim: dict[int, list] = {}
         level = {self.top}
-        for dim in range(polytope.dim, -2, -1):
+        for k in range(dim, -2, -1):
             level = level or {0}  # a vertex has no facet to cut its empty face
-            by_dim[dim] = sorted(level)
-            level = {f for mask in level for f in _facets_of(mask, polytope._facet_masks)}
+            by_dim[k] = sorted(level)
+            level = {f for mask in level for f in _facets_of(mask, facet_masks)}
         self.faces = {fid: k for k in sorted(by_dim) for fid in by_dim[k]}
         self._poset = None
         self._index: dict[int, int] = {}  # face id -> element of the poset
-        self._polytopes: dict[int, LatticePolytope] = {}
 
     def face_dim(self, fid) -> int:
         return self.faces[fid]
@@ -648,27 +670,12 @@ class FaceLattice:
         """Face ids sorted by (dim, id)."""
         return tuple(self.faces)
 
-    def face_polytope(self, fid) -> LatticePolytope:
-        face = self._polytopes.get(fid)
-        if face is None:
-            # The vertices of a face are sorted and distinct, and a polytope
-            # is interned under its vertices, so a shared face is a lookup.
-            p, n = self.polytope, self.polytope.ambient_dim
-            bits = tuple(set_bits(fid))
-            verts = tuple(p.vertices[i] for i in bits)
-            face = _HULL_CACHE.get((n, verts)) if fid else LatticePolytope.empty(n)
-            if face is None:
-                ridges = _renumber(_facets_of(fid, p._facet_masks), bits)
-                face = LatticePolytope.from_incidence(verts, self.faces[fid], ridges)
-            self._polytopes[fid] = face
-        return face
-
     def leq(self, f, g) -> bool:
         return not f & ~g
 
     def f_vector(self):
         dims = list(self.faces.values())
-        return tuple(dims.count(k) for k in range(-1, self.polytope.dim + 1))
+        return tuple(dims.count(k) for k in range(-1, self.dim + 1))
 
     def poset(self) -> EulerianPoset:
         if self._poset is None:
@@ -683,23 +690,16 @@ class FaceLattice:
         return self._poset
 
     def g(self, lower, upper, dual: bool = False) -> LaurentPoly:
-        """g-polynomial (in t) of the interval [lower, upper], or of its dual.
-
-        On a simplex every interval and its dual is Boolean, so g = 1
-        (Stanley 1987) and no poset is built; the 2^(d+1) faces of a
-        d-simplex are counted first, so a lattice that is not Boolean raises.
-        Otherwise g is 1 up to rank 2, read off the poset's flag counts in
-        closed form (``EulerianPoset.g_by_counts``) at rank 3 to 6, and
-        computed by the poset's recursion above.
+        """g-polynomial (in t) of the interval [lower, upper], or of its dual:
+        1 up to rank 2, read off the poset's flag counts in closed form
+        (``EulerianPoset.g_by_counts``) at rank 3 to 6, and computed by the
+        poset's recursion above.  On a simplex every interval is Boolean, and
+        both routes give 1 (Stanley 1987).
         """
-        nverts = len(self.polytope.vertices)
-        simplex = nverts == self.polytope.dim + 1
-        if simplex and len(self.faces) != 1 << nverts:
-            raise ValueError("simplex face lattice is not Boolean; face lattice bug")
         if not self.leq(lower, upper):
             raise ValueError("not an interval: elements are not nested")
         n = self.faces[upper] - self.faces[lower]
-        if simplex or n <= 2:
+        if n <= 2:
             return ONE
         poset = self.poset()
         i, j = self._index[lower], self._index[upper]

@@ -4,7 +4,8 @@ Posets are finite, graded, with unique bottom and top, stored as bitmask
 relation matrices.  ``EulerianPoset.g(z, x)`` computes the g-polynomial of
 the interval [z, x] by the defining reciprocal recursion, directly on the
 bitmasks, and keeps the value in a table that the poset shares with its
-dual; a face lattice's g values therefore live and die with its polytope.
+dual.  Polytopes with one vertex-facet incidence share one face lattice, so
+its poset and g table are built once for all of them.
 
 Every g that the recursion computes for an interval of rank >= 3 is
 verified against the defining identity before it is stored, so a poset bug
@@ -13,11 +14,8 @@ surfaces as an error rather than a wrong polynomial.  Intervals of rank
 gives g = a - 1 for an interval with a atoms.  An Eulerian rank-2 interval
 has exactly two atoms (1 - a + 1 = 0), and ``from_masks``, the one way a
 poset is built, has checked the Euler relation on every interval before
-the poset exists.  The face lattice of a simplex builds no poset at all:
-its intervals are Boolean, so ``FaceLattice.g`` returns 1 once the
-lattice's face count certifies it, and ``verify`` checks the recursion on a
-``copy`` of P's poset and of one poset per distinct relation among the
-maximal cells' lattices (every d-simplex has the same one).
+the poset exists.  ``verify`` checks the recursion on a ``copy`` of the
+poset of P's lattice and of each distinct lattice among the maximal cells'.
 
 An interval of rank n <= 6 has g of degree at most 2, and the top
 coefficients of the defining identity give g in closed form from flag
@@ -30,8 +28,8 @@ pairs of rank 1 < rank 3,
 
 the t^2 term only for n >= 5.  ``g_by_counts`` reads these counts off the
 masks of a poset that ``from_masks`` has already checked, and
-``FaceLattice.g`` uses it for every interval of rank 3 to 6 of a lattice
-that is not a simplex, so those need no recursion.  ``g`` and ``_g_of``
+``FaceLattice.g`` uses it for every interval of rank 3 to 6, so those need
+no recursion; on a Boolean interval it gives 1.  ``g`` and ``_g_of``
 stay the full recursion: a face lattice runs it only at rank >= 7, reading
 the stored closed-form values below, and a ``copy`` runs it throughout, so
 ``verify`` and the tests check the closed form against it.

@@ -114,8 +114,8 @@ class CellComplex:
         # The nonempty faces of each maximal cell, which with the empty cell
         # are all the cells.
         face_lists = [
-            [lat.face_polytope(fid) for fid in lat.all_faces() if fid]
-            for lat in (top.face_lattice() for top in self.maximal_cells)
+            [top.face(fid) for fid in top.face_lattice().all_faces() if fid]
+            for top in self.maximal_cells
         ]
         cells = {LatticePolytope.empty(self.polytope.ambient_dim)}.union(*face_lists)
         self.cells = tuple(sorted(cells, key=_order))
@@ -224,7 +224,7 @@ class CellComplex:
             return self
         qdim = lattice.face_dim(face_id)
         kept = [cell for cell in self._carried[face_id] if cell.dim == qdim]
-        return CellComplex.interned(lattice.face_polytope(face_id), kept)
+        return CellComplex.interned(self.polytope.face(face_id), kept)
 
     # -- validation ---------------------------------------------------------------
 

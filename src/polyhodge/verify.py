@@ -46,8 +46,8 @@ def run_checks(s: CellComplex) -> list[CheckResult]:
         out.append(_result("face_lattice_eulerian", True))
         # Every [F, P] is checked on a copy of the lattice's poset, whose g
         # table is its own, so the recursion is checked apart from the g values
-        # (and the simplex shortcut) that the tower reads off the lattice; the
-        # maximal cells' lattices likewise, one copy per distinct relation.
+        # that the tower reads off the lattice; the maximal cells' lattices
+        # likewise, one copy per distinct lattice.
         copy = poset.copy()
         bad = None
         for i, fid in enumerate(copy.elements):
@@ -212,19 +212,19 @@ def _first_cell_failing_inversion(s: CellComplex):
     """The vertices of the first maximal cell whose face lattice fails the
     inversion identity, or None.
 
-    The check is a pure function of the lattice's relation, and cells share
-    relations (every d-simplex has the same one), so it runs on a copy of
-    one poset per distinct relation; the cells are read in order, so the
-    first failing cell named is the one a check of every cell would name.
+    The check is a pure function of the face lattice, and cells with one
+    incidence share one lattice (every d-simplex has the same one), so it
+    runs on a copy of the poset of each distinct lattice; the cells are read
+    in order, so the first failing cell named is the one a check of every
+    cell would name.
     """
     verdicts = {}
     for cell in s.maximal_cells:
-        poset = cell.face_lattice().poset()
-        relation = (poset.elements, poset.up)
-        if relation not in verdicts:
-            interval = poset.copy()
-            verdicts[relation] = interval.rank < 1 or stanley_inversion_check(interval)
-        if not verdicts[relation]:
+        lattice = cell.face_lattice()
+        if lattice not in verdicts:
+            interval = lattice.poset().copy()
+            verdicts[lattice] = interval.rank < 1 or stanley_inversion_check(interval)
+        if not verdicts[lattice]:
             return cell.vertices
     return None
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polyhodge import invariants as inv, linalg
 from polyhodge.generators import instance_corpus
 from polyhodge.laurent import ONE, U_OVER_V, U, UV, UVW2, V, W, ZERO, from_univariate
-from polyhodge.polytope import LatticePolytope
+from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.poset import EulerianPoset
 from polyhodge.subdivision import CellComplex, HeightFunction, regular_subdivision
 
@@ -53,6 +53,12 @@ def unit_simplex(dim):
         tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
     ]
     return LatticePolytope.convex_hull(pts)
+
+
+def fresh_lattice(p):
+    """The face lattice of p built afresh from its incidence, not the shared
+    one, so that its poset and g table are its own."""
+    return FaceLattice(p.dim, len(p.vertices), p._facet_masks)
 
 
 def simplex_from_incidence(vertices):
@@ -171,8 +177,7 @@ def cells_containing_scan(s, cell):
     vertices = set(cell.vertices)
     above = set()
     for top in s.maximal_cells:
-        lattice = top.face_lattice()
-        faces = [lattice.face_polytope(fid) for fid in lattice.all_faces() if fid]
+        faces = [top.face(fid) for fid in top.face_lattice().all_faces() if fid]
         if cell in faces:
             above.update(b for b in faces if vertices <= set(b.vertices))
     return tuple(sorted(above, key=lambda b: (b.dim, b.vertices)))
@@ -290,7 +295,7 @@ def local_h_star_by_faces(p):
     for fid in lattice.all_faces():
         sign = (-1) ** (p.dim - lattice.face_dim(fid))
         g = lattice.g(fid, lattice.top, dual=True).substitute({"t": U})
-        total = total + sign * h_star_by_box_scan(lattice.face_polytope(fid)) * g
+        total = total + sign * h_star_by_box_scan(p.face(fid)) * g
     return total
 
 
@@ -303,7 +308,7 @@ def mixed_h_star_by_faces(p):
     lattice = p.face_lattice()
     total = ZERO
     for fid in lattice.all_faces():
-        q = lattice.face_polytope(fid)
+        q = p.face(fid)
         local = local_h_star_by_faces(q).substitute({"u": U_OVER_V})
         g = lattice.g(fid, lattice.top).substitute({"t": UV})
         total = total + V ** (q.dim + 1) * local * g

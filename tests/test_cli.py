@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import polyhodge
-from polyhodge import cli, hodge, memo
+from polyhodge import cli, hodge, memo, verify
 from polyhodge.fans import TruncatedNormalFan, identity_refinement, simplicial_refinement
 from polyhodge.laurent import LaurentPoly
 from polyhodge.polytope import FaceLattice, LatticePolytope
@@ -896,11 +896,12 @@ def test_refinements_of_the_whole_fan_pass_the_euler_check(polytope):
 
 
 def test_a_face_lattice_that_is_not_eulerian_fails_its_checks(monkeypatch):
-    quartic = LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)]).key
+    # The quartic's lattice is every triangle's, and the tower reads it, so
+    # only the read that run_checks makes for P itself is faulted.
     original = FaceLattice.poset
 
     def poset(self):
-        if self.polytope.key == quartic:
+        if sys._getframe(1).f_code is verify.run_checks.__code__:
             raise ValueError("poset is not Eulerian")
         return original(self)
 

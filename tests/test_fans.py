@@ -43,8 +43,8 @@ def test_normal_fan_lives_in_the_polytopes_own_lattice():
     # A facet of the 3-cube and a segment of lattice length 2 in 3-space: the
     # fan has the polytope's own dimension, and face by face it has the cone
     # rays of the fan of the polytope's full-dimensional model.
-    lattice = cube(3).face_lattice()
-    faces = [lattice.face_polytope(fid) for fid in faces_of_dim(lattice, 2)]
+    cube3 = cube(3)
+    faces = [cube3.face(fid) for fid in faces_of_dim(cube3.face_lattice(), 2)]
     faces.append(LatticePolytope.convex_hull([(1, 2, 3), (3, 6, 9)]))
     for q in faces:
         assert q.dim < q.ambient_dim
@@ -194,14 +194,14 @@ def test_face_of_on_the_quartic_triangle():
 
 
 def _fan_cases():
-    cube3 = cube(3).face_lattice()
+    cube3 = cube(3)
     return [
         LatticePolytope.convex_hull([(0, 0), (4, 0), (0, 4)]),
         cube(2),
-        cube3.polytope,
+        cube3,
         cross_polytope(3),
         cross_polytope(4),
-        cube3.face_polytope(faces_of_dim(cube3, 2)[0]),  # lower-dimensional
+        cube3.face(faces_of_dim(cube3.face_lattice(), 2)[0]),  # lower-dimensional
         LatticePolytope.convex_hull([(1, 2, 3), (3, 6, 9)]),
     ]
 

@@ -220,7 +220,6 @@ def test_stringy_E_reflexive_square():
     # with the substituted arguments directly
     direct = ZERO
     dual, face_map = sq.dual_face_map()
-    dlat = dual.face_lattice()
     lat = sq.face_lattice()
     for fid in lat.all_faces():
         qdim = lat.face_dim(fid)
@@ -231,7 +230,7 @@ def test_stringy_E_reflexive_square():
                 {"u": U * W**-1, "v": 1}
             )
         )
-        outer = inv.local_h_star(dlat.face_polytope(face_map[fid])).substitute(
+        outer = inv.local_h_star(dual.face(face_map[fid])).substitute(
             {"u": U * W}
         )
         direct = direct + (-W) ** (qdim + 1) * inner * outer

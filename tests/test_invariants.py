@@ -133,8 +133,7 @@ def translation_classes(polytopes):
 
 
 def all_faces(p):
-    lattice = p.face_lattice()
-    return [lattice.face_polytope(f) for f in lattice.all_faces()]
+    return [p.face(f) for f in p.face_lattice().all_faces()]
 
 
 def fill_face_tables(p):
@@ -175,8 +174,8 @@ def test_translates_share_one_entry_per_class(points, shifts):
 
 def test_the_facets_of_the_4_cube_fill_one_entry_per_translation_class():
     memo.clear()
-    lattice = cube(4).face_lattice()
-    facets = [lattice.face_polytope(f) for f in faces_of_dim(lattice, 3)]
+    p = cube(4)
+    facets = [p.face(f) for f in faces_of_dim(p.face_lattice(), 3)]
     assert len(facets) == 8 and len({q.shape for q in facets}) == 4
     values = [class_values(q) for q in facets]
     # A k-face of the cube is a translate of the one on the same k free axes.

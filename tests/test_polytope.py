@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhodge import cli, linalg, memo, polytope
+from polyhodge import cli, invariants as inv, linalg, memo, polytope
 from polyhodge.fans import TruncatedNormalFan
 from polyhodge.polytope import FaceLattice, LatticePolytope
 from polyhodge.subdivision import trivial_subdivision
@@ -19,6 +19,7 @@ from conftest import (
     dot_incidence,
     face_dims_reference,
     faces_of_dim,
+    fresh_lattice,
     mask,
     poset_is_eulerian,
     random_simplices,
@@ -102,8 +103,8 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
     memo.clear()
     square = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))
     pyramid = LatticePolytope.convex_hull(square + ((0, 0, -1),))
-    lattices = [cube(3).face_lattice(), pyramid.face_lattice()]
-    fids = [mask(i for i, v in enumerate(l.polytope.vertices) if v in square) for l in lattices]
+    polytopes = [cube(3), pyramid]
+    fids = [mask(i for i, v in enumerate(p.vertices) if v in square) for p in polytopes]
     hulls = []
     hull = LatticePolytope.convex_hull
 
@@ -112,15 +113,15 @@ def test_a_face_interned_by_one_lattice_is_not_hulled_again(monkeypatch):
         return hull(points)
 
     monkeypatch.setattr(LatticePolytope, "convex_hull", staticmethod(counted))
-    face = lattices[0].face_polytope(fids[0])
+    face = polytopes[0].face(fids[0])
     assert hulls == [] and face._hull is None
-    assert lattices[1].face_polytope(fids[1]) is face
+    assert polytopes[1].face(fids[1]) is face
     assert hulls == []
-    # Every face is built from its lattice's incidence, with no hull.
-    edge = lattices[1].face_polytope(mask((0, 1)))
+    # Every face is built from its polytope's incidence, with no hull.
+    edge = polytopes[1].face(mask((0, 1)))
     assert hulls == [] and edge._hull is None
-    other = next(f for f in faces_of_dim(lattices[0], 2) if f != fids[0])
-    other = lattices[0].face_polytope(other)
+    other = next(f for f in faces_of_dim(polytopes[0].face_lattice(), 2) if f != fids[0])
+    other = polytopes[0].face(other)
     assert other._hull is None
     assert hulls == []
 
@@ -134,7 +135,7 @@ def assert_reads_as_its_hull(p):
     read = (p.vertices, p.dim, p._facets, p._facet_masks, p._model_vertices)
     assert read == (hull.vertices, hull.dim, hull._facets, hull._facet_masks, hull._model_vertices)
     assert masks == set(hull._facet_masks)
-    assert faces == FaceLattice(hull).faces
+    assert faces == fresh_lattice(hull).faces
     assert [p._map.to_model(v) for v in p.vertices] == list(hull._model_vertices)
     assert (p._map.origin, p._map.basis) == (hull._map.origin, hull._map.basis)
 
@@ -161,9 +162,9 @@ def test_a_polytope_built_from_its_incidence_reads_as_its_hull(source, request):
         memo.clear()
         complexes = [cli.build_complex(cli.parse_input(Path(__file__).parent / "data" / source))]
     for s in complexes:
-        for lattice in (top.face_lattice() for top in s.maximal_cells):
-            for fid in lattice.all_faces()[1:]:
-                assert_reads_as_its_hull(lattice.face_polytope(fid))
+        for top in s.maximal_cells:
+            for fid in top.face_lattice().all_faces()[1:]:
+                assert_reads_as_its_hull(top.face(fid))
 
 
 def test_a_triangulation_hulls_no_simplex(monkeypatch):
@@ -232,7 +233,7 @@ def test_face_lattices_are_eulerian():
 def assert_faces_match_the_reference(p):
     incidence = dot_incidence(p)
     assert [mask(t) for t in incidence] == list(p._facet_masks)
-    lattice = FaceLattice(p)
+    lattice = fresh_lattice(p)
     dims = {mask(f): k for f, k in face_dims_reference(p).items()}
     vertex_sets = {mask(f): set(f) for f in face_dims_reference(p)}
     assert lattice.faces == dims
@@ -298,7 +299,7 @@ def test_face_lattices_posets_and_hull_vertices_take_no_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank", counting_rank)
     for p in polytopes:
-        FaceLattice(p).poset()
+        fresh_lattice(p).poset()
     assert calls == []
     # The 3-cross-polytope with its origin, in sorted order: its first four
     # points are affinely independent, so the starting simplex takes three
@@ -307,6 +308,90 @@ def test_face_lattices_posets_and_hull_vertices_take_no_rank(monkeypatch):
     assert len(facets) == 8
     assert vertices == list(octahedron)
     assert len(calls) == 3
+
+
+# -- one face lattice per incidence -------------------------------------------------------
+
+
+def incidence_key(p):
+    """(dim, vertex count, facet vertex sets), the facets found by dot
+    products rather than read off the stored masks."""
+    return (p.dim, len(p.vertices), frozenset(mask(t) for t in dot_incidence(p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polytopes(), small_polytopes())
+def test_polytopes_share_a_lattice_exactly_when_their_incidences_agree(p, q):
+    # The faces of two polytopes, a translate of the first among them,
+    # repeat incidences in every dimension.
+    shifted = LatticePolytope.convex_hull([tuple(x + 1 for x in v) for v in p.vertices])
+    polytopes = {r.face(f) for r in (p, q, shifted) for f in r.face_lattice().all_faces()[1:]}
+    assert shifted.face_lattice() is p.face_lattice()
+    for a in polytopes:
+        for b in polytopes:
+            same = a.face_lattice() is b.face_lattice()
+            assert same == (incidence_key(a) == incidence_key(b)), (a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polytopes(), st.randoms(use_true_random=False))
+def test_a_polytope_keeps_its_lattice_when_its_masks_are_put_in_facet_order(p, rng):
+    memo.clear()
+    masks = list(p._facet_masks)
+    rng.shuffle(masks)
+    q = LatticePolytope.from_incidence(p.vertices, p.dim, masks)
+    lattice = q.face_lattice()
+    q._built()  # puts the masks in facet order
+    twin = polytope._build_hull(q.ambient_dim, list(q.vertices))  # not interned
+    assert twin is not q and twin._facet_masks == q._facet_masks
+    assert twin.face_lattice() is lattice is q.face_lattice()
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polytopes())
+def test_every_g_on_a_shared_lattice_is_the_g_of_a_fresh_lattice(p):
+    # The invariants of P read g on the lattices of P and of its faces,
+    # which faces of one incidence share.
+    inv.mixed_h_star(p)
+    inv.local_h_star(p)
+    faces = [p.face(f) for f in p.face_lattice().all_faces()[1:]]
+    values = {}
+    for q in faces:
+        lattice = q.face_lattice()
+        args = (q.dim, len(q.vertices), q._facet_masks)
+        values[args] = {
+            (a, b): (lattice.g(a, b), lattice.g(a, b, dual=True))
+            for a in lattice.all_faces()
+            for b in lattice.all_faces()
+            if lattice.leq(a, b)
+        }
+    memo.clear()
+    for args, table in values.items():
+        fresh = FaceLattice(*args)
+        copy = fresh.poset().copy()
+        dual = copy.dual()
+        index = {f: i for i, f in enumerate(copy.elements)}
+        for (a, b), (g, dual_g) in table.items():
+            assert fresh.g(a, b) == g == copy.g(index[a], index[b])
+            assert fresh.g(a, b, dual=True) == dual_g == dual.g(index[b], index[a])
+
+
+def test_a_complex_builds_one_lattice_per_incidence_of_its_maximal_cells(monkeypatch):
+    # P, 5 * Delta_4, is a simplex like most of its cells, so its lattice is
+    # a maximal cell's; the faces of the maximal cells build no lattice.
+    memo.clear()
+    parsed = cli.parse_input(Path(__file__).parent / "data" / "ladder_5x4.json")
+    built = []
+    init = FaceLattice.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FaceLattice, "__init__", counted)
+    s = cli.build_complex(parsed)
+    monkeypatch.undo()
+    assert len(built) == len({incidence_key(c) for c in s.maximal_cells}) < len(s.maximal_cells)
 
 
 def count_triangle_dilate(m):
@@ -342,7 +427,7 @@ def test_boundary_plus_interior():
             continue
         lattice = p.face_lattice()
         boundary = sum(
-            lattice.face_polytope(f).interior_lattice_point_count()
+            p.face(f).interior_lattice_point_count()
             for f in lattice.all_faces()
             if f and f != lattice.top
         )

@@ -15,8 +15,8 @@ from polyhodge.subdivision import (
 )
 
 from conftest import (
-    cross_polytope, cube, eulerian_by_signed_sums, mask, poset_from_leq, poset_is_eulerian,
-    quartic_triangle_pair, unit_simplex,
+    cross_polytope, cube, eulerian_by_signed_sums, fresh_lattice, mask, poset_from_leq,
+    poset_is_eulerian, quartic_triangle_pair, unit_simplex,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -276,8 +276,8 @@ def test_g_rejects_elements_that_are_not_nested():
     poset = cube(3).face_lattice().poset()
     with pytest.raises(ValueError, match="not nested"):
         poset.g(poset.top, poset.bottom)
-    # A simplex lattice answers g without a poset and still checks nesting.
-    lattice = FaceLattice(unit_simplex(3))
+    # The lattice checks nesting before it reads its poset.
+    lattice = fresh_lattice(unit_simplex(3))
     for dual in (False, True):
         with pytest.raises(ValueError, match="not nested"):
             lattice.g(mask((0, 1)), mask((1, 2, 3)), dual=dual)
@@ -328,7 +328,8 @@ def test_tower_reads_g_without_copying_intervals(monkeypatch):
         monkeypatch.setattr(verify, "stanley_inversion_check", checked)
         copies.clear()
         assert all(c.ok for c in verify.run_checks(s))
-        # P's poset, and one per distinct relation among the maximal cells.
+        # P's poset, and one per distinct lattice, so per distinct relation,
+        # among the maximal cells.
         assert len(copies) == 1 + len({(p.elements, p.up) for p in shared[1:]})
 
 
@@ -363,7 +364,7 @@ def test_inversion_of_cells_once_per_relation_names_the_first_failing_cell(
         monkeypatch.undo()
 
 
-# -- the simplex shortcut ---------------------------------------------------------
+# -- unimodular triangulations ---------------------------------------------------
 
 
 def noisy_dilate_triangulation(k, d):
@@ -374,16 +375,9 @@ def noisy_dilate_triangulation(k, d):
     return regular_subdivision(HeightFunction(LatticePolytope.convex_hull(pts), heights))
 
 
-def test_simplex_g_certifies_its_face_count():
-    lattice = FaceLattice(unit_simplex(3))
-    assert lattice.g(0, lattice.top) == ONE
-    assert lattice.g(mask((0,)), mask((0, 1, 2)), dual=True) == ONE
-    del lattice.faces[mask((0, 1))]
-    with pytest.raises(ValueError, match="not Boolean"):
-        lattice.g(0, lattice.top)
-
-
-def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypatch):
+def test_tower_builds_one_poset_per_simplex_dimension_and_counts_no_point_of_a_unimodular_cell(
+    monkeypatch,
+):
     memo.clear()
     posets, counts = [], []
     poset, count = FaceLattice.poset, LatticePolytope.lattice_point_count
@@ -392,8 +386,9 @@ def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypa
         return len(p.vertices) == p.dim + 1
 
     def counted_poset(self):
-        if is_simplex(self.polytope):
-            posets.append(self.polytope)
+        # A simplex lattice has dim + 1 vertices; record each poset it builds.
+        if self._poset is None and self.top.bit_count() == self.dim + 1:
+            posets.append(self.dim)
         return poset(self)
 
     def counted_count(self, m):
@@ -408,7 +403,8 @@ def test_tower_builds_no_poset_and_counts_no_point_of_a_unimodular_cell(monkeypa
         assert all(is_simplex(c) and c.normalized_volume() == 1 for c in s.cells[1:])
         refined = inv.refined_limit_mixed_h_star(s)
         assert refined.substitute({"w": 1}) == inv.limit_mixed_h_star(s)
-    assert posets == []
+    # Every d-simplex shares one face lattice, so its poset is built once.
+    assert len(posets) == len(set(posets))
     # No restriction is built, so no vertex of k * Delta_d is validated as a
     # complex of its own, and h* counts no dilate of a unimodular cell.
     assert counts == []
@@ -477,7 +473,7 @@ def test_intervals_and_duals_of_face_lattices_are_eulerian(p):
 def assert_closed_form_g_matches_the_recursion(p):
     """``FaceLattice.g`` of every interval of rank 3 to 6, and of its dual,
     equals the recursion on a copy of the lattice's poset."""
-    lattice = FaceLattice(p)  # a g table of its own, filled by nothing else
+    lattice = fresh_lattice(p)  # a g table of its own, filled by nothing else
     copy = lattice.poset().copy()
     dual = copy.dual()
     faces = lattice.all_faces()
@@ -514,7 +510,7 @@ def test_closed_form_g_matches_the_recursion_on_cubes_and_cross_polytopes():
 def test_closed_form_g_is_stored_for_the_recursion_above_rank_6(monkeypatch):
     # Rank 7 is [(), P] of a 6-polytope: its recursion reads the rank <= 6
     # values that the closed form stored, and runs no step below rank 7.
-    lattice = FaceLattice(cross_polytope(6))
+    lattice = fresh_lattice(cross_polytope(6))
     poset = lattice.poset()
     for fid in lattice.all_faces():
         if 3 <= lattice.face_dim(fid) + 1 <= 6:

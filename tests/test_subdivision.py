@@ -50,7 +50,7 @@ def test_carriers_and_boundary_flags():
     assert tri_cell in s.interior_cells()
     bottom_edge = LatticePolytope.convex_hull([(0, 0), (4, 0)])
     carrier = s.carrier(bottom_edge)
-    assert set(lat.face_polytope(carrier).vertices) == {(0, 0), (4, 0)}
+    assert set(s.polytope.face(carrier).vertices) == {(0, 0), (4, 0)}
     assert bottom_edge not in s.interior_cells()
     assert s.cells[0] not in s.interior_cells()
     assert len(s.interior_cells()) == 13  # 3 vertices + 6 edges + 4 two-cells
@@ -65,7 +65,7 @@ def test_carrier_matches_brute_force():
             for fid in lat.all_faces():
                 if not fid:
                     continue
-                if set(cell.vertices) <= set(lat.face_polytope(fid).lattice_points()):
+                if set(cell.vertices) <= set(s.polytope.face(fid).lattice_points()):
                     if best is None or lat.face_dim(fid) < lat.face_dim(best):
                         best = fid
             assert s.carrier(cell) == best
@@ -84,7 +84,7 @@ def test_trivial_subdivision_of_square():
     s = trivial_subdivision(cube(2))
     assert len(s.cells) == 10
     for cell in s.cells[1:]:
-        assert s.polytope.face_lattice().face_polytope(s.carrier(cell)) is cell
+        assert s.polytope.face(s.carrier(cell)) is cell
 
 
 def test_square_diagonal_split():
@@ -163,7 +163,7 @@ def test_restriction_to_edge():
     edge = next(
         f
         for f in faces_of_dim(lat, 1)
-        if set(lat.face_polytope(f).vertices) == {(0, 0), (4, 0)}
+        if set(s.polytope.face(f).vertices) == {(0, 0), (4, 0)}
     )
     r = s.restrict(edge)
     expected = {cell for cell in s.cells if all(v[1] == 0 for v in cell.vertices)}
@@ -177,7 +177,7 @@ def test_restriction_of_trivial_is_trivial():
     lat = p.face_lattice()
     for fid in faces_of_dim(lat, 2):
         r = s.restrict(fid)
-        assert r.cells == trivial_subdivision(lat.face_polytope(fid)).cells
+        assert r.cells == trivial_subdivision(p.face(fid)).cells
     with pytest.raises(ValueError):
         s.restrict(((0, 1, 2),))
 
@@ -277,8 +277,8 @@ def _face_closure(maximal):
     the empty cell's."""
     closure = {()}
     for cid in maximal:
-        lattice = LatticePolytope.convex_hull(cid).face_lattice()
-        closure |= {lattice.face_polytope(f).vertices for f in lattice.all_faces()}
+        cell = LatticePolytope.convex_hull(cid)
+        closure |= {cell.face(f).vertices for f in cell.face_lattice().all_faces()}
     return closure
 
 
@@ -303,10 +303,7 @@ def test_each_cell_is_the_interned_face_of_a_maximal_cell():
         for c in s.cells[1:]:
             assert c is LatticePolytope.convex_hull(c.vertices), c
         faces = {
-            id(lattice.face_polytope(f))
-            for top in s.maximal_cells
-            for lattice in [top.face_lattice()]
-            for f in lattice.all_faces()
+            id(top.face(f)) for top in s.maximal_cells for f in top.face_lattice().all_faces()
         }
         assert {id(c) for c in s.cells} == faces, s.key
 
@@ -320,12 +317,10 @@ def test_a_one_cell_complex_takes_its_incidence_from_the_cell_face_ids():
     square = LatticePolytope.convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     tops = [cube(4), cross_polytope(4), square, LatticePolytope.convex_hull([(2, 3)])]
     for top in tops:
-        lattice = top.face_lattice()
-        for fid in lattice.all_faces()[1:]:
-            face = lattice.face_polytope(fid)
+        for fid in top.face_lattice().all_faces()[1:]:
+            face = top.face(fid)
             s = CellComplex(face, [face])
-            own = face.face_lattice()
-            fid_of = {own.face_polytope(f): f for f in own.all_faces()}
+            fid_of = {face.face(f): f for f in face.face_lattice().all_faces()}
             cells = tuple(sorted(fid_of, key=lambda c: (c.dim, c.vertices)))
             vmask = [fid_of[c] for c in cells]
             faces = [tuple(range(1, len(cells)))]
