@@ -63,12 +63,6 @@ from .fans import Refinement, TruncatedNormalFan, simplicial_refinement
 from .memo import memo
 
 
-def _box(p: LatticePolytope):
-    """The box point counts of a simplex, or None: not a simplex, or a box
-    above ``BOX_LIMIT``, which is left to counting and the face walk."""
-    return p.box()[1] if len(p.vertices) == p.dim + 1 else None
-
-
 @memo("H_STAR", key=lambda p: p.shape)
 def h_star(p: LatticePolytope) -> LaurentPoly:
     """Ehrhart h*-polynomial of a lattice polytope, in u; h*(empty) = 1.
@@ -90,7 +84,7 @@ def h_star(p: LatticePolytope) -> LaurentPoly:
     if p.is_empty:
         return ONE
     d = p.dim
-    box = _box(p)
+    box = p.box_counts()
     if box is not None:
         heights = Counter()
         for (height, _), count in box.items():
@@ -132,7 +126,7 @@ def local_h_star(p: LatticePolytope) -> LaurentPoly:
     unimodular one."""
     if p.is_empty:
         return ONE
-    box = _box(p)
+    box = p.box_counts()
     if box is not None:
         return from_univariate(
             {height: count for (height, size), count in box.items() if size == p.dim + 1}, "u"
@@ -174,7 +168,7 @@ def mixed_h_star(p: LatticePolytope) -> LaurentPoly:
     """
     if p.is_empty:
         return ONE
-    box = _box(p)
+    box = p.box_counts()
     if box is not None:
         return LaurentPoly(
             {(height, size - height, 0, 0, 0): count for (height, size), count in box.items()}

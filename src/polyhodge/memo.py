@@ -5,10 +5,12 @@ function memos use the ``memo`` decorator; hulls and interned complexes use
 ``table`` directly.  Entries are never evicted (each table is bounded by the
 input); ``clear()`` empties them all.
 
-A key only has to determine the value.  The lattice invariants of a polytope
-(``H_STAR``, ``LOCAL_H_STAR``, ``MIXED``, ``HODGE_DELIGNE_UV``) are keyed by
-its translation class, ``LatticePolytope.shape``; the values of a
-subdivision (``TOWER``, ``NEARBY_FIBER_E``, ``DK_CACHE``) by
+A key only has to determine the value.  Every lattice value of a polytope
+(``BOX``, ``VOLUME``, ``COUNT``, ``H_STAR``, ``LOCAL_H_STAR``, ``MIXED``,
+``HODGE_DELIGNE_UV``) is keyed by its translation class,
+``LatticePolytope.shape``; the polytope keeps only its hull, which differs
+between translates, and its interned face lattice.  The values of a
+subdivision (``TOWER``, ``NEARBY_FIBER_E``, ``DK_CACHE``) are keyed by
 ``CellComplex.key``; ``TORUS`` by the pair (x, d) of ``hodge._e_from_h``.
 """
 

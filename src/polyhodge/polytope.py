@@ -20,12 +20,13 @@ from it.  A face is named by its vertex bitmask (bit i is vertex i), from
 the lattice to the carriers, cones and restrictions built on it, so face
 containment is a bitmask test.
 
-Polytopes are immutable; derived data (face lattice, point counts, the
-translation class ``shape`` that keys the lattice invariants' memo tables)
-is cached on first use.  A lower-dimensional polytope carries a unimodular
-affine model of itself in the saturated lattice of its affine span, with an
-integer left inverse, so that lattice point counts and volumes are intrinsic
-and model coordinates cost integer dot products only.
+Polytopes are immutable.  Every lattice value (box, volume, dilate counts,
+h*, l*, h*(u, v), E) is a memo entry keyed by the translation class
+``shape``; a polytope keeps only its hull, whose model map differs between
+translates, and its face lattice.  A lower-dimensional polytope carries a
+unimodular affine model of itself in the saturated lattice of its affine
+span, with an integer left inverse, so that lattice point counts and volumes
+are intrinsic and model coordinates cost integer dot products only.
 
 Beneath-beyond runs only on point sets: P, the lifted points of a
 subdivision, a dual, user input.  Every other polytope is built from a
@@ -59,7 +60,7 @@ from operator import and_, mul
 
 from . import linalg
 from .laurent import ONE, ZERO, LaurentPoly
-from .memo import table
+from .memo import memo, table
 from .poset import EulerianPoset, set_bits
 
 Point = tuple[int, ...]
@@ -110,6 +111,7 @@ class AffineUnimodularMap:
 
 _HULL_CACHE = table("HULL_CACHE")  # keyed by input points and by vertices
 _FACE_LATTICES = table("FACE_LATTICE")  # keyed by the vertex-facet incidence
+_COUNTS = table("COUNT")  # keyed by (shape, m, interior)
 
 # The largest box that is enumerated: a simplex of larger normalized volume
 # is counted fiber by fiber, which a long thin simplex needs.
@@ -126,9 +128,6 @@ class LatticePolytope:
         "_hull",
         "_facet_masks",
         "_face_lattice",
-        "_count_cache",
-        "_nvol",
-        "_box",
         "_hash",
         "_shape",
     )
@@ -144,9 +143,6 @@ class LatticePolytope:
         # The vertex-facet incidence: bit i of a facet's mask is vertex i.
         self._facet_masks = facet_masks
         self._face_lattice = None
-        self._count_cache = {}  # (m, interior) -> lattice points of the m-th dilate
-        self._nvol = None
-        self._box = None
         # Polytopes key every memo and cell dict, so the hash of the key is
         # computed once.
         self._hash = hash((ambient_dim, vertices))
@@ -322,20 +318,19 @@ class LatticePolytope:
         on a simplex, its box points of full support at height 1."""
         if self.dim == 0:
             return 1
-        box = self.box()[1] if len(self.vertices) == self.dim + 1 else None
-        if box is None:
-            return self._count(1, True)
-        return box.get((1, self.dim + 1), 0)
+        box = self.box_counts()
+        return self._count(1, True) if box is None else box.get((1, self.dim + 1), 0)
 
     def _count(self, m: int, interior: bool) -> int:
         if self.is_empty:
             return 0
         if m == 0 or self.dim == 0:
             return 1
-        key = (m, interior)
-        if key not in self._count_cache:
-            self._count_cache[key] = sum(hi - lo + 1 for _, _, lo, hi in self._fibers(m, interior))
-        return self._count_cache[key]
+        key = (self.shape, m, interior)
+        count = _COUNTS.get(key)
+        if count is None:
+            count = _COUNTS[key] = sum(hi - lo + 1 for _, _, lo, hi in self._fibers(m, interior))
+        return count
 
     def lattice_points(self):
         """Ambient lattice points of the polytope."""
@@ -345,16 +340,15 @@ class LatticePolytope:
 
     # -- volume ----------------------------------------------------------------
 
+    @memo("VOLUME", key=lambda p: p.shape)
     def normalized_volume(self) -> int:
         """dim! times the Euclidean volume w.r.t. the intrinsic lattice: the
         size of the box on a simplex, else ``pyramid_volume``."""
         if self.is_empty:
             raise ValueError("volume of the empty polytope")
-        if self._nvol is None:
-            simplex = len(self.vertices) == self.dim + 1
-            self._nvol = self.box()[0] if simplex else self.pyramid_volume()
-        return self._nvol
+        return self.box()[0] if len(self.vertices) == self.dim + 1 else self.pyramid_volume()
 
+    @memo("BOX", key=lambda p: p.shape)
     def box(self):
         """(size, counts) of the box of a simplex: its box points counted by
         (height, support size), or None in place of the counts when the size,
@@ -366,25 +360,28 @@ class LatticePolytope:
         diagonal, the point k (0 <= k_j < d_j) has l = V (k / d) mod 1,
         computed in integers over the common denominator lcm(d).
         """
-        if self._box is None:
-            if len(self.vertices) != self.dim + 1:
-                raise ValueError("the box is defined on a simplex")
-            cone = [list(col) for col in zip(*self.vertices)] + [[1] * len(self.vertices)]
-            diag, v = linalg.diagonal_form(cone)
-            size = prod(diag)
-            counts = None
-            if size <= BOX_LIMIT:
-                denom = lcm(*diag)
-                steps = [(j, denom // d) for j, d in enumerate(diag) if d > 1]
-                counts = Counter()
-                for k in itertools.product(*(range(diag[j]) for j, _ in steps)):
-                    scaled = [
-                        sum(row[j] * kj * step for (j, step), kj in zip(steps, k)) % denom
-                        for row in v
-                    ]
-                    counts[sum(scaled) // denom, len(scaled) - scaled.count(0)] += 1
-            self._box = size, counts
-        return self._box
+        if len(self.vertices) != self.dim + 1:
+            raise ValueError("the box is defined on a simplex")
+        cone = [list(col) for col in zip(*self.vertices)] + [[1] * len(self.vertices)]
+        diag, v = linalg.diagonal_form(cone)
+        size = prod(diag)
+        counts = None
+        if size <= BOX_LIMIT:
+            denom = lcm(*diag)
+            steps = [(j, denom // d) for j, d in enumerate(diag) if d > 1]
+            counts = Counter()
+            for k in itertools.product(*(range(diag[j]) for j, _ in steps)):
+                scaled = [
+                    sum(row[j] * kj * step for (j, step), kj in zip(steps, k)) % denom
+                    for row in v
+                ]
+                counts[sum(scaled) // denom, len(scaled) - scaled.count(0)] += 1
+        return size, counts
+
+    def box_counts(self):
+        """The box point counts of a simplex, or None: not a simplex, or a box
+        above ``BOX_LIMIT``, which is left to counting and the face walk."""
+        return self.box()[1] if len(self.vertices) == self.dim + 1 else None
 
     def pyramid_volume(self) -> int:
         """The normalized volume as a sum of pyramids: over the facets F not

@@ -143,6 +143,21 @@ def fill_face_tables(p):
         inv.local_h_star(q)
 
 
+# The tables of lattice data keyed by translation class, filled by the values below.
+LATTICE_TABLES = ("BOX", "VOLUME", "COUNT")
+
+
+def lattice_values(p):
+    """The box of every simplex face of p, its volume and its first dilate counts."""
+    boxes = [q.box() for q in all_faces(p)[1:] if len(q.vertices) == q.dim + 1]
+    counts = [p.lattice_point_count(m, interior) for m in (1, 2) for interior in (False, True)]
+    return boxes, p.normalized_volume(), counts
+
+
+def lattice_table_sizes():
+    return [len(memo.TABLES[name]) for name in LATTICE_TABLES]
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     random_polytope_points(min_dim=2, max_dim=4, embed=False),
@@ -156,6 +171,9 @@ def test_translates_share_one_entry_per_class(points, shifts):
     fill_face_tables(p)
     classes = len(translation_classes(all_faces(p)))
     assert class_table_sizes() == [classes, classes, 1, 1]
+    lattice = lattice_values(p)
+    sizes = lattice_table_sizes()
+    assert all(sizes)
     translates = [
         LatticePolytope.convex_hull([tuple(x + t for x, t in zip(v, shift)) for v in points])
         for shift in shifts
@@ -163,10 +181,14 @@ def test_translates_share_one_entry_per_class(points, shifts):
     for q in translates:
         assert q.shape == p.shape
         assert class_values(q) == values
+        assert lattice_values(q) == lattice
         fill_face_tables(q)
     assert class_table_sizes() == [classes, classes, 1, 1]
+    assert lattice_table_sizes() == sizes
     for q in translates:
         assert fresh_class_values(q) == values
+        memo.clear()
+        assert lattice_values(LatticePolytope.convex_hull(q.vertices)) == lattice
     # -P is lattice equivalent to P, so it has the same values, whatever its shape.
     minus_p = LatticePolytope.convex_hull([tuple(-x for x in v) for v in points])
     assert fresh_class_values(minus_p) == values
