@@ -1,22 +1,24 @@
 """Exact integer linear algebra used by the polytope machinery.
 
-One fraction-free elimination over Q (Bareiss, Math. Comp. 22, 1968) serves
-rank and kernel: every intermediate entry is an integer minor of the input,
-so the divisions are exact and no rational number is ever formed.
-Run to the reduced form, it yields D times the reduced row echelon form,
-where D is the determinant of the pivot minor; that form is unique, so
-kernel vectors read off it are canonical.  The normal of a hyperplane
-through d points is the one kernel vector of their d - 1 difference rows.
-
 One unimodular elimination over Z, ``_echelon``, a column echelon by
-Euclid's algorithm, serves the lattice.  It gives the saturated integer
-kernel with the inverse of its unimodular completion, which gives integer
-left inverses of lattice bases.  Alternated with the same echelon on the
-transpose, it gives a diagonal form U A V = D of a matrix A of full column
-rank (not the Smith form: D need not be a divisor chain).  The lattice
-points of the column span of A modulo the columns of A form the group of
-order d_1 ... d_c, and the element with coordinates k_j mod d_j is
-A V (k / d): so V and the d_j alone enumerate it, and U is never formed.
+Euclid's algorithm, serves rank, kernels and the lattice, and no rational
+number is ever formed.  It gives the saturated integer kernel with the
+inverse of its unimodular completion, which gives integer left inverses of
+lattice bases.  The normal of a hyperplane through d points is the one
+saturated kernel vector of their d - 1 difference rows.
+
+The rational kernel basis stays canonical, a function of the matrix alone,
+as the model maps of lower-dimensional polytopes need: its vector for a free
+column f of the reduced row echelon form is the one primitive kernel vector
+on f and the pivot columns before it, positive at f, so it is the saturated
+kernel of those columns, up to sign.
+
+Alternated with the same echelon on the transpose, it gives a diagonal
+form U A V = D of a matrix A of full column rank (not the Smith form: D
+need not be a divisor chain).  The lattice points of the column span of A
+modulo the columns of A form the group of order d_1 ... d_c, and the element
+with coordinates k_j mod d_j is A V (k / d): so V and the d_j alone
+enumerate it, and U is never formed.
 """
 
 from __future__ import annotations
@@ -43,76 +45,37 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def _bareiss(rows, reduced: bool):
-    """Fraction-free elimination of an integer matrix.
-
-    Returns (m, pivots, det): the nonzero rows of the eliminated matrix, the
-    pivot column of each, and the determinant of the pivot minor (1 if there
-    is no pivot).  Without ``reduced`` only the rows below each pivot are
-    cleared (enough for the rank).  With it the rows above are cleared too,
-    and m[i][pivots[k]] == det if i == k else 0, so m / det is the reduced
-    row echelon form.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        pivot_row = m[r]
-        p = pivot_row[c]
-        for i in range(0 if reduced else r + 1, nrows):
-            if i == r:
-                continue
-            row = m[i]
-            f = row[c]
-            if f:
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-            elif p != prev:
-                m[i] = [p * x // prev for x in row]
-        pivots.append(c)
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots, prev
-
-
 def rank(rows) -> int:
     if not rows:
         return 0
-    return len(_bareiss(rows, reduced=False)[1])
+    return _echelon([list(r) for r in rows], len(rows[0]))
 
 
 def kernel_basis(rows) -> list[tuple[int, ...]]:
     """Basis of the rational kernel {x : rows @ x = 0} of an integer matrix.
 
     One primitive integer vector per free column f of the reduced row echelon
-    form: the positive multiple of the vector with x_f = 1, the other free
-    coordinates 0 and the pivot coordinates read off the reduced form.
+    form: the kernel vector supported on the pivot columns before f and on f,
+    positive at f.  It spans the saturated kernel of those columns, so it is
+    that kernel's one basis vector up to sign; an empty kernel there marks f
+    as a pivot.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots, det = _bareiss(rows, reduced=True)
-    sign = 1 if det > 0 else -1
-    pivot_set = set(pivots)
-    basis = []
+    pivots, basis = [], []
     for f in range(ncols):
-        if f in pivot_set:
+        cols = pivots + [f]
+        kernel = integer_kernel_basis([[r[j] for j in cols] for r in rows], len(cols))[0]
+        if not kernel:
+            pivots.append(f)
             continue
+        (w,) = kernel
+        sign = 1 if w[-1] > 0 else -1
         v = [0] * ncols
-        v[f] = sign * det
-        for row, p in zip(red, pivots):
-            v[p] = -sign * row[f]
-        basis.append(primitive(v))
+        for j, x in zip(cols, w):
+            v[j] = sign * x
+        basis.append(tuple(v))
     return basis
 
 

@@ -3,10 +3,11 @@
 All geometry is exact integer arithmetic, and facet normals are primitive,
 so the polar dual of a reflexive polytope is the hull of its facet normals.
 Hulls are built by beneath-beyond: the points are inserted one at a time into
-a triangulated boundary grown from a simplex, each boundary simplex carries
-the hyperplane whose normal is the kernel of its d - 1 edge vectors, and the
-simplices are merged by hyperplane into facets, each certified against all
-points.
+a triangulated boundary grown from a simplex, and the simplices are merged by
+hyperplane into facets, each certified against all points.  Only the
+starting simplex's facets take the kernel of their d - 1 edge vectors; a
+simplex coned from a horizon ridge to a new point takes the plane of the
+pencil of the two planes through that ridge.
 
 Lattice points of a dilate are counted fiber by fiber along the longest side
 of its bounding box: on each line parallel to that axis through a lattice
@@ -521,20 +522,17 @@ def _span_map(n: int, pts, d: int) -> AffineUnimodularMap:
 def _build_hull(n: int, pts: list[Point]) -> LatticePolytope:
     d = linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts])
     map_ = _span_map(n, pts, d)
-    facets, vertex_models = _hull_in_full_dim(d, [map_.to_model(p) for p in pts])
+    facets, vertex_models, masks = _hull_in_full_dim(d, [map_.to_model(p) for p in pts])
     # Canonical vertex order: lexicographic on ambient coordinates.
-    verts_ambient = sorted(map_.from_model(v) for v in vertex_models)
-    model_vertices = tuple(map_.to_model(v) for v in verts_ambient)
-    masks = tuple(
-        sum(1 << i for i, v in enumerate(model_vertices) if linalg.dot(a, v) == b)
-        for a, b in facets
-    )
-    hull = (map_, model_vertices, tuple(facets))
-    return LatticePolytope(n, tuple(verts_ambient), d, masks, hull)
+    ambient = [map_.from_model(v) for v in vertex_models]
+    order = sorted(range(len(ambient)), key=ambient.__getitem__)
+    hull = (map_, tuple(vertex_models[i] for i in order), tuple(facets))
+    return LatticePolytope(n, tuple(ambient[i] for i in order), d, _renumber(masks, order), hull)
 
 
 def _hull_in_full_dim(d: int, pts: list[Point]):
-    """Facets and vertices of a full-dimensional hull in Z^d, exactly.
+    """Facets, vertices and vertex-facet incidence of a full-dimensional hull
+    in Z^d, exactly.
 
     Beneath-beyond (Edelsbrunner, *Algorithms in Combinatorial Geometry*,
     1987): from a simplex of d + 1 affinely independent points, the other
@@ -542,15 +540,19 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
     d-point facets.  A facet is visible from p when p lies strictly beneath
     it (a coplanar facet is not), and every horizon ridge, held by one
     visible and one hidden facet, is coned to p; a point that sees no facet
-    is already in the hull.  The boundary simplices are merged by
-    hyperplane into facets, and every facet is certified against all points.
-    Every vertex is an input point and the intersection of the facets through
-    it, so a point is a vertex exactly when no other point lies on all of
-    its facets.
+    is already in the hull.  Only the simplex's facets take a kernel: the
+    plane through a horizon ridge and p lies in the pencil of the visible
+    and the hidden plane through that ridge.  The boundary simplices are
+    merged by hyperplane into facets, and every facet is certified against
+    all points.  Every vertex is an input point and the intersection of the
+    facets through it, so a point is a vertex exactly when no other point
+    lies on all of its facets.  Returns the sorted facets (a, b), with
+    <a, x> >= b on the hull, the vertices in sorted order, and per facet
+    the bitmask of the vertices on it.
     """
     pts = sorted(set(pts))
     if d == 0:
-        return [], [pts[0]]
+        return [], [pts[0]], ()
     simplex, rows = [0], []
     for j in range(1, len(pts)):
         row = linalg.vec_sub(pts[j], pts[0])
@@ -566,13 +568,14 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
     facets: dict[tuple, tuple] = {}  # sorted point indices -> (normal, rhs)
     ridges: dict[tuple, list] = {}  # sorted point indices -> facets holding it
 
-    def add(facet):
-        facets[facet] = _facet_plane([pts[i] for i in facet], inside, d + 1)
+    def add(facet, plane):
+        facets[facet] = plane
         for k in range(d):
             ridges.setdefault(facet[:k] + facet[k + 1:], []).append(facet)
 
     for k in range(d + 1):
-        add(tuple(simplex[:k] + simplex[k + 1:]))
+        facet = tuple(simplex[:k] + simplex[k + 1:])
+        add(facet, _facet_plane([pts[i] for i in facet], inside, d + 1))
     placed = set(simplex)
     for j, p in enumerate(pts):
         if j in placed:
@@ -580,17 +583,22 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
         visible = {f for f, (a, b) in facets.items() if sum(map(mul, a, p)) < b}
         horizon = []
         for f in visible:
-            del facets[f]
+            seen = facets.pop(f)
             for k in range(d):
                 ridge = f[:k] + f[k + 1:]
                 holders = ridges[ridge]
                 holders.remove(f)
                 if holders and holders[0] not in visible:
-                    horizon.append(ridge)
+                    horizon.append((ridge, seen, facets[holders[0]]))
                 elif not holders:
                     del ridges[ridge]
-        for ridge in horizon:
-            add(tuple(sorted((*ridge, j))))
+        for ridge, (a_seen, b_seen), (a_hidden, b_hidden) in horizon:
+            # s >= 0 > t, so s * seen - t * hidden vanishes at p and on the
+            # ridge and is positive at inside.
+            s = sum(map(mul, a_hidden, p)) - b_hidden
+            t = sum(map(mul, a_seen, p)) - b_seen
+            a = linalg.primitive([s * x - t * y for x, y in zip(a_seen, a_hidden)])
+            add(tuple(sorted((*ridge, j))), (a, sum(map(mul, a, p))))
     facet_list = sorted(set(facets.values()))
     on_facet = []  # per facet, the bitmask of the points on it
     for a, b in facet_list:
@@ -599,7 +607,10 @@ def _hull_in_full_dim(d: int, pts: list[Point]):
             raise RuntimeError("hull certification failed: a point lies beyond a facet")
         on_facet.append(sum(1 << i for i, v in enumerate(values) if not v))
     common = [reduce(and_, (m for m in on_facet if m >> i & 1), -1) for i in range(len(pts))]
-    return facet_list, [p for i, p in enumerate(pts) if common[i] == 1 << i]
+    vertices = [i for i in range(len(pts)) if common[i] == 1 << i]
+    every = sum(1 << i for i in vertices)
+    masks = _renumber([m & every for m in on_facet], vertices)
+    return facet_list, [pts[i] for i in vertices], masks
 
 
 def _facet_plane(points, inside, scale):
@@ -607,7 +618,7 @@ def _facet_plane(points, inside, scale):
     <a, inside> > scale * b."""
     base = points[0]
     rows = [linalg.vec_sub(q, base) for q in points[1:]]
-    normal = linalg.kernel_basis(rows)[0] if rows else (1,)
+    normal = linalg.integer_kernel_basis(rows, len(base))[0][0]
     if linalg.dot(normal, inside) < scale * linalg.dot(normal, base):
         normal = tuple(-x for x in normal)
     return normal, linalg.dot(normal, base)

@@ -152,7 +152,7 @@ def face_dims_reference(p):
     for f in faces:
         vs = [p.vertices[i] for i in sorted(f)]
         diffs = [linalg.vec_sub(v, vs[0]) for v in vs[1:]]
-        dims[tuple(sorted(f))] = linalg.rank(diffs) if diffs else len(vs) - 1
+        dims[tuple(sorted(f))] = len(rref_oracle(diffs)[1]) if diffs else len(vs) - 1
     return dims
 
 

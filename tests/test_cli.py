@@ -661,6 +661,27 @@ def test_lower_dimensional_input_keeps_its_heights():
     assert "regular_subdivision_idempotent" in names[0]
 
 
+# The reflexive pentagon (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1) with its
+# origin, mapped into Z^5 by x -> (x1 + 2 x2, x2, 3 x1 + x2, -x1, x1 - x2).
+# Its span has codimension 3, so its model map is built from the kernel basis
+# of its difference rows, and the dual's vertices are read in that model's
+# coordinates.
+PENTAGON = str(DATA / "pentagon_in_z5.json")
+
+
+def test_a_codimension_three_input_keeps_its_model_coordinates():
+    memo.clear()
+    code, out = run_cli(["stringy", PENTAGON, "--format", "text"])
+    assert code == 0
+    dual = "dual_polytope_vertices = [[-2, -1], [-1, 0], [0, -1], [1, 1], [2, 1]]"
+    assert dual in out.splitlines()
+    memo.clear()
+    code, out = run_cli(["verify", PENTAGON])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["status"] == "pass" for c in checks)
+
+
 # sha256 of the JSON stdout of hodge on the k*D_d ladders in tests/data
 # (6*D3 with 84 points, 3*D4 with 35, 5*D4 with 126), whose lifted hulls and
 # cell complexes are the largest in the suite.

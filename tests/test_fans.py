@@ -11,6 +11,7 @@ from polyhodge.subdivision import trivial_subdivision
 
 from conftest import (
     cone_contains_reference, cross_polytope, cube, faces_of_dim, mask, model_complex,
+    rref_oracle,
 )
 
 
@@ -131,8 +132,6 @@ def test_nested_nonsimplicial_refinement():
     # In the 5-dimensional cross-polytope fan the edge cones have eight rays
     # and their facet cones are themselves non-simplicial, so the pulling
     # recursion has to triangulate non-simplicial faces before coning.
-    from polyhodge import linalg
-
     fan = TruncatedNormalFan(cross_polytope(5))
     worst = max(
         len(fan.cone_rays[f]) - fan.cone_dim(f) for f in fan.face_ids
@@ -141,7 +140,7 @@ def test_nested_nonsimplicial_refinement():
     ref = simplicial_refinement(fan)
     for rays, fid in ref.cones.items():
         if rays:
-            assert linalg.rank(list(rays)) == len(rays)
+            assert len(rref_oracle(list(rays))[1]) == len(rays)
             for r in rays:
                 assert cone_contains_reference(fan.cone_rays[fid], r)
     rng = random.Random(1)

@@ -385,8 +385,9 @@ def test_checks_pass_on_lower_dimensional_restrictions(corpus25):
 
 
 # One side of a verify check on the quartic (d = 2), made wrong by adding a
-# term, and the check that must then fail: u v w^(d+3) and u^(d+2) lie above
-# the degree d + 1 that weak Lefschetz allows.
+# term, or by a map where the side is no polynomial, and the check that must
+# then fail (a diagnostic: warn): u v w^(d+3) and u^(d+2) lie above the
+# degree d + 1 that weak Lefschetz allows.
 FAULTS = {
     "h_star_at_one_is_volume": (LatticePolytope, "pyramid_volume", 1),
     "euler_characteristic_specialization": (hodge, "euler_characteristic", 1),
@@ -409,6 +410,16 @@ FAULTS = {
     "refined_involution": (inv, "refined_limit_mixed_h_star", U**2 * V * W**2),
     "w_degree_bound": (inv, "refined_limit_mixed_h_star", U * V * W**5),
     "refined_nonnegative": (inv, "refined_limit_mixed_h_star", -(U**2) * V**2 * W**4),
+    "lambda_palindromy": (inv, "lambda_phi", lambda pair: (pair[0] + U, pair[1])),
+    "lambda_mixed_palindromy": (inv, "lambda_mixed", U),
+    "small_coefficient_oracle": (
+        inv, "small_coeff_oracle", lambda oracle: {k: v + 1 for k, v in oracle.items()}
+    ),
+    "hodge_number_tables": (inv, "local_limit_mixed_h_star", -(U**3) * V**3),
+    "euler_relation": (CellComplex, "interior_cells", lambda cells: cells[:-1]),
+    # u^3 v^3 w^4 makes the strip r = 2, k = 0 read [0, 0, 1], which is not
+    # symmetric; the diagnostic warns and never fails.
+    "unimodality_diagnostic": (inv, "refined_limit_mixed_h_star", U**3 * V**3 * W**4),
 }
 
 
@@ -420,10 +431,13 @@ def test_a_wrong_side_fails_its_verify_check(name, monkeypatch, quartic_triangle
     # The clean run fills every cache first, so the fault reaches the
     # check's side and is stored nowhere.
     assert status() == "pass"
-    owner, attr, extra = FAULTS[name]
+    owner, attr, fault = FAULTS[name]
     original = getattr(owner, attr)
-    monkeypatch.setattr(owner, attr, lambda *args: original(*args) + extra)
-    assert status() == "fail"
+    if callable(fault):
+        monkeypatch.setattr(owner, attr, lambda *args: fault(original(*args)))
+    else:
+        monkeypatch.setattr(owner, attr, lambda *args: original(*args) + fault)
+    assert status() == ("warn" if name == "unimodality_diagnostic" else "fail")
 
 
 # Two draws whose P is a segment: in corpus 20240, P is first interned as a

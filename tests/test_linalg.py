@@ -240,6 +240,17 @@ def hull_oracle(d, pts):
     return facet_list, vertices
 
 
+def assert_hull_matches_oracle(d, pts):
+    """Facets and vertices as the scan finds them; each facet's vertex mask
+    as dot products find it."""
+    facets, vertices, masks = _hull_in_full_dim(d, list(pts))
+    assert (facets, vertices) == hull_oracle(d, pts)
+    assert masks == tuple(
+        sum(1 << i for i, v in enumerate(vertices) if sum(x * y for x, y in zip(a, v)) == b)
+        for a, b in facets
+    )
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
@@ -250,7 +261,7 @@ def test_hull_matches_exhaustive_scan(case):
     d, pts = case
     diffs = [linalg.vec_sub(p, pts[0]) for p in pts]
     assume(len(rref_oracle(diffs)[1]) == d)
-    assert _hull_in_full_dim(d, list(pts)) == hull_oracle(d, pts)
+    assert_hull_matches_oracle(d, pts)
 
 
 @st.composite
@@ -288,7 +299,7 @@ def test_hull_matches_exhaustive_scan_on_degenerate_inputs(case):
     d, pts = case
     diffs = [linalg.vec_sub(p, pts[0]) for p in pts]
     assume(len(rref_oracle(diffs)[1]) == d)
-    assert _hull_in_full_dim(d, list(pts)) == hull_oracle(d, pts)
+    assert_hull_matches_oracle(d, pts)
 
 
 # -- diagonal form ------------------------------------------------------------

@@ -23,6 +23,7 @@ from conftest import (
     mask,
     poset_is_eulerian,
     random_simplices,
+    rref_oracle,
     segment,
     simplex_from_incidence,
     solve_oracle,
@@ -37,7 +38,7 @@ def in_convex_hull(point, others, dim):
         for subset in itertools.combinations(others, size):
             base = subset[0]
             rows = [linalg.vec_sub(q, base) for q in subset[1:]]
-            if linalg.rank(rows) != size - 1:
+            if len(rref_oracle(rows)[1]) != size - 1:
                 continue
             cols = [tuple(r[i] for r in rows) for i in range(dim)]
             target = linalg.vec_sub(point, base)
@@ -304,7 +305,7 @@ def test_face_lattices_posets_and_hull_vertices_take_no_rank(monkeypatch):
     # The 3-cross-polytope with its origin, in sorted order: its first four
     # points are affinely independent, so the starting simplex takes three
     # rank calls, and the vertex test takes none.
-    facets, vertices = polytope._hull_in_full_dim(3, sorted(octahedron + ((0, 0, 0),)))
+    facets, vertices, _ = polytope._hull_in_full_dim(3, sorted(octahedron + ((0, 0, 0),)))
     assert len(facets) == 8
     assert vertices == list(octahedron)
     assert len(calls) == 3

@@ -616,14 +616,32 @@ def test_ladder_subdivision_needs_no_candidate_scan(name, monkeypatch):
     heights = {tuple(e["coords"]): Fraction(e["height"]) for e in data["points"]}
     memo.clear()
     height_fn = HeightFunction(LatticePolytope.convex_hull(list(heights)), heights)
-    calls = []
+    calls, planes, runs = [], [], []
     kernel_basis = linalg.kernel_basis
+    facet_plane, hull_in_full_dim = polytope._facet_plane, polytope._hull_in_full_dim
 
     def counted(rows):
         calls.append(len(rows))
         return kernel_basis(rows)
 
+    def counted_plane(*args):
+        planes.append(args)
+        return facet_plane(*args)
+
+    def counted_hull(d, pts):
+        before = len(planes)
+        out = hull_in_full_dim(d, pts)
+        runs.append((d, len(planes) - before))
+        return out
+
     monkeypatch.setattr(linalg, "kernel_basis", counted)
+    monkeypatch.setattr(polytope, "_facet_plane", counted_plane)
+    monkeypatch.setattr(polytope, "_hull_in_full_dim", counted_hull)
     s = regular_subdivision(height_fn)
     assert len(s.maximal_cells) == LADDERS[name]
     assert len(calls) < 10_000
+    # Only the starting simplex's d + 1 facets of the d-dimensional lift take
+    # a kernel; every later one takes the plane of the pencil through its
+    # horizon ridge.
+    d = height_fn.polytope.dim + 1
+    assert runs == [(d, d + 1)]
